@@ -73,12 +73,6 @@ class Quiver:
             adj[b].append(a)
         return adj
 
-    def out_arrows(self, v):
-        return [ar for ar in self.arrows if ar[0] == v]
-
-    def in_arrows(self, v):
-        return [ar for ar in self.arrows if ar[1] == v]
-
     def sinks(self):
         outgoing = {a for a, _ in self.arrows}
         return tuple(v for v in self.vertices if v not in outgoing)
@@ -95,9 +89,6 @@ class Quiver:
 
     def is_leaf(self, v):
         return sum(1 for a, b in self.arrows if v in (a, b)) == 1
-
-    def degree(self, v):
-        return sum(1 for a, b in self.arrows if v in (a, b))
 
 
 def path_quiver(n, orientation=None):

@@ -251,13 +251,11 @@ def indecomposables(q):
     kind, param = classify_tree(q)
     ref = path_quiver(param) if kind == "A" else d_quiver(param)
     at_reference = q == ref
-    if canon == ref:
-        tagged = _reference_models(kind, param)
-        tags = [x for x, _ in tagged]
-        reps = [r for _, r in tagged]
-    else:
-        tagged = _reference_models(kind, param)
-        reps = _transport(ref, canon, [r for _, r in tagged])
+    tagged = _reference_models(kind, param)
+    tags = [x for x, _ in tagged]
+    reps = [r for _, r in tagged]
+    if canon != ref:
+        reps = _transport(ref, canon, reps)
         tags = [None] * len(reps)
     if canon != q:
         inverse = {new: old for old, new in mapping.items()}
@@ -305,19 +303,6 @@ def positive_roots(q):
                 seen.add(t)
                 queue.append(t)
     return frozenset(t for t in seen if all(c >= 0 for c in t) and any(t))
-
-
-def rep_to_json(r):
-    """Debug serialization: dims map plus row-major matrices as "p/q" strings."""
-    from fractions import Fraction
-
-    return {
-        "dims": {v: r.dims[v] for v in r.quiver.vertices},
-        "maps": {
-            f"{a}->{b}": [[str(Fraction(x)) for x in row] for row in r.maps[(a, b)]]
-            for a, b in r.quiver.arrows
-        },
-    }
 
 
 def projective_dim_vectors(q):

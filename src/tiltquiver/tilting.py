@@ -10,8 +10,6 @@ t <= u  iff  Ext^1(u, t) = 0 summandwise.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -47,29 +45,13 @@ class ExtTable:
         return "(" + ",".join(str(d) for d in self.dim_tuple(i)) + ")"
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("TQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @lru_cache(maxsize=None)
 def ext_table(q):
-    """Full hom/ext tables; rows may be computed by a small thread pool."""
+    """Full hom/ext tables over the indecomposables of q."""
     indecs = rep.indecomposables(q)
     k = len(indecs)
     reps = [ind.rep for ind in indecs]
-
-    def hom_row(i):
-        return tuple(rep.hom_dim(reps[i], reps[j]) for j in range(k))
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hom = tuple(pool.map(hom_row, range(k)))
-    else:
-        hom = tuple(hom_row(i) for i in range(k))
+    hom = tuple(tuple(rep.hom_dim(reps[i], reps[j]) for j in range(k)) for i in range(k))
     ext_rows = []
     for i in range(k):
         row = []
@@ -340,10 +322,11 @@ def tilting_quiver_json(tq):
 def tilting_quiver_dot(tq):
     """Graphviz digraph, one node statement and one edge statement per line."""
     table = ext_table(tq.quiver)
+    delta = tq.delta
     lines = ["digraph tilting {"]
     for i, t in enumerate(tq.nodes):
         label = "|".join(table.label(s) for s in t.summands)
-        lines.append(f'  t{i} [label="{label}", delta={tq.delta[i]}];')
+        lines.append(f'  t{i} [label="{label}", delta={delta[i]}];')
     for a, b in tq.arrows:
         lines.append(f"  t{a} -> t{b};")
     lines.append("}")

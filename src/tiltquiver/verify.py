@@ -1,13 +1,15 @@
 """Named verification checks over enumerated instances.
 
 Every identity the package is built around is a named check producing one
-pass/fail result per instance.  The CLI groups them into suites; the
-acceptance tests run the same code at fixed ranks.
+pass/fail result per instance.  Each check is declared once, as data: a name,
+the instances it runs on and a search for a counterexample.  The CLI groups
+the checks into suites; the acceptance tests run the same code at fixed ranks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import classify as cl
@@ -19,7 +21,6 @@ from .tilting import (
     enumerate_tilting,
     ext_table,
     hasse_check,
-    leq,
     module_dim,
     tilting_quiver,
 )
@@ -33,9 +34,30 @@ class CheckResult:
     detail: str = ""
 
 
-def _res(check, instance, ok, detail=""):
-    return CheckResult(check, instance, "pass" if ok else "fail", "" if ok else detail)
+@dataclass(frozen=True)
+class Check:
+    """One named identity, checked instance by instance.
 
+    `instances(max_rank)` returns the ordered (label, arg) pairs to check;
+    `find(arg)` returns a counterexample string, or None when the identity holds.
+    """
+
+    name: str
+    instances: Callable
+    find: Callable
+
+    def __call__(self, max_rank):
+        out = []
+        for label, arg in self.instances(max_rank):
+            found = self.find(arg)
+            if found is None:
+                out.append(CheckResult(self.name, label, "pass"))
+            else:
+                out.append(CheckResult(self.name, label, "fail", found))
+        return out
+
+
+# ------------------------------------------------------------------ instances
 
 def _a_quivers(max_rank, cap):
     return [(f"A{n}", path_quiver(n)) for n in range(1, min(max_rank, cap) + 1)]
@@ -60,6 +82,10 @@ def _hasse_instances(max_rank):
     return _a_quivers(max_rank, 6) + _d_quivers(max_rank, 4) + _oriented_instances(max_rank)
 
 
+def _oracle_instances(max_rank):
+    return _a_quivers(max_rank, 6) + _d_quivers(max_rank, 5)
+
+
 def _glue_instances(max_rank):
     out = []
     if max_rank >= 4:
@@ -71,625 +97,432 @@ def _glue_instances(max_rank):
     return out
 
 
-def _glue_leaves(q):
-    return [x for x in q.vertices if q.is_leaf(x) and (q.is_source(x) or q.is_sink(x))]
+def _glue_points(max_rank):
+    """(q, x) at every leaf x of a glue instance that is a source or a sink."""
+    return [
+        (f"{name}:x={x}", (q, x))
+        for name, q in _glue_instances(max_rank)
+        for x in q.vertices
+        if q.is_leaf(x) and (q.is_source(x) or q.is_sink(x))
+    ]
+
+
+def _orientation_targets(max_rank):
+    """(kind, Dynkin rank, quiver parameter), checked over all orientations."""
+    targets = [("A", n, n) for n in range(2, min(max_rank, 5) + 1)]
+    targets += [("D", fork + 1, fork) for fork in range(3, min(max_rank - 1, 4) + 1)]
+    return [(f"{kind}{rank}", (kind, rank, param)) for kind, rank, param in targets]
+
+
+def _reflection_targets(max_rank):
+    """(kind, quiver parameter), checked over all orientations."""
+    out = []
+    if max_rank >= 4:
+        out += [("A4", ("A", 4)), ("Q3", ("D", 3))]
+    if max_rank >= 5:
+        out.append(("A5", ("A", 5)))
+    return out
+
+
+def _mismatch(got, want):
+    return None if got == want else f"got {got}, want {want}"
 
 
 # ------------------------------------------------------------------ counts
 
-def check_counts_a(max_rank):
-    out = []
-    for name, q in _a_quivers(max_rank, 9):
-        n = len(q.vertices)
-        want = closed_form_counts("A", n)
-        tq = tilting_quiver(q)
-        got = (len(tq.nodes), len(tq.arrows))
-        out.append(_res("closed-form-counts-A", name, got == want, f"got {got}, want {want}"))
-    return out
+def _counts(q):
+    tq = tilting_quiver(q)
+    return len(tq.nodes), len(tq.arrows)
 
 
-def check_counts_d(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 7):
-        m = len(q.vertices)
-        want = closed_form_counts("D", m)
-        tq = tilting_quiver(q)
-        got = (len(tq.nodes), len(tq.arrows))
-        out.append(_res("closed-form-counts-D", name, got == want, f"got {got}, want {want}"))
-    return out
+def _closed_form(kind):
+    return lambda q: _mismatch(_counts(q), closed_form_counts(kind, len(q.vertices)))
 
 
-def check_orientation_invariance(max_rank):
-    out = []
-    targets = [("A", n, n) for n in range(2, min(max_rank, 5) + 1)]
-    targets += [("D", fork + 1, fork) for fork in range(3, min(max_rank - 1, 4) + 1)]
-    for kind, rank, param in targets:
-        reference = closed_form_counts(kind, rank)
-        pairs = set()
-        for _, q in all_orientations(kind, param):
-            tq = tilting_quiver(q)
-            pairs.add((len(tq.nodes), len(tq.arrows)))
-        out.append(
-            _res(
-                "orientation-invariance",
-                f"{kind}{rank}",
-                pairs == {reference},
-                f"distinct counts {sorted(pairs)}, want {{{reference}}}",
-            )
-        )
-    return out
+def _orientation_invariant(target):
+    kind, rank, param = target
+    reference = closed_form_counts(kind, rank)
+    pairs = {_counts(q) for _, q in all_orientations(kind, param)}
+    if pairs == {reference}:
+        return None
+    return f"distinct counts {sorted(pairs)}, want {{{reference}}}"
 
 
-def check_reflection_invariance(max_rank):
-    out = []
-    instances = []
-    if max_rank >= 4:
-        instances.append(("A4", list(all_orientations("A", 4))))
-        instances.append(("Q3", list(all_orientations("D", 3))))
-    if max_rank >= 5:
-        instances.append(("A5", list(all_orientations("A", 5))))
-    for name, oriented in instances:
-        ok = True
-        detail = ""
-        for bits, q in oriented:
-            total = len(tilting_quiver(q).arrows)
-            for x in q.vertices:
-                if q.is_source(x) or q.is_sink(x):
-                    other = len(tilting_quiver(reflect(q, x)).arrows)
-                    if other != total:
-                        ok = False
-                        detail = f"orientation {bits} vertex {x}: {total} vs {other}"
-        out.append(_res("reflection-arrow-invariance", name, ok, detail))
-    return out
+def _reflection_invariant(target):
+    for bits, q in all_orientations(*target):
+        total = len(tilting_quiver(q).arrows)
+        for x in q.vertices:
+            if q.is_source(x) or q.is_sink(x):
+                other = len(tilting_quiver(reflect(q, x)).arrows)
+                if other != total:
+                    return f"orientation {bits} vertex {x}: {total} vs {other}"
+    return None
 
 
 # ------------------------------------------------------------------ hasse
 
-def check_hasse(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        report = hasse_check(ext_table(q), tilting_quiver(q))
-        out.append(
-            _res(
-                "hasse-property",
-                name,
-                report.ok,
-                f"missing {report.missing[:3]}, extra {report.extra[:3]}",
-            )
-        )
-    return out
+def _hasse(q):
+    report = hasse_check(ext_table(q), tilting_quiver(q))
+    if report.ok:
+        return None
+    return f"missing {report.missing[:3]}, extra {report.extra[:3]}"
 
 
-def check_poset_axioms(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        try:
-            glue.poset_view(q).validate()
-            out.append(_res("poset-axioms", name, True))
-        except RuntimeError as exc:
-            out.append(_res("poset-axioms", name, False, str(exc)))
-    return out
+def _poset_axioms(q):
+    try:
+        glue.poset_view(q).validate()
+    except RuntimeError as exc:
+        return str(exc)
+    return None
 
 
-def check_unique_extremes(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        table = ext_table(q)
-        tq = tilting_quiver(q)
-        sources = [i for i in range(len(tq.nodes)) if tq.in_deg[i] == 0]
-        sinks = [i for i in range(len(tq.nodes)) if tq.out_deg[i] == 0]
-        proj_dims = rep.projective_dim_vectors(q)
-        proj_ids = tuple(
-            sorted(table.id_by_dim[tuple(d[v] for v in q.vertices)] for d in proj_dims.values())
-        )
-        ok = (
-            len(sources) == 1
-            and len(sinks) == 1
-            and tq.nodes[sources[0]].summands == proj_ids
-        )
-        out.append(
-            _res(
-                "unique-extremes",
-                name,
-                ok,
-                f"sources {sources}, sinks {sinks}",
-            )
-        )
-    return out
+def _unique_extremes(q):
+    table = ext_table(q)
+    tq = tilting_quiver(q)
+    sources = [i for i in range(len(tq.nodes)) if tq.in_deg[i] == 0]
+    sinks = [i for i in range(len(tq.nodes)) if tq.out_deg[i] == 0]
+    proj_dims = rep.projective_dim_vectors(q)
+    proj_ids = tuple(
+        sorted(table.id_by_dim[tuple(d[v] for v in q.vertices)] for d in proj_dims.values())
+    )
+    if len(sources) == 1 and len(sinks) == 1 and tq.nodes[sources[0]].summands == proj_ids:
+        return None
+    return f"sources {sources}, sinks {sinks}"
 
 
-def check_half_degree_sum(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        tq = tilting_quiver(q)
-        ok = 2 * len(tq.arrows) == sum(tq.delta)
-        out.append(_res("half-degree-sum", name, ok, f"{len(tq.arrows)} vs {sum(tq.delta)}"))
-    return out
+def _half_degree_sum(q):
+    tq = tilting_quiver(q)
+    total = sum(tq.delta)
+    return None if 2 * len(tq.arrows) == total else f"{len(tq.arrows)} vs {total}"
 
 
 # ------------------------------------------------------------------ degrees
 
-def check_degree_formula(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        report = degree_stats(tilting_quiver(q))
-        out.append(
-            _res(
-                "degree-formula",
-                name,
-                report.formula_ok,
-                f"mismatches {report.mismatches[:3]}",
-            )
-        )
-    return out
+def _degree_formula(q):
+    report = degree_stats(tilting_quiver(q))
+    return None if report.formula_ok else f"mismatches {report.mismatches[:3]}"
 
 
-def check_degree_constant_a(max_rank):
-    out = []
-    for name, q in _a_quivers(max_rank, 6):
-        n = len(q.vertices)
-        report = degree_stats(tilting_quiver(q))
-        ok = report.histogram == {n - 1: len(enumerate_tilting(q))}
-        out.append(_res("degree-constant-A", name, ok, f"histogram {report.histogram}"))
-    return out
+def _degree_constant_a(q):
+    histogram = degree_stats(tilting_quiver(q)).histogram
+    want = {len(q.vertices) - 1: len(enumerate_tilting(q))}
+    return None if histogram == want else f"histogram {histogram}"
 
 
-def check_degree_histogram_d(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 5, lo=3):
-        n = len(q.vertices) - 1
-        t2, t1, t0 = cl.class_count_formulas(n)
-        want = {n - 1: t2, n: t1, n + 1: t0}
-        report = degree_stats(tilting_quiver(q))
-        out.append(
-            _res(
-                "degree-histogram-D",
-                name,
-                report.histogram == want,
-                f"got {report.histogram}, want {want}",
-            )
-        )
-    return out
+def _degree_histogram_d(q):
+    n = len(q.vertices) - 1
+    t2, t1, t0 = cl.class_count_formulas(n)
+    want = {n - 1: t2, n: t1, n + 1: t0}
+    return _mismatch(degree_stats(tilting_quiver(q)).histogram, want)
 
 
 # ------------------------------------------------------------------ oracle
 
-def check_ext_predicate(max_rank):
-    out = []
-    instances = _a_quivers(max_rank, 6) + _d_quivers(max_rank, 5)
-    for name, q in instances:
-        kind, param = classify_tree(q)
-        table = ext_table(q)
-        k = len(table)
-        ok = True
-        detail = ""
-        for i in range(k):
-            for j in range(i, k):
-                xi, xj = table.indecs[i].model, table.indecs[j].model
-                pred = models.ext_vanish_pair(kind, xi, xj, param)
-                real = table.ext[i][j] == 0 and table.ext[j][i] == 0
-                if pred != real:
-                    ok = False
-                    detail = f"{models.render(xi)} vs {models.render(xj)}: predicate {pred}, ext {real}"
-                    break
-            if not ok:
-                break
-        out.append(_res("ext-oracle-agreement", name, ok, detail))
-    return out
+def _ext_predicate(q):
+    kind, param = classify_tree(q)
+    table = ext_table(q)
+    k = len(table)
+    for i in range(k):
+        for j in range(i, k):
+            xi, xj = table.indecs[i].model, table.indecs[j].model
+            pred = models.ext_vanish_pair(kind, xi, xj, param)
+            real = table.ext[i][j] == 0 and table.ext[j][i] == 0
+            if pred != real:
+                return (
+                    f"{models.render(xi)} vs {models.render(xj)}: "
+                    f"predicate {pred}, ext {real}"
+                )
+    return None
 
 
-def check_ar_duality(max_rank):
-    out = []
-    instances = _a_quivers(max_rank, 6) + _d_quivers(max_rank, 5)
-    for name, q in instances:
-        kind, param = classify_tree(q)
-        table = ext_table(q)
-        k = len(table)
-        ok = True
-        detail = ""
-        for i in range(k):
-            translate = models.ar_translate(kind, table.indecs[i].model, param)
-            if translate is None:
-                tau_col = None
-            else:
-                tau_dim = models.model_dim(kind, translate, param)
-                tau_col = table.id_by_dim[tuple(tau_dim[v] for v in q.vertices)]
-            for j in range(k):
-                want = table.hom[j][tau_col] if tau_col is not None else 0
-                if table.ext[i][j] != want:
-                    ok = False
-                    detail = f"ext({i},{j}) = {table.ext[i][j]} but hom(N, translate) = {want}"
-                    break
-            if not ok:
-                break
-        out.append(_res("ar-duality", name, ok, detail))
-    return out
+def _ar_duality(q):
+    kind, param = classify_tree(q)
+    table = ext_table(q)
+    k = len(table)
+    for i in range(k):
+        translate = models.ar_translate(kind, table.indecs[i].model, param)
+        if translate is None:
+            tau_col = None
+        else:
+            tau_dim = models.model_dim(kind, translate, param)
+            tau_col = table.id_by_dim[tuple(tau_dim[v] for v in q.vertices)]
+        for j in range(k):
+            want = table.hom[j][tau_col] if tau_col is not None else 0
+            if table.ext[i][j] != want:
+                return f"ext({i},{j}) = {table.ext[i][j]} but hom(N, translate) = {want}"
+    return None
 
 
-def check_hom_criterion_a(max_rank):
-    out = []
-    for name, q in _a_quivers(max_rank, 6):
-        table = ext_table(q)
-        k = len(table)
-        ok = True
-        detail = ""
-        for i in range(k):
-            for j in range(k):
-                xi, xj = table.indecs[i].model, table.indecs[j].model
-                pred = models.a_hom_nonzero(xi, xj)
-                if (table.hom[i][j] != 0) != pred:
-                    ok = False
-                    detail = f"hom {models.render(xi)} -> {models.render(xj)}"
-        out.append(_res("hom-criterion-A", name, ok, detail))
-    return out
+def _hom_criterion_a(q):
+    table = ext_table(q)
+    k = len(table)
+    for i in range(k):
+        for j in range(k):
+            xi, xj = table.indecs[i].model, table.indecs[j].model
+            if (table.hom[i][j] != 0) != models.a_hom_nonzero(xi, xj):
+                return f"hom {models.render(xi)} -> {models.render(xj)}"
+    return None
 
 
-def check_positive_roots(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        dims = sorted(ind.rep.dim_tuple() for ind in rep.indecomposables(q))
-        roots = sorted(rep.positive_roots(q))
-        out.append(_res("positive-roots", name, dims == roots, f"{len(dims)} vs {len(roots)}"))
-    return out
+def _positive_roots(q):
+    dims = sorted(ind.rep.dim_tuple() for ind in rep.indecomposables(q))
+    roots = sorted(rep.positive_roots(q))
+    return None if dims == roots else f"{len(dims)} vs {len(roots)}"
 
 
-def check_rigidity(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        table = ext_table(q)
-        ok = all(
-            table.hom[i][i] == 1 and table.ext[i][i] == 0 for i in range(len(table))
-        )
-        out.append(_res("rigidity", name, ok))
-    return out
+def _rigidity(q):
+    table = ext_table(q)
+    for i in range(len(table)):
+        if table.hom[i][i] != 1 or table.ext[i][i] != 0:
+            return f"id {i}: hom {table.hom[i][i]}, ext {table.ext[i][i]}"
+    return None
 
 
-def check_euler_roots(max_rank):
-    out = []
-    for name, q in _hasse_instances(max_rank):
-        verts = q.vertices
-        ok = all(
-            rep.euler_form(q, dict(zip(verts, d)), dict(zip(verts, d))) == 1
-            for d in rep.positive_roots(q)
-        )
-        out.append(_res("euler-root-norm", name, ok))
-    return out
+def _euler_root_norm(q):
+    for d in sorted(rep.positive_roots(q)):
+        dims = dict(zip(q.vertices, d))
+        norm = rep.euler_form(q, dims, dims)
+        if norm != 1:
+            return f"root {d}: euler form {norm}"
+    return None
 
 
 # ------------------------------------------------------------------ glue
 
-def check_leaf_closure(max_rank):
-    out = []
-    for name, q in _glue_instances(max_rank):
-        for x in _glue_leaves(q):
-            report = glue.closure_report(q, x)
-            out.append(
-                _res(
-                    "leaf-projection-closure",
-                    f"{name}:x={x}",
-                    report.ok,
-                    f"section {report.section_ok}, closure {report.closure_ok}, "
-                    f"equality {report.equality_ok}, monotone {report.monotone_ok}",
-                )
-            )
-    return out
+def _leaf_closure(point):
+    r = glue.closure_report(*point)
+    if r.ok:
+        return None
+    return (
+        f"section {r.section_ok}, closure {r.closure_ok}, "
+        f"equality {r.equality_ok}, monotone {r.monotone_ok}"
+    )
 
 
-def check_glued_order(max_rank):
-    out = []
-    for name, q in _glue_instances(max_rank):
-        for x in _glue_leaves(q):
-            report = glue.glued_order_report(q, x)
-            out.append(
-                _res(
-                    "glued-order",
-                    f"{name}:x={x}",
-                    report.ok,
-                    f"cross {report.cross_ok}, forbidden {report.forbidden_ok}",
-                )
-            )
-    return out
+def _glued_order(point):
+    r = glue.glued_order_report(*point)
+    return None if r.ok else f"cross {r.cross_ok}, forbidden {r.forbidden_ok}"
 
 
-def check_complement_transport(max_rank):
-    out = []
-    for name, q in _glue_instances(max_rank):
-        for x in _glue_leaves(q):
-            report = glue.transport_complement(q, x)
-            out.append(
-                _res(
-                    "complement-transport",
-                    f"{name}:x={x}",
-                    report.ok,
-                    f"bijective {report.bijective}, order {report.order_iso}, "
-                    f"commutes {report.commutes}",
-                )
-            )
-    return out
+def _complement_transport(point):
+    r = glue.transport_complement(*point)
+    if r.ok:
+        return None
+    return f"bijective {r.bijective}, order {r.order_iso}, commutes {r.commutes}"
 
 
-def check_crossing_arrows(max_rank):
-    out = []
-    for name, q in _glue_instances(max_rank):
-        for x in _glue_leaves(q):
-            report = glue.crossing_report(q, x)
-            inside, _ = glue.split_by_simple(q, x)
-            ok = report.ok and len(report.crossing) == len(inside)
-            out.append(
-                _res(
-                    "crossing-arrow-bijection",
-                    f"{name}:x={x}",
-                    ok,
-                    f"{len(report.crossing)} crossing vs {len(inside)} modules",
-                )
-            )
-    return out
+def _crossing_arrows(point):
+    r = glue.crossing_report(*point)
+    inside, _ = glue.split_by_simple(*point)
+    if r.ok and len(r.crossing) == len(inside):
+        return None
+    return f"{len(r.crossing)} crossing vs {len(inside)} modules"
 
 
-def check_arrow_decomposition(max_rank):
-    out = []
-    for name, q in _glue_instances(max_rank):
-        for x in _glue_leaves(q):
-            report = glue.arrow_decomposition(q, x)
-            out.append(
-                _res(
-                    "arrow-decomposition",
-                    f"{name}:x={x}",
-                    report.ok,
-                    f"{report.small}+{report.outside}+{report.crossing} vs {report.total}, "
-                    f"reflected {report.reflected_total}",
-                )
-            )
-    return out
+def _arrow_decomposition(point):
+    r = glue.arrow_decomposition(*point)
+    if r.ok:
+        return None
+    return (
+        f"{r.small}+{r.outside}+{r.crossing} vs {r.total}, "
+        f"reflected {r.reflected_total}"
+    )
 
 
-def check_simple_membership(max_rank):
-    out = []
-    for name, q in _glue_instances(max_rank):
-        table = ext_table(q)
-        ok = True
-        detail = ""
-        for x in q.vertices:
-            if not (q.is_sink(x) or q.is_source(x)):
-                continue
-            s = glue.simple_summand_id(table, x)
-            for t in enumerate_tilting(q):
-                if s in t.summands and module_dim(table, t)[x] < 2:
-                    ok = False
-                    detail = f"vertex {x}, module {t.summands}"
-        out.append(_res("simple-membership-dims", name, ok, detail))
-    return out
+def _simple_membership(q):
+    table = ext_table(q)
+    for x in q.vertices:
+        if not (q.is_sink(x) or q.is_source(x)):
+            continue
+        s = glue.simple_summand_id(table, x)
+        for t in enumerate_tilting(q):
+            if s in t.summands and module_dim(table, t)[x] < 2:
+                return f"vertex {x}, module {t.summands}"
+    return None
 
 
 # ------------------------------------------------------------------ taxonomy
 
-def check_class_partition(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 5):
-        table = ext_table(q)
-        ok = True
-        detail = ""
-        for t in enumerate_tilting(q):
-            c = cl.classify(table, t)
-            if c.bucket not in ("T0", "T1", "T2") or c.problems:
-                ok = False
-                detail = f"module {t.summands}: {c.bucket} {c.problems}"
-        out.append(_res("degree-class-partition", name, ok, detail))
-    return out
+def _class_partition(q):
+    table = ext_table(q)
+    for t in enumerate_tilting(q):
+        c = cl.classify(table, t)
+        if c.bucket not in ("T0", "T1", "T2") or c.problems:
+            return f"module {t.summands}: {c.bucket} {c.problems}"
+    return None
 
 
-def check_class_a_empty(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 5):
-        table = ext_table(q)
-        bad = [
-            t.summands
-            for t in enumerate_tilting(q)
-            if any(tag.startswith("A") for tag in cl.classify(table, t).tags)
+def _class_a_empty(q):
+    table = ext_table(q)
+    bad = [
+        t.summands
+        for t in enumerate_tilting(q)
+        if any(tag.startswith("A") for tag in cl.classify(table, t).tags)
+    ]
+    return f"members {bad[:3]}" if bad else None
+
+
+def _class_counts(q):
+    n = len(q.vertices) - 1
+    table = ext_table(q)
+    buckets = Counter(cl.classify(table, t).bucket for t in enumerate_tilting(q))
+    t2, t1, t0 = cl.class_count_formulas(n)
+    return _mismatch(dict(buckets), {"T2": t2, "T1": t1, "T0": t0})
+
+
+def _bijection_path(q):
+    n = len(q.vertices) - 1
+    table = ext_table(q)
+    path_sets = set(cl.tilting_model_sets(path_quiver(n)))
+    images = {"+": [], "-": []}
+    for t in enumerate_tilting(q):
+        if not any(tag.startswith("B") for tag in cl.classify(table, t).tags):
+            continue
+        j, sign, ivs = cl.to_path_tilting(table, t)
+        if ivs not in path_sets or cl.min_end_statistic(ivs, n) != j:
+            return f"image of {t.summands} off"
+        if cl.from_path_tilting(n, j, sign, ivs) != frozenset(cl.summand_models(table, t)):
+            return f"round trip failed on {t.summands}"
+        images[sign].append(ivs)
+    want_total = {s for s in path_sets if cl.min_end_statistic(s, n) >= 1}
+    for sign, got in images.items():
+        if len(got) != len(set(got)) or set(got) != want_total:
+            return f"sign {sign}: image is not the filtered path family"
+        if len(got) != cl.b_count_formula(n):
+            return f"sign {sign}: {len(got)} images, want {cl.b_count_formula(n)}"
+    return None
+
+
+def _bijection_shrink(q):
+    n = len(q.vertices) - 1
+    table = ext_table(q)
+    small_sets = set(cl.tilting_model_sets(d_quiver(n - 1)))
+    images = []
+    for t in enumerate_tilting(q):
+        if not any(tag.startswith("C") for tag in cl.classify(table, t).tags):
+            continue
+        j, ms = cl.to_smaller_fork(table, t)
+        if ms not in small_sets or cl.fork_reach_statistic(ms) != j - 1:
+            return f"image of {t.summands} off"
+        if cl.from_smaller_fork(n, j, ms) != frozenset(cl.summand_models(table, t)):
+            return f"round trip failed on {t.summands}"
+        images.append(ms)
+    if len(images) != len(set(images)) or set(images) != small_sets:
+        return "images do not exhaust the smaller fork quiver"
+    if len(images) != cl.c_count_formula(n):
+        return f"{len(images)} images, want {cl.c_count_formula(n)}"
+    return None
+
+
+def _product_split(q):
+    n = len(q.vertices) - 1
+    table = ext_table(q)
+    fibers = Counter()
+    t1_total = 0
+    b_total = 0
+    for t in enumerate_tilting(q):
+        c = cl.classify(table, t)
+        if c.bucket != "T1":
+            continue
+        t1_total += 1
+        if any(tag.startswith("B") for tag in c.tags):
+            b_total += 1
+            continue
+        i, left, right = cl.split_product(table, t)
+        fibers[i] += 1
+        if cl.unsplit_product(n, i, left, right) != frozenset(cl.summand_models(table, t)):
+            return f"round trip failed on {t.summands}"
+    for i, size in sorted(fibers.items()):
+        small = d_quiver(n - i + 1)
+        table_small = ext_table(small)
+        right_family = [
+            t
+            for t in enumerate_tilting(small)
+            if module_dim(table_small, t)["1"] == 1
+            and cl.classify(table_small, t).bucket == "T1"
         ]
-        out.append(_res("fork-class-A-empty", name, not bad, f"members {bad[:3]}"))
-    return out
+        want = cl.catalan(i - 1) * len(right_family)
+        if size != want:
+            return f"fiber {i}: {size} vs {want}"
+    if sum(fibers.values()) + b_total != t1_total:
+        return "fibers and fork-tip classes do not exhaust the middle class"
+    return None
 
 
-def check_class_counts(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 5, lo=3):
-        n = len(q.vertices) - 1
-        table = ext_table(q)
-        buckets = Counter(cl.classify(table, t).bucket for t in enumerate_tilting(q))
-        t2, t1, t0 = cl.class_count_formulas(n)
-        want = {"T2": t2, "T1": t1, "T0": t0}
-        out.append(
-            _res(
-                "degree-class-counts",
-                name,
-                dict(buckets) == want,
-                f"got {dict(buckets)}, want {want}",
-            )
-        )
-    return out
+def _sincere_cover(q):
+    table = ext_table(q)
+    bad = [t.summands for t in enumerate_tilting(q) if cl.sincere_stem_summand(table, t) is None]
+    return f"members {bad[:3]}" if bad else None
 
 
-def check_bijection_path(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 4, lo=3):
-        n = len(q.vertices) - 1
-        table = ext_table(q)
-        path_sets = set(cl.tilting_model_sets(path_quiver(n)))
-        ok = True
-        detail = ""
-        images = {"+": [], "-": []}
-        for t in enumerate_tilting(q):
-            c = cl.classify(table, t)
-            if not any(tag.startswith("B") for tag in c.tags):
-                continue
-            j, sign, ivs = cl.to_path_tilting(table, t)
-            back = cl.from_path_tilting(n, j, sign, ivs)
-            if ivs not in path_sets or cl.min_end_statistic(ivs, n) != j:
-                ok = False
-                detail = f"image of {t.summands} off"
-            if back != frozenset(cl.summand_models(table, t)):
-                ok = False
-                detail = f"round trip failed on {t.summands}"
-            images[sign].append(ivs)
-        want_total = {s for s in path_sets if cl.min_end_statistic(s, n) >= 1}
-        for sign in "+-":
-            got = images[sign]
-            if len(got) != len(set(got)) or set(got) != want_total:
-                ok = False
-                detail = f"sign {sign}: image is not the filtered path family"
-            if len(got) != cl.b_count_formula(n):
-                ok = False
-                detail = f"sign {sign}: {len(got)} images, want {cl.b_count_formula(n)}"
-        out.append(_res("fork-bijection-path", name, ok, detail))
-    return out
-
-
-def check_bijection_shrink(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 4, lo=3):
-        n = len(q.vertices) - 1
-        table = ext_table(q)
-        small_sets = set(cl.tilting_model_sets(d_quiver(n - 1)))
-        ok = True
-        detail = ""
-        images = []
-        for t in enumerate_tilting(q):
-            c = cl.classify(table, t)
-            if not any(tag.startswith("C") for tag in c.tags):
-                continue
-            j, ms = cl.to_smaller_fork(table, t)
-            back = cl.from_smaller_fork(n, j, ms)
-            if ms not in small_sets or cl.fork_reach_statistic(ms) != j - 1:
-                ok = False
-                detail = f"image of {t.summands} off"
-            if back != frozenset(cl.summand_models(table, t)):
-                ok = False
-                detail = f"round trip failed on {t.summands}"
-            images.append(ms)
-        if len(images) != len(set(images)) or set(images) != small_sets:
-            ok = False
-            detail = "images do not exhaust the smaller fork quiver"
-        if len(images) != cl.c_count_formula(n):
-            ok = False
-            detail = f"{len(images)} images, want {cl.c_count_formula(n)}"
-        out.append(_res("fork-bijection-shrink", name, ok, detail))
-    return out
-
-
-def check_product_split(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 4, lo=3):
-        n = len(q.vertices) - 1
-        table = ext_table(q)
-        ok = True
-        detail = ""
-        fibers = Counter()
-        t1_total = 0
-        b_total = 0
-        for t in enumerate_tilting(q):
-            c = cl.classify(table, t)
-            if c.bucket != "T1":
-                continue
-            t1_total += 1
-            if any(tag.startswith("B") for tag in c.tags):
-                b_total += 1
-                continue
-            i, left, right = cl.split_product(table, t)
-            fibers[i] += 1
-            if cl.unsplit_product(n, i, left, right) != frozenset(cl.summand_models(table, t)):
-                ok = False
-                detail = f"round trip failed on {t.summands}"
-        for i, size in sorted(fibers.items()):
-            small_fork = n - i + 1
-            table_small = ext_table(d_quiver(small_fork))
-            right_family = [
-                t
-                for t in enumerate_tilting(d_quiver(small_fork))
-                if module_dim(table_small, t)["1"] == 1
-                and cl.classify(table_small, t).bucket == "T1"
-            ]
-            want = cl.catalan(i - 1) * len(right_family)
-            if size != want:
-                ok = False
-                detail = f"fiber {i}: {size} vs {want}"
-        if sum(fibers.values()) + b_total != t1_total:
-            ok = False
-            detail = "fibers and fork-tip classes do not exhaust the middle class"
-        out.append(_res("product-split", name, ok, detail))
-    return out
-
-
-def check_sincere_cover(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 5):
-        table = ext_table(q)
-        bad = [
-            t.summands
-            for t in enumerate_tilting(q)
-            if cl.sincere_stem_summand(table, t) is None
-        ]
-        out.append(_res("stem-cover-exists", name, not bad, f"members {bad[:3]}"))
-    return out
-
-
-def check_fork_pair(max_rank):
-    out = []
-    for name, q in _d_quivers(max_rank, 5):
-        n = len(q.vertices) - 1
-        table = ext_table(q)
-        ok = True
-        detail = ""
-        for t in enumerate_tilting(q):
-            mods = set(cl.summand_models(table, t))
-            if models.DIndec("L", 0, n - 1) in mods:
-                if not (
-                    models.DIndec("L+", 0, n) in mods and models.DIndec("L-", 0, n) in mods
-                ):
-                    ok = False
-                    detail = f"module {t.summands}"
-        out.append(_res("full-stem-forces-fork-pair", name, ok, detail))
-    return out
+def _fork_pair(q):
+    n = len(q.vertices) - 1
+    table = ext_table(q)
+    tips = {models.DIndec("L+", 0, n), models.DIndec("L-", 0, n)}
+    for t in enumerate_tilting(q):
+        mods = set(cl.summand_models(table, t))
+        if models.DIndec("L", 0, n - 1) in mods and not tips <= mods:
+            return f"module {t.summands}"
+    return None
 
 
 SUITES = {
-    "counts": [check_counts_a, check_counts_d, check_orientation_invariance],
-    "hasse": [check_hasse, check_poset_axioms, check_unique_extremes, check_half_degree_sum],
-    "degrees": [check_degree_formula, check_degree_constant_a, check_degree_histogram_d],
+    "counts": [
+        Check("closed-form-counts-A", lambda r: _a_quivers(r, 9), _closed_form("A")),
+        Check("closed-form-counts-D", lambda r: _d_quivers(r, 7), _closed_form("D")),
+        Check("orientation-invariance", _orientation_targets, _orientation_invariant),
+    ],
+    "hasse": [
+        Check("hasse-property", _hasse_instances, _hasse),
+        Check("poset-axioms", _hasse_instances, _poset_axioms),
+        Check("unique-extremes", _hasse_instances, _unique_extremes),
+        Check("half-degree-sum", _hasse_instances, _half_degree_sum),
+    ],
+    "degrees": [
+        Check("degree-formula", _hasse_instances, _degree_formula),
+        Check("degree-constant-A", lambda r: _a_quivers(r, 6), _degree_constant_a),
+        Check("degree-histogram-D", lambda r: _d_quivers(r, 5, lo=3), _degree_histogram_d),
+    ],
     "oracle": [
-        check_ext_predicate,
-        check_ar_duality,
-        check_hom_criterion_a,
-        check_positive_roots,
-        check_rigidity,
-        check_euler_roots,
+        Check("ext-oracle-agreement", _oracle_instances, _ext_predicate),
+        Check("ar-duality", _oracle_instances, _ar_duality),
+        Check("hom-criterion-A", lambda r: _a_quivers(r, 6), _hom_criterion_a),
+        Check("positive-roots", _hasse_instances, _positive_roots),
+        Check("rigidity", _hasse_instances, _rigidity),
+        Check("euler-root-norm", _hasse_instances, _euler_root_norm),
     ],
     "glue": [
-        check_leaf_closure,
-        check_glued_order,
-        check_complement_transport,
-        check_crossing_arrows,
-        check_arrow_decomposition,
-        check_simple_membership,
-        check_reflection_invariance,
+        Check("leaf-projection-closure", _glue_points, _leaf_closure),
+        Check("glued-order", _glue_points, _glued_order),
+        Check("complement-transport", _glue_points, _complement_transport),
+        Check("crossing-arrow-bijection", _glue_points, _crossing_arrows),
+        Check("arrow-decomposition", _glue_points, _arrow_decomposition),
+        Check("simple-membership-dims", _glue_instances, _simple_membership),
+        Check("reflection-arrow-invariance", _reflection_targets, _reflection_invariant),
     ],
     "taxonomy": [
-        check_class_partition,
-        check_class_a_empty,
-        check_class_counts,
-        check_bijection_path,
-        check_bijection_shrink,
-        check_product_split,
-        check_sincere_cover,
-        check_fork_pair,
+        Check("degree-class-partition", lambda r: _d_quivers(r, 5), _class_partition),
+        Check("fork-class-A-empty", lambda r: _d_quivers(r, 5), _class_a_empty),
+        Check("degree-class-counts", lambda r: _d_quivers(r, 5, lo=3), _class_counts),
+        Check("fork-bijection-path", lambda r: _d_quivers(r, 4, lo=3), _bijection_path),
+        Check("fork-bijection-shrink", lambda r: _d_quivers(r, 4, lo=3), _bijection_shrink),
+        Check("product-split", lambda r: _d_quivers(r, 4, lo=3), _product_split),
+        Check("stem-cover-exists", lambda r: _d_quivers(r, 5), _sincere_cover),
+        Check("full-stem-forces-fork-pair", lambda r: _d_quivers(r, 5), _fork_pair),
     ],
 }
 
 SUITE_ORDER = ["counts", "hasse", "degrees", "oracle", "glue", "taxonomy"]
 
+CHECKS = {check.name: check for suite in SUITE_ORDER for check in SUITES[suite]}
+
 
 def run_suite(suite, max_rank):
-    """Run one suite (or "all") and return the ordered check results."""
+    """Run one suite (or "all") and return the ordered check results.
+
+    Raises ValueError for an unknown suite, and for a suite and rank that
+    select no instance, so an empty run never passes.
+    """
     if suite == "all":
         names = SUITE_ORDER
     elif suite in SUITES:
@@ -698,6 +531,8 @@ def run_suite(suite, max_rank):
         raise ValueError(f"unknown suite {suite!r}")
     results = []
     for name in names:
-        for fn in SUITES[name]:
-            results.extend(fn(max_rank))
+        for check in SUITES[name]:
+            results.extend(check(max_rank))
+    if not results:
+        raise ValueError(f"suite {suite!r} selects no checks at --max-rank {max_rank}")
     return results

@@ -135,11 +135,11 @@ def test_criterion_6_oracle_equivalence_and_ar_duality():
 def test_criterion_7_leaf_glue_suite():
     with criterion(7, "projection/lift, transport, crossing and decomposition at leaves"):
         checks = (
-            verify.check_leaf_closure(5)
-            + verify.check_glued_order(5)
-            + verify.check_complement_transport(5)
-            + verify.check_crossing_arrows(5)
-            + verify.check_arrow_decomposition(5)
+            verify.CHECKS["leaf-projection-closure"](5)
+            + verify.CHECKS["glued-order"](5)
+            + verify.CHECKS["complement-transport"](5)
+            + verify.CHECKS["crossing-arrow-bijection"](5)
+            + verify.CHECKS["arrow-decomposition"](5)
         )
         instances = {r.instance.split(":")[0] for r in checks}
         assert instances == {"A4", "A5", "Q3"}
@@ -156,7 +156,8 @@ def test_criterion_8_taxonomy_suite():
             for t in enumerate_tilting(d_quiver(fork)):
                 c = cl.classify(table, t)
                 assert not any(tag.startswith("A") for tag in c.tags), (fork, t)
-        for results in (verify.check_bijection_path(5), verify.check_bijection_shrink(5)):
+        for name in ("fork-bijection-path", "fork-bijection-shrink"):
+            results = verify.CHECKS[name](5)
             names = {r.instance for r in results}
             assert names == {"Q3", "Q4"}
             for r in results:

@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from tiltquiver.cli import main
+
+# sha256 of `verify --suite all --max-rank 4` stdout: 248 passing checks.
+VERIFY_ALL_RANK_4_SHA256 = "66fce05d3928c55a846799665c6c8e00cb2ac50057b64866bf69fcff3cff540f"
 
 
 def run_cli(capsys, *argv):
@@ -122,20 +127,58 @@ def test_verify_reports_are_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--suite", "all", "--max-rank", "4")
     _, second, _ = run_cli(capsys, "verify", "--suite", "all", "--max-rank", "4")
     assert first == second
+    assert len(json.loads(first)["checks"]) == 248
+    assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
-def test_verify_deterministic_under_threads(capsys, monkeypatch):
-    _, first, _ = run_cli(capsys, "verify", "--suite", "hasse", "--max-rank", "4")
-    monkeypatch.setenv("TQ_THREADS", "3")
-    # drop caches so the threaded path actually recomputes the tables
-    from tiltquiver import rep, tilting
+def test_verify_wrong_closed_form_fails_loudly(capsys, monkeypatch):
+    from tiltquiver import verify
 
-    tilting.ext_table.cache_clear()
-    tilting.enumerate_tilting.cache_clear()
-    tilting.tilting_quiver.cache_clear()
-    rep.indecomposables.cache_clear()
-    _, second, _ = run_cli(capsys, "verify", "--suite", "hasse", "--max-rank", "4")
-    assert first == second
+    real = verify.closed_form_counts
+    monkeypatch.setattr(
+        verify,
+        "closed_form_counts",
+        lambda kind, rank: (0, 0) if kind == "A" else real(kind, rank),
+    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "counts", "--max-rank", "3")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[0] == {
+        "check": "closed-form-counts-A",
+        "instance": "A1",
+        "status": "fail",
+        "counterexample": "got (1, 0), want (0, 0)",
+    }
+    wrong = [c for c in checks if c["check"] == "closed-form-counts-A"]
+    assert len(wrong) == 3
+    assert all(c["status"] == "fail" and c["counterexample"] for c in wrong)
+    assert json.loads(err)["failures"]
+
+
+def test_oracle_failures_name_the_counterexample(monkeypatch):
+    from tiltquiver import rep, verify
+
+    real_table = verify.ext_table
+
+    def swollen_table(q):
+        table = real_table(q)
+        hom = ((2,) + table.hom[0][1:],) + table.hom[1:]
+        return dataclasses.replace(table, hom=hom)
+
+    monkeypatch.setattr(verify, "ext_table", swollen_table)
+    results = verify.CHECKS["rigidity"](3)
+    assert [r.instance for r in results] == ["A1", "A2", "A3", "Q2"]
+    assert all(r.status == "fail" and r.detail == "id 0: hom 2, ext 0" for r in results)
+
+    def doubled_simple(q):
+        return frozenset({(2,) + (0,) * (len(q.vertices) - 1)})
+
+    monkeypatch.setattr(rep, "positive_roots", doubled_simple)
+    results = verify.CHECKS["euler-root-norm"](2)
+    assert [(r.status, r.detail) for r in results] == [
+        ("fail", "root (2,): euler form 4"),
+        ("fail", "root (2, 0): euler form 4"),
+    ]
 
 
 def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
@@ -158,18 +201,19 @@ def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["counts", "--type", "D", "--rank", "2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--type", "A", "--rank", "3", "--orientation", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (
+        ["counts", "--type", "D", "--rank", "2"],
+        ["enumerate", "--type", "A", "--rank", "3", "--orientation", "1"],
+        ["verify", "--suite", "bogus"],
+        ["frobnicate"],
+        # a selection that runs no check must not pass vacuously
+        ["verify", "--max-rank", "0"],
+        ["verify", "--max-rank", "-3"],
+        ["verify", "--suite", "glue", "--max-rank", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_rank_guard_reported_as_usage_error(capsys):

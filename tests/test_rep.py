@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from tiltquiver.models import AInterval, DIndec, a_hom_nonzero, ar_translate, model_dim
+from tiltquiver.models import AInterval, a_hom_nonzero, ar_translate, model_dim
 from tiltquiver.quiver import (
     admissible_sink_order,
     all_orientations,
@@ -239,19 +239,6 @@ def test_ar_duality_small():
             for b in inds:
                 want = hom_dim(b.rep, tau_rep) if tau_rep is not None else 0
                 assert ext_dim(a.rep, b.rep) == want
-
-
-def test_rep_json_debug_format():
-    from tiltquiver.rep import rep_to_json
-
-    q = d_quiver(3)
-    ind = next(i for i in indecomposables(q) if i.model == DIndec("M", 0, 1))
-    data = rep_to_json(ind.rep)
-    assert list(data.keys()) == ["dims", "maps"]
-    assert data["dims"] == {"1": 1, "2": 2, "3+": 1, "3-": 1}
-    assert data["maps"]["1->2"] == [["1"], ["1"]]
-    assert data["maps"]["2->3+"] == [["1", "0"]]
-    assert data["maps"]["2->3-"] == [["0", "1"]]
 
 
 def test_non_dynkin_tree_rejected():
