@@ -20,6 +20,7 @@ from .tilting import (
     ext_table,
     is_tilting,
     leq,
+    order_bitsets,
     tilting_quiver,
 )
 
@@ -343,14 +344,7 @@ class PosetView:
 
 
 def poset_view(q):
-    """The tilting poset of q as an explicit relation matrix."""
-    table = ext_table(q)
+    """The tilting poset of q as an explicit relation matrix: row i, bit j iff t_i <= t_j."""
     tilts = enumerate_tilting(q)
-    relation = []
-    for t in tilts:
-        row = 0
-        for j, u in enumerate(tilts):
-            if leq(table, t, u):
-                row |= 1 << j
-        relation.append(row)
-    return PosetView(tuple(tilts), tuple(relation))
+    _, up = order_bitsets(ext_table(q), tilts)
+    return PosetView(tilts, tuple(up))

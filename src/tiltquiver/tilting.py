@@ -86,12 +86,6 @@ class TiltingModule:
 
     summands: tuple
 
-    def mask(self):
-        m = 0
-        for s in self.summands:
-            m |= 1 << s
-        return m
-
 
 def module_dim(table, t):
     """Dimension vector of the whole module (sum over summands)."""
@@ -152,8 +146,44 @@ def enumerate_tilting(q):
 
 def leq(table, t, u):
     """t <= u iff Ext^1 from every summand of u to every summand of t vanishes."""
-    tm = t.mask()
-    return all(tm & ~table.ext_zero[i] == 0 for i in u.summands)
+    z = -1  # Z(u): ids j with Ext^1(i, j) = 0 for every summand i of u
+    for i in u.summands:
+        z &= table.ext_zero[i]
+    return all(z >> j & 1 for j in t.summands)
+
+
+def _order_rows(rows, nodes, n_ids):
+    """Yield per node u the bitset of nodes whose summands all lie in AND rows[i], i in u."""
+    has = [0] * n_ids  # has[j]: nodes with summand j
+    for v, t in enumerate(nodes):
+        for j in t.summands:
+            has[j] |= 1 << v
+    all_ids = (1 << n_ids) - 1
+    everyone = (1 << len(nodes)) - 1
+    for u in nodes:
+        z = all_ids
+        for i in u.summands:
+            z &= rows[i]
+        off = 0  # nodes with a summand outside z
+        rest = all_ids ^ z
+        while rest:
+            low = rest & -rest
+            off |= has[low.bit_length() - 1]
+            rest ^= low
+        yield everyone ^ off
+
+
+def order_bitsets(table, nodes):
+    """Down- and up-set bitsets of <= on `nodes`, as two iterators over the nodes.
+
+    Bit v stands for nodes[v].  down[u] = {t : t <= u}: the nodes whose
+    summands all lie in Z(u), the AND of ext_zero[i] over the summands i of u.
+    up[u] = {w : u <= w}: the nodes whose summands all lie in the AND of the
+    ext_zero columns at the summands of u.  Each row is built when asked for.
+    """
+    n = len(table)
+    cols = [sum(1 << i for i in range(n) if table.ext_zero[i] >> j & 1) for j in range(n)]
+    return _order_rows(table.ext_zero, nodes, n), _order_rows(cols, nodes, n)
 
 
 def completions(table, part):
@@ -229,32 +259,50 @@ class HasseReport:
 
 
 def hasse_check(table, tq):
-    """Arrows must equal the covers of <=, pointing from larger to smaller."""
+    """Arrows must equal the covers of <=, pointing from larger to smaller.
+
+    The order comes from `table.ext_zero` only, never from the arrows.  The
+    down- and up-set bitsets of `order_bitsets` give antisymmetry in one AND
+    per node; the covers of each node are then peeled off its strict down-set
+    along a linear extension, one big-int step per cover.  `missing` and
+    `extra` hold (larger, smaller) pairs of node indices; when antisymmetry
+    fails, `extra` holds the first pair (u, t) with t <= u <= t instead.
+    """
+    if table.quiver != tq.quiver:
+        raise ValueError("Ext table and tilting quiver belong to different quivers")
     nodes = tq.nodes
     k = len(nodes)
-    below = [0] * k  # below[u]: strictly smaller nodes
-    for u in range(k):
-        for t in range(k):
-            if t != u and leq(table, nodes[t], nodes[u]):
-                if leq(table, nodes[u], nodes[t]):
-                    return HasseReport(False, extra=((u, t),))
-                below[u] |= 1 << t
-    above = [0] * k
-    for u in range(k):
-        rest = below[u]
-        while rest:
-            low = rest & -rest
-            above[low.bit_length() - 1] |= 1 << u
-            rest &= rest - 1
+    size = []  # only the down-set sizes outlive this loop
+    for u, (down_u, up_u) in enumerate(zip(*order_bitsets(table, nodes))):
+        if not down_u >> u & 1:
+            raise RuntimeError(f"node {u} is not <= itself: invariant violation")
+        both = (down_u & up_u) ^ (1 << u)
+        if both:
+            return HasseReport(False, extra=((u, (both & -both).bit_length() - 1),))
+        size.append(down_u.bit_count())
+    # In a partial order t < u makes down[t] a proper subset of down[u], so
+    # sorting by down-set size gives a linear extension.  Positions in it
+    # exist only inside this function.
+    order = sorted(range(k), key=size.__getitem__)
+    down = list(order_bitsets(table, [nodes[u] for u in order])[0])
     covers = set()
-    for u in range(k):
-        rest = below[u]
-        while rest:
-            low = rest & -rest
-            t = low.bit_length() - 1
-            rest &= rest - 1
-            if below[u] & above[t] == 0:
-                covers.add((u, t))
+    for p in range(k):
+        cand = down[p] ^ (1 << p)
+        while cand:
+            # The top position left is maximal in cand: everything above it
+            # below p was peeled off with the down-set of an earlier cover.
+            c = cand.bit_length() - 1
+            # down[c] inside down[p] for every peeled c, with antisymmetry,
+            # makes <= transitive, which the peel relies on.
+            stray = down[c] & ~down[p]
+            if stray:
+                t = order[stray.bit_length() - 1]
+                raise RuntimeError(
+                    f"<= is not transitive: {t} <= {order[c]} <= {order[p]} "
+                    f"but not {t} <= {order[p]}: invariant violation"
+                )
+            covers.add((order[p], order[c]))
+            cand &= ~down[c]
     arrows = set(tq.arrows)
     missing = tuple(sorted(covers - arrows))
     extra = tuple(sorted(arrows - covers))

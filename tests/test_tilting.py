@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from tiltquiver.models import AInterval
 from tiltquiver.quiver import all_orientations, d_quiver, path_quiver
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.tilting import (
+    HasseReport,
     TiltingModule,
     closed_form_counts,
     completions,
@@ -16,6 +18,7 @@ from tiltquiver.tilting import (
     is_tilting,
     leq,
     module_dim,
+    order_bitsets,
     tilting_quiver,
     tilting_quiver_dot,
     tilting_quiver_json,
@@ -139,6 +142,79 @@ def test_completions_one_or_two():
 def test_hasse_property():
     for q in (path_quiver(1), path_quiver(3), d_quiver(3)):
         assert hasse_check(ext_table(q), tilting_quiver(q)).ok
+
+
+def test_order_bitsets_match_pairwise_leq():
+    for kind, param in (("A", 5), ("D", 4)):
+        for bits, q in all_orientations(kind, param):
+            table = ext_table(q)
+            nodes = enumerate_tilting(q)
+            down, up = map(list, order_bitsets(table, nodes))
+            for a, t in enumerate(nodes):
+                for b, u in enumerate(nodes):
+                    # leq against the Ext dimensions themselves, not ext_zero
+                    le = all(table.ext[i][j] == 0 for i in u.summands for j in t.summands)
+                    assert leq(table, t, u) == le, (kind, bits, a, b)
+                    assert (down[b] >> a & 1, up[a] >> b & 1) == (le, le), (kind, bits, a, b)
+
+
+def test_hasse_property_at_every_small_orientation():
+    instances = [q for kind, param in (("A", 6), ("D", 5)) for _, q in all_orientations(kind, param)]
+    # the benchmark's A8 and D7 base orientations
+    instances += [path_quiver(8, [c == "1" for c in "1101001"])]
+    instances += [d_quiver(6, [c == "1" for c in "101101"])]
+    for q in instances:
+        assert hasse_check(ext_table(q), tilting_quiver(q)).ok, q
+
+
+def test_hasse_check_reports_wrong_arrows():
+    q = path_quiver(4)
+    table = ext_table(q)
+    tq = tilting_quiver(q)
+    arrows = list(tq.arrows)
+    assert arrows[:2] == [(0, 1), (0, 2)] and (1, 4) in arrows and (0, 4) not in arrows
+
+    def check(new_arrows):
+        return hasse_check(table, replace(tq, arrows=tuple(sorted(new_arrows))))
+
+    assert check(arrows[1:]) == HasseReport(False, missing=((0, 1),))
+    # 0 -> 1 -> 4 makes 0 -> 4 transitive, not a cover
+    assert check(arrows + [(0, 4)]) == HasseReport(False, extra=((0, 4),))
+    assert check([(1, 0)] + arrows[1:]) == HasseReport(
+        False, missing=((0, 1),), extra=((1, 0),)
+    )
+
+
+def test_hasse_check_reports_antisymmetry_failure():
+    q = path_quiver(4)
+    table = ext_table(q)
+    everything = replace(table, ext_zero=((1 << len(table)) - 1,) * len(table))
+    assert hasse_check(everything, tilting_quiver(q)) == HasseReport(False, extra=((0, 1),))
+
+
+def test_hasse_check_rejects_a_relation_that_is_not_an_order():
+    q = path_quiver(4)
+    table = ext_table(q)
+    tq = tilting_quiver(q)
+    nodes = tq.nodes
+    zero = list(table.ext_zero)
+    zero[0] ^= 1 << 4
+    broken = replace(table, ext_zero=tuple(zero))
+    assert leq(broken, nodes[7], nodes[5]) and leq(broken, nodes[5], nodes[0])
+    assert not leq(broken, nodes[7], nodes[0])
+    with pytest.raises(RuntimeError, match="not transitive: 7 <= 5 <= 0"):
+        hasse_check(broken, tq)
+    zero = list(table.ext_zero)
+    zero[0] ^= 1  # Ext^1(S, S) != 0 for the summand S = id 0 of node 0
+    with pytest.raises(RuntimeError, match="node 0 is not <= itself"):
+        hasse_check(replace(table, ext_zero=tuple(zero)), tq)
+
+
+def test_hasse_check_rejects_a_table_of_another_quiver():
+    tq = tilting_quiver(path_quiver(3))
+    for other in (path_quiver(4), path_quiver(3, [True, False])):
+        with pytest.raises(ValueError, match="different quivers"):
+            hasse_check(ext_table(other), tq)
 
 
 def test_degree_stats():
