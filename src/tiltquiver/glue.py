@@ -134,15 +134,16 @@ def closure_report(q, x):
     closure_ok = True
     equality_ok = True
     tilts = enumerate_tilting(q)
+    proj = {t: project(q, x, t) for t in tilts}
     for t in tilts:
-        ft = lift(q, x, project(q, x, t))
+        ft = lift(q, x, proj[t])
         below = leq(table, ft, t) if src else leq(table, t, ft)
         if not below:
             closure_ok = False
         if (ft == t) != (s in t.summands):
             equality_ok = False
     monotone_ok = all(
-        not leq(table, t, u) or leq(small_table, project(q, x, t), project(q, x, u))
+        not leq(table, t, u) or leq(small_table, proj[t], proj[u])
         for t in tilts
         for u in tilts
     )

@@ -98,14 +98,11 @@ def module_dim(table, t):
 
 
 def is_tilting(table, ids):
-    ids = tuple(sorted(ids))
-    if len(ids) != len(table.quiver.vertices) or len(set(ids)) != len(ids):
+    ids = tuple(ids)
+    mask = sum(1 << s for s in set(ids))
+    if len(ids) != len(table.quiver.vertices) or mask.bit_count() != len(ids):
         return False
-    for a in ids:
-        for b in ids:
-            if a < b and not (table.compat[a] >> b) & 1:
-                return False
-    return True
+    return all(mask & ~table.compat[s] == 1 << s for s in ids)
 
 
 def _guard(q):
@@ -119,29 +116,36 @@ def _guard(q):
 
 @lru_cache(maxsize=None)
 def enumerate_tilting(q):
-    """All basic tilting modules, lexicographically sorted summand tuples."""
+    """All basic tilting modules, lexicographically sorted summand tuples.
+
+    The walk extends `chosen` by the lowest candidate id first, with ids
+    strictly increasing, so the modules come out in lexicographic order.
+    """
     _guard(q)
     table = ext_table(q)
     n_ind = len(table)
     need = len(q.vertices)
     compat = table.compat
     out = []
+    chosen = []
 
-    def walk(chosen, cand):
+    def walk(cand):
         if len(chosen) == need:
             out.append(TiltingModule(tuple(chosen)))
             return
         c = cand
         while c:
             low = c & -c
+            c ^= low  # c keeps the candidates above v
             v = low.bit_length() - 1
-            c &= c - 1
-            walk(chosen + [v], cand & compat[v] & ~((low << 1) - 1))
+            chosen.append(v)
+            walk(c & compat[v])
+            chosen.pop()
             if c.bit_count() + len(chosen) < need:
                 return
 
-    walk([], (1 << n_ind) - 1)
-    return tuple(sorted(out))
+    walk((1 << n_ind) - 1)
+    return tuple(out)
 
 
 def leq(table, t, u):
@@ -216,39 +220,53 @@ class TiltingQuiver:
 
 @lru_cache(maxsize=None)
 def tilting_quiver(q):
-    """Build the exchange quiver on all tilting modules of q."""
+    """Build the exchange quiver on all tilting modules of q.
+
+    Nodes are keyed by their summand masks.  For the summands x_0 < ... < x_m
+    of a node, the completions of t minus x_i other than x_i are
+    pre & suf[i + 1] & ~(1 << x_i), where pre is the AND of compat over
+    x_0 .. x_(i-1) and suf[i + 1] over x_(i+1) .. x_m.  Each exchange pair is
+    found from both ends and kept from the end with the smaller index.
+    """
     table = ext_table(q)
     nodes = enumerate_tilting(q)
-    index = {t: i for i, t in enumerate(nodes)}
-    arrows = set()
+    compat, ext = table.compat, table.ext
+    full = (1 << len(table)) - 1
+    masks = [sum(1 << s for s in t.summands) for t in nodes]
+    index = {m: i for i, m in enumerate(masks)}
+    arrows = []
+    out_deg = [0] * len(nodes)
+    in_deg = [0] * len(nodes)
     for ti, t in enumerate(nodes):
-        for x in t.summands:
-            part = tuple(s for s in t.summands if s != x)
-            comp = completions(table, part)
-            if len(comp) > 2:
+        summands = t.summands
+        suf = [full]
+        for s in reversed(summands):
+            suf.append(suf[-1] & compat[s])
+        suf.reverse()
+        pre = full
+        for i, x in enumerate(summands):
+            other = pre & suf[i + 1] & ~(1 << x)
+            pre &= compat[x]
+            if not other:
+                continue
+            if other & (other - 1):
                 raise RuntimeError(
                     "more than two completions of an almost complete module"
                 )
-            others = [y for y in comp if y != x]
-            if not others:
+            y = other.bit_length() - 1
+            u = index[masks[ti] ^ (1 << x) ^ other]
+            if u < ti:
                 continue
-            y = others[0]
-            u = index[TiltingModule(tuple(sorted(part + (y,))))]
-            fwd = table.ext[y][x] != 0
-            bwd = table.ext[x][y] != 0
+            fwd = ext[y][x] != 0
+            bwd = ext[x][y] != 0
             if fwd == bwd:
                 raise RuntimeError("exchange pair is not oriented by a unique Ext")
-            if fwd:
-                arrows.add((ti, u))
-            else:
-                arrows.add((u, ti))
-    arrows = tuple(sorted(arrows))
-    out_deg = [0] * len(nodes)
-    in_deg = [0] * len(nodes)
-    for a, b in arrows:
-        out_deg[a] += 1
-        in_deg[b] += 1
-    return TiltingQuiver(q, nodes, arrows, tuple(out_deg), tuple(in_deg))
+            a, b = (ti, u) if fwd else (u, ti)
+            arrows.append((a, b))
+            out_deg[a] += 1
+            in_deg[b] += 1
+    arrows.sort()
+    return TiltingQuiver(q, nodes, tuple(arrows), tuple(out_deg), tuple(in_deg))
 
 
 @dataclass

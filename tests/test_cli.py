@@ -8,6 +8,14 @@ from tiltquiver.cli import main
 
 # sha256 of `verify --suite all --max-rank 4` stdout: 248 passing checks.
 VERIFY_ALL_RANK_4_SHA256 = "66fce05d3928c55a846799665c6c8e00cb2ac50057b64866bf69fcff3cff540f"
+# sha256 of `graph` stdout at two non-reference orientations, pinned before
+# the exchange quiver was rebuilt on summand masks.
+GRAPH_SHA256 = {
+    ("--type", "A", "--rank", "7", "--orientation", "101101", "--format", "json"):
+        "91c159b4a4e0015e7b12d6de86e81d98c3714f5befb565e2770d97f850320586",
+    ("--type", "D", "--rank", "6", "--orientation", "10110"):
+        "fca6d779ea8e8007b988e6b83bf546341a6506f4eec0995b9572596c92eae6e5",
+}
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +74,13 @@ def test_graph_json_field_order(capsys):
     assert list(data.keys()) == ["quiver", "nodes", "arrows", "delta"]
     assert len(data["nodes"]) == 20
     assert len(data["arrows"]) == 32
+
+
+@pytest.mark.parametrize("args", sorted(GRAPH_SHA256))
+def test_graph_output_bytes_are_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, "graph", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_SHA256[args]
 
 
 def test_enumerate_matches_counts(capsys):

@@ -97,6 +97,21 @@ def test_closure_identities():
         assert report.ok, (q, x, report)
 
 
+def test_closure_report_projects_each_module_once(monkeypatch):
+    q = path_quiver(5)
+    small = delete_vertex(q, "1")
+    calls = []
+    real = glue.project
+
+    def counting_project(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(glue, "project", counting_project)
+    assert glue.closure_report(q, "1").ok
+    assert 0 < len(calls) <= len(enumerate_tilting(q)) + len(enumerate_tilting(small))
+
+
 def test_glued_order():
     for q, x in (
         (path_quiver(3), "1"),

@@ -139,6 +139,52 @@ def test_completions_one_or_two():
                     assert one_way == 1
 
 
+def test_exchange_quiver_matches_pairwise_oracle():
+    for kind, param in (("A", 5), ("D", 4)):
+        for bits, q in all_orientations(kind, param):
+            table = ext_table(q)
+            nodes = enumerate_tilting(q)
+            assert all(a.summands < b.summands for a, b in zip(nodes, nodes[1:]))
+            want = set()
+            # neighbours[a]: {x: y} when node a holds x and its neighbour holds y
+            neighbours = [{} for _ in nodes]
+            for a, t in enumerate(nodes):
+                for b, u in enumerate(nodes):
+                    only_t = set(t.summands) - set(u.summands)
+                    only_u = set(u.summands) - set(t.summands)
+                    if len(only_t) != 1 or len(only_u) != 1:
+                        continue
+                    (x,), (y,) = only_t, only_u
+                    neighbours[a][x] = y
+                    if table.ext[y][x] != 0:
+                        want.add((a, b))
+            assert tilting_quiver(q).arrows == tuple(sorted(want)), (kind, bits)
+            for a, t in enumerate(nodes):
+                for x in t.summands:
+                    part = [s for s in t.summands if s != x]
+                    got = completions(table, part)
+                    assert got == sorted({x, neighbours[a].get(x, x)}), (kind, bits, a, x)
+
+
+def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
+    import tiltquiver.tilting as tilting
+
+    q = path_quiver(3)
+    table = ext_table(q)
+    k = len(table)
+    monkeypatch.setattr(tilting, "enumerate_tilting", enumerate_tilting.__wrapped__)
+    everything = replace(table, compat=((1 << k) - 1,) * k)
+    monkeypatch.setattr(tilting, "ext_table", lambda _: everything)
+    with pytest.raises(RuntimeError, match="more than two completions"):
+        tilting_quiver.__wrapped__(q)
+    both_ways = tuple(
+        tuple(table.ext[i][j] + table.ext[j][i] for j in range(k)) for i in range(k)
+    )
+    monkeypatch.setattr(tilting, "ext_table", lambda _: replace(table, ext=both_ways))
+    with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
+        tilting_quiver.__wrapped__(q)
+
+
 def test_hasse_property():
     for q in (path_quiver(1), path_quiver(3), d_quiver(3)):
         assert hasse_check(ext_table(q), tilting_quiver(q)).ok
