@@ -11,6 +11,7 @@ which yields the arrow-count decomposition behind orientation invariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .quiver import delete_vertex, reflect
 from .rep import extend, reflection_minus, reflection_plus, restrict
@@ -106,6 +107,23 @@ def lift(q, x, t_small):
     return out
 
 
+@lru_cache(maxsize=32)
+def _projection_map(q, x):
+    """The memo of project(q, x, .) that the glue reports at (q, x) share.
+
+    Bounded: a glue suite visits a few leaf points and their reflections (14
+    pairs at every --max-rank today), so older maps can be dropped.
+    """
+    return {}
+
+
+def _projected(q, x, t):
+    memo = _projection_map(q, x)
+    if t not in memo:
+        memo[t] = project(q, x, t)
+    return memo[t]
+
+
 @dataclass
 class ClosureReport:
     """Section/closure identities of project and lift at one leaf."""
@@ -129,12 +147,12 @@ def closure_report(q, x):
     small_table = ext_table(small)
     s = simple_summand_id(table, x)
     section_ok = all(
-        project(q, x, lift(q, x, t)) == t for t in enumerate_tilting(small)
+        _projected(q, x, lift(q, x, t)) == t for t in enumerate_tilting(small)
     )
     closure_ok = True
     equality_ok = True
     tilts = enumerate_tilting(q)
-    proj = {t: project(q, x, t) for t in tilts}
+    proj = {t: _projected(q, x, t) for t in tilts}
     for t in tilts:
         ft = lift(q, x, proj[t])
         below = leq(table, ft, t) if src else leq(table, t, ft)
@@ -169,7 +187,7 @@ def glued_order_report(q, x):
     src = q.is_source(x)
     table = ext_table(q)
     inside, outside = split_by_simple(q, x)
-    f = {t: lift(q, x, project(q, x, t)) for t in outside}
+    f = {t: lift(q, x, _projected(q, x, t)) for t in outside}
     cross_ok = True
     forbidden_ok = True
     for t in outside:
@@ -229,7 +247,9 @@ def transport_complement(q, x):
         for t in outside
         for u in outside
     )
-    commutes = all(project(q, x, t) == project(q2, x, mapping[t]) for t in outside)
+    commutes = all(
+        _projected(q, x, t) == _projected(q2, x, mapping[t]) for t in outside
+    )
     return TransportReport(mapping, bijective, order_iso, commutes)
 
 

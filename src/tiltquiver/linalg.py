@@ -1,20 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
 Matrices are lists of rows with int or Fraction entries.  Everything in this
 package stays tiny (intertwiner systems below ~40 unknowns), so dense cubic
-elimination is the right tool.  Ranks use fraction-free (Bareiss) elimination
-on integer-cleared rows; nullspaces use reduced echelon form over Fraction and
-return integer-primitive basis vectors.
+elimination is the right tool.  Rows are first scaled to integers; ranks then
+use fraction-free (Bareiss) elimination and nullspaces a fraction-free
+Gauss-Jordan elimination that divides each combined row by its content.  No
+Fraction is built on int input, and nullspace basis vectors come back
+integer-primitive.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+from math import gcd, lcm
 
 
 def integer_rows(rows):
@@ -23,17 +20,16 @@ def integer_rows(rows):
     for row in rows:
         denom = 1
         for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                denom = _lcm(denom, x.denominator)
+            if x.denominator != 1:
+                denom = lcm(denom, x.denominator)
         out.append([int(x * denom) for x in row])
     return out
 
 
-def rank(rows):
-    """Exact rank via fraction-free Gaussian elimination (Bareiss)."""
-    if not rows or not rows[0]:
+def int_rank(m):
+    """Exact rank of int rows by Bareiss elimination; overwrites m."""
+    if not m or not m[0]:
         return 0
-    m = integer_rows(rows)
     nrows, ncols = len(m), len(m[0])
     r = 0
     prev = 1
@@ -48,9 +44,14 @@ def rank(rows):
         for i in range(r + 1, nrows):
             row_i = m[i]
             head = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
-            row_i[c] = 0
+            if head:
+                for j in range(c + 1, ncols):
+                    row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
+                row_i[c] = 0
+            elif pivot != prev:
+                # the same step with head = 0; a no-op when pivot == prev
+                for j in range(c + 1, ncols):
+                    row_i[j] = pivot * row_i[j] // prev
         prev = pivot
         r += 1
         if r == nrows:
@@ -58,52 +59,65 @@ def rank(rows):
     return r
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+def rank(rows):
+    """Exact rank of int or Fraction rows."""
+    return int_rank(integer_rows(rows))
 
 
 def primitive(vec):
     """Clear denominators and divide by the content; exact and growth-free."""
     denom = 1
     for x in vec:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            denom = _lcm(denom, x.denominator)
+        if x.denominator != 1:
+            denom = lcm(denom, x.denominator)
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : A x = 0}, one integer-primitive vector per free column."""
-    reduced, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {x : A x = 0}, one integer-primitive vector per free column.
+
+    Gauss-Jordan over the integers: every row combination is divided by its
+    content, so entries stay small.  Row r ends with its pivot p_r at column
+    pivots[r] and zeros in every other pivot column, so for a free column f
+    the vector with L at f and -L * row_r[f] / p_r at pivots[r] (L the lcm of
+    the |p_r|) is a positive multiple of the reduced-echelon basis vector,
+    and primitive() maps both to the same integers.
+    """
+    m = integer_rows(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        p = row_r[c]
+        for i in range(len(m)):
+            head = m[i][c]
+            if i != r and head:
+                row = [p * a - head * b for a, b in zip(m[i], row_r)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    reduced = m[:r]
+    scale = 1
+    for row, p in zip(reduced, pivots):
+        scale = lcm(scale, row[p])
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+            v[p] = -row[f] * (scale // row[p])
         basis.append(primitive(v))
     return basis
 

@@ -6,7 +6,8 @@ from the nullity of the assembled intertwiner system; Ext dimensions follow
 from hom - euler, valid because path algebras of trees are hereditary.
 Indecomposables over a reference orientation are instantiated from the
 combinatorial models and pushed to any other orientation with reflection
-functors at sinks.
+functors at sinks.  Their matrices stay integer (nullspace bases are
+integer-primitive), so hom_table solves all their systems in integers.
 """
 
 from __future__ import annotations
@@ -76,47 +77,116 @@ def euler_form(q, d, e):
     return total
 
 
+def ext_from_hom(hom, euler):
+    """dim Ext^1 = hom - <d, e>; a negative value breaks heredity and raises."""
+    value = hom - euler
+    if value < 0:
+        raise RuntimeError("negative Ext dimension: invariant violation")
+    return value
+
+
+def _arrow_layout(q):
+    """Each arrow of q as a (source, target) pair of vertex positions."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    return [(index[a], index[b]) for a, b in q.arrows]
+
+
+def _hom_data(q, r):
+    """Per-representation input of the intertwiner rows, in q's vertex/arrow order.
+
+    Returns the dims and, per arrow, the columns of its matrix and its negated
+    rows: the slices that one row of the system copies.
+    """
+    cols = []
+    negs = []
+    for a, b in q.arrows:
+        mat = r.maps[(a, b)]
+        cols.append([tuple(row[c] for row in mat) for c in range(r.dims[a])])
+        negs.append([[-x for x in row] for row in mat])
+    return tuple(r.dims[v] for v in q.vertices), cols, negs
+
+
+def _hom_rows(arrows, m, n):
+    """Unknown count and nonzero rows of the system f_b M_ab = N_ab f_a.
+
+    The unknowns are the entries of f_v (n_v x m_v, row-major) for every
+    vertex v, in vertex order; m and n come from _hom_data.
+    """
+    dm, cols_m, _ = m
+    dn, _, negs_n = n
+    offsets = []
+    total = 0
+    for d, e in zip(dm, dn):
+        offsets.append(total)
+        total += d * e
+    rows = []
+    if total == 0:
+        return total, rows
+    for (a, b), cols, negs in zip(arrows, cols_m, negs_n):
+        da, db, ea = dm[a], dm[b], dn[a]
+        oa = offsets[a]
+        for r in range(dn[b]):
+            start = offsets[b] + r * db
+            neg = negs[r]
+            for c in range(da):
+                row = [0] * total
+                row[start : start + db] = cols[c]
+                row[oa + c : oa + ea * da : da] = neg
+                if any(row):
+                    rows.append(row)
+    return total, rows
+
+
 def hom_dim(m, n):
     """dim Hom(m, n): nullity of the intertwiner system f_b M_ab = N_ab f_a."""
     if m.quiver != n.quiver:
         raise ValueError("representations live over different quivers")
     q = m.quiver
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += m.dims[v] * n.dims[v]
-    if total == 0:
-        return 0
-    rows = []
-    for a, b in q.arrows:
-        mab, nab = m.maps[(a, b)], n.maps[(a, b)]
-        da, db = m.dims[a], m.dims[b]
-        for r in range(n.dims[b]):
-            for c in range(da):
-                row = [0] * total
-                for k in range(db):
-                    row[offsets[b] + r * db + k] += mab[k][c]
-                for l in range(n.dims[a]):
-                    row[offsets[a] + l * da + c] -= nab[r][l]
-                if any(row):
-                    rows.append(row)
+    total, rows = _hom_rows(_arrow_layout(q), _hom_data(q, m), _hom_data(q, n))
     return total - linalg.rank(rows)
+
+
+def hom_table(q, reps):
+    """dim Hom(reps[i], reps[j]) for every pair, as a tuple of row tuples.
+
+    Every representation must live over q and have int matrix entries, so
+    each system goes straight to the integer rank.
+    """
+    arrows = _arrow_layout(q)
+    data = []
+    for r in reps:
+        if r.quiver != q:
+            raise ValueError("representations live over different quivers")
+        for ar in q.arrows:
+            for row in r.maps[ar]:
+                for x in row:
+                    if not isinstance(x, int):
+                        raise TypeError(f"matrix entry {x!r} is not an int")
+        data.append(_hom_data(q, r))
+    out = []
+    for m in data:
+        row = []
+        for n in data:
+            total, rows = _hom_rows(arrows, m, n)
+            row.append(total - linalg.int_rank(rows))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def ext_dim(m, n):
     """dim Ext^1(m, n) = hom(m, n) - <dim m, dim n>, nonnegative by heredity."""
-    value = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
-    if value < 0:
-        raise RuntimeError("negative Ext dimension: invariant violation")
-    return value
+    return ext_from_hom(hom_dim(m, n), euler_form(m.quiver, m.dims, n.dims))
 
 
 def reflection_plus(q, x, m):
     """Reflection functor at a sink: new space at x is ker(sum of incoming maps)."""
     if not q.is_sink(x):
         raise ValueError(f"{x!r} is not a sink")
-    q2 = reflect(q, x)
+    return _reflection_plus(q, reflect(q, x), x, m)
+
+
+def _reflection_plus(q, q2, x, m):
+    """reflection_plus onto q2 = reflect(q, x), for a sink x the caller checked."""
     ins = sorted((a for a, b in q.arrows if b == x), key=vertex_key)
     widths = [m.dims[y] for y in ins]
     total = sum(widths)
@@ -233,7 +303,7 @@ def _transport(ref, goal, reps):
             if r.dims[x] == 1 and sum(r.dims.values()) == 1:
                 moved.append(simple_rep(nxt, x))
             else:
-                moved.append(reflection_plus(cur, x, r))
+                moved.append(_reflection_plus(cur, nxt, x, r))
         cur = nxt
         out = moved
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
@@ -50,18 +51,23 @@ def ext_table(q):
     """Full hom/ext tables over the indecomposables of q."""
     indecs = rep.indecomposables(q)
     k = len(indecs)
-    reps = [ind.rep for ind in indecs]
-    hom = tuple(tuple(rep.hom_dim(reps[i], reps[j]) for j in range(k)) for i in range(k))
-    ext_rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            val = hom[i][j] - rep.euler_form(q, indecs[i].dim, indecs[j].dim)
-            if val < 0:
-                raise RuntimeError("negative Ext dimension: invariant violation")
-            row.append(val)
-        ext_rows.append(tuple(row))
-    ext = tuple(ext_rows)
+    hom = rep.hom_table(q, [ind.rep for ind in indecs])
+    # <d_i, d_j> = d_i . w_j with w_j[v] = d_j[v] - sum over arrows v->b of d_j[b]
+    index = {v: p for p, v in enumerate(q.vertices)}
+    dims = [ind.rep.dim_tuple() for ind in indecs]
+    weights = []
+    for d in dims:
+        w = list(d)
+        for a, b in q.arrows:
+            w[index[a]] -= d[index[b]]
+        weights.append(w)
+    ext = tuple(
+        tuple(
+            rep.ext_from_hom(h, sum(map(mul, d, w)))
+            for h, w in zip(hom_row, weights)
+        )
+        for hom_row, d in zip(hom, dims)
+    )
     for i in range(k):
         if hom[i][i] != 1 or ext[i][i] != 0:
             raise RuntimeError("indecomposable is not exceptional: invariant violation")

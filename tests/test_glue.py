@@ -1,9 +1,9 @@
 import pytest
 
 from tiltquiver import classify as cl
-from tiltquiver import glue
+from tiltquiver import glue, verify
 from tiltquiver.models import AInterval, DIndec
-from tiltquiver.quiver import d_quiver, delete_vertex, path_quiver
+from tiltquiver.quiver import d_quiver, delete_vertex, path_quiver, reflect
 from tiltquiver.tilting import TiltingModule, enumerate_tilting, ext_table, tilting_quiver
 
 
@@ -99,7 +99,6 @@ def test_closure_identities():
 
 def test_closure_report_projects_each_module_once(monkeypatch):
     q = path_quiver(5)
-    small = delete_vertex(q, "1")
     calls = []
     real = glue.project
 
@@ -108,8 +107,20 @@ def test_closure_report_projects_each_module_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(glue, "project", counting_project)
+    glue._projection_map.cache_clear()
     assert glue.closure_report(q, "1").ok
-    assert 0 < len(calls) <= len(enumerate_tilting(q)) + len(enumerate_tilting(small))
+    assert 0 < len(calls) <= len(enumerate_tilting(q))
+
+    # the whole glue suite shares one projection map per (q, x): no module
+    # is projected twice, and only modules of a point or of its reflection
+    calls.clear()
+    glue._projection_map.cache_clear()
+    assert {r.status for r in verify.run_suite("glue", 5)} == {"pass"}
+    assert len(calls) == len(set(calls))
+    points = [point for _, point in verify._glue_points(5)]
+    keys = set(points) | {(reflect(q, x), x) for q, x in points}
+    assert {(q, x) for q, x, _ in calls} <= keys
+    assert 0 < len(calls) <= sum(len(enumerate_tilting(q)) for q, _ in keys)
 
 
 def test_glued_order():

@@ -4,6 +4,49 @@ from fractions import Fraction
 from tiltquiver import linalg
 
 
+def rref(rows, ncols):
+    """Reduced row echelon form over Fraction; returns (rows, pivot columns).
+
+    The textbook elimination, kept here as the oracle for the integer kernels.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def rref_nullspace(rows, ncols):
+    """Nullspace basis read off the Fraction rref, one vector per free column."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(linalg.primitive(v))
+    return basis
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+
 def test_rank_basic():
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([[1, 0], [0, 1]]) == 2
@@ -24,8 +67,49 @@ def test_rank_matches_rref_pivots_on_random_matrices():
     for _ in range(50):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        _, pivots = linalg.rref(rows, nc)
+        _, pivots = rref(rows, nc)
         assert linalg.rank(rows) == len(pivots)
+
+
+def test_int_rank_matches_rank_on_random_int_matrices():
+    rng = random.Random(13)
+    for _ in range(600):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        # sparse rows like the intertwiner systems, padded with integer
+        # combinations of them so that the rank is deficient
+        base = [
+            [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(nc)]
+            for _ in range(rng.randint(1, nr))
+        ]
+        rows = [list(row) for row in base]
+        while len(rows) < nr:
+            a, b = rng.choice(base), rng.choice(base)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        rng.shuffle(rows)
+        copy = [list(row) for row in rows]
+        want = len(rref(rows, nc)[1])
+        assert linalg.int_rank(copy) == linalg.rank(rows) == want
+    assert linalg.int_rank([]) == 0
+    assert linalg.int_rank([[]]) == 0
+
+
+def test_nullspace_matches_rref_oracle_on_random_fraction_matrices():
+    rng = random.Random(17)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[_random_fraction(rng) for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.3:
+            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        assert linalg.nullspace(rows, nc) == rref_nullspace(rows, nc)
+
+
+def test_nullspace_matches_rref_oracle_on_random_int_matrices():
+    rng = random.Random(19)
+    for _ in range(150):
+        nr, nc = rng.randint(0, 6), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        assert linalg.nullspace(rows, nc) == rref_nullspace(rows, nc)
 
 
 def test_nullspace_annihilates():

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +14,14 @@ from tiltquiver.quiver import (
     reflect,
 )
 from tiltquiver.rep import (
+    Rep,
     build_model_rep,
     euler_form,
     ext_dim,
+    ext_from_hom,
     extend,
     hom_dim,
+    hom_table,
     indecomposables,
     positive_roots,
     reflection_minus,
@@ -63,6 +67,36 @@ def test_ext_examples_a2():
     ind = by_interval(q)
     assert ext_dim(ind[AInterval(0, 1)].rep, ind[AInterval(1, 2)].rep) == 1
     assert ext_dim(ind[AInterval(1, 2)].rep, ind[AInterval(0, 1)].rep) == 0
+
+
+def test_hom_table_matches_pairwise_hom_dim_at_every_orientation():
+    for kind, param in (("A", 5), ("D", 4)):
+        for bits, q in all_orientations(kind, param):
+            reps = [ind.rep for ind in indecomposables(q)]
+            want = tuple(tuple(hom_dim(m, n) for n in reps) for m in reps)
+            assert hom_table(q, reps) == want, (kind, bits)
+
+
+def test_hom_table_rejects_foreign_and_non_int_representations():
+    q = path_quiver(3)
+    reps = [ind.rep for ind in indecomposables(q)]
+    with pytest.raises(ValueError, match="different quivers"):
+        hom_table(q, reps + [simple_rep(path_quiver(4), "1")])
+    ind = by_interval(q)[AInterval(0, 2)].rep
+    maps = dict(ind.maps)
+    ((a, b),) = [ar for ar, mat in maps.items() if mat]
+    maps[(a, b)] = ((Fraction(1, 2),),)
+    fractional = Rep(q, dict(ind.dims), maps)
+    assert hom_dim(fractional, fractional) == 1
+    with pytest.raises(TypeError, match="not an int"):
+        hom_table(q, reps + [fractional])
+
+
+def test_negative_ext_raises_in_one_place():
+    assert ext_from_hom(2, 1) == 1
+    assert ext_from_hom(0, 0) == 0
+    with pytest.raises(RuntimeError, match="negative Ext dimension"):
+        ext_from_hom(0, 1)
 
 
 def test_every_indecomposable_is_a_brick():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import pytest
 
 from tiltquiver.models import AInterval
 from tiltquiver.quiver import all_orientations, d_quiver, path_quiver
+from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.tilting import (
     HasseReport,
@@ -40,6 +42,35 @@ def test_ext_table_a2_frozen():
     ]
     assert table.hom == ((1, 0, 1), (0, 1, 0), (0, 1, 1))
     assert table.ext == ((0, 0, 0), (1, 0, 0), (0, 0, 0))
+
+
+def test_ext_table_bytes_are_pinned():
+    # sha256 of repr(table.hom) and repr(table.ext), taken with the Fraction
+    # elimination kernels; the integer kernels must give the same tables.
+    pinned = {
+        ("A", "1101001"): (
+            "b6ca05e5b3f9a90dfdae2fee1bb7cd18aaaf092025605849b22beaabdc9bd21b",
+            "92fcd24cb7054ab4c2ca103d32957a1e8470e013413affa6d738d66fffb03417",
+        ),
+        ("D", "101101"): (
+            "9644fd5e2224a7dbf975c01de9cec96b1bf1df585ff00b3dfaffc35d78a91a60",
+            "66f269b2a1309e22bf8e30dc86ce858d3739c4e9a98d9d2afef0e72b2d5369a5",
+        ),
+    }
+    for (kind, text), (hom_digest, ext_digest) in pinned.items():
+        bits = [c == "1" for c in text]
+        q = path_quiver(8, bits) if kind == "A" else d_quiver(6, bits)
+        table = ext_table(q)
+        assert hashlib.sha256(repr(table.hom).encode()).hexdigest() == hom_digest
+        assert hashlib.sha256(repr(table.ext).encode()).hexdigest() == ext_digest
+
+
+def test_ext_table_raises_on_negative_ext(monkeypatch):
+    q = path_quiver(3)
+    k = len(ext_table(q))
+    monkeypatch.setattr(rep, "hom_table", lambda q, reps: ((0,) * k,) * k)
+    with pytest.raises(RuntimeError, match="negative Ext dimension"):
+        ext_table.__wrapped__(q)
 
 
 def test_ext_diagonal_zero():
