@@ -28,7 +28,7 @@ def summand_models(table, t):
     """Model tags of the summands; needs a reference-orientation table."""
     out = []
     for s in t.summands:
-        model = table.indecs[s].model
+        model = table.models[s]
         if model is None:
             raise ValueError("summand models are only available at the reference orientation")
         out.append(model)
@@ -36,7 +36,7 @@ def summand_models(table, t):
 
 
 def _ids_by_model(table):
-    return {ind.model: ind.id for ind in table.indecs}
+    return {m: i for i, m in enumerate(table.models)}
 
 
 def tilting_from_models(table, mods):
@@ -273,7 +273,7 @@ def sincere_stem_summand(table, t):
     _, n = classify_tree(table.quiver)
     verts = [str(v) for v in range(1, n)]
     for s in t.summands:
-        dims = table.indecs[s].dim
+        dims = dict(zip(table.quiver.vertices, table.dims[s]))
         if all(dims[v] >= 1 for v in verts):
             return s
     return None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .quiver import delete_vertex, reflect
-from .rep import extend, reflection_minus, reflection_plus, restrict
+from .rep import extend, indecomposables, reflection_minus, reflection_plus, restrict
 from .tilting import (
     TiltingModule,
     enumerate_tilting,
@@ -24,6 +24,22 @@ from .tilting import (
     order_bitsets,
     tilting_quiver,
 )
+
+
+@lru_cache(maxsize=None)
+def _indec_reps(q):
+    """The indecomposable representations of q, indexed by the ids of ext_table(q).
+
+    Glue is the one caller of the reflection functors and of restrict/extend,
+    so it alone needs representations.  They come from rep.indecomposables,
+    whose dimension vectors must be the roots the Ext table is keyed by.
+    """
+    reps = tuple(ind.rep for ind in indecomposables(q))
+    if tuple(r.dim_tuple() for r in reps) != ext_table(q).dims:
+        raise RuntimeError(
+            "indecomposables do not match the Ext table ids: invariant violation"
+        )
+    return reps
 
 
 def simple_summand_id(table, x):
@@ -78,11 +94,11 @@ def rigid_summand_ids(table, target):
 def project(q, x, t):
     """Restrict a tilting module along a leaf deletion and keep distinct summands."""
     small = delete_vertex(q, x)
-    table = ext_table(q)
+    reps = _indec_reps(q)
     small_table = ext_table(small)
     ids = set()
     for s in t.summands:
-        r = restrict(q, x, table.indecs[s].rep)
+        r = restrict(q, x, reps[s])
         target = r.dim_tuple()
         if any(target):
             ids.update(rigid_summand_ids(small_table, target))
@@ -96,10 +112,10 @@ def lift(q, x, t_small):
     """Extend a tilting module over the deleted quiver and adjoin the simple at x."""
     small = delete_vertex(q, x)
     table = ext_table(q)
-    small_table = ext_table(small)
     ids = {simple_summand_id(table, x)}
+    small_reps = _indec_reps(small)
     for s in t_small.summands:
-        r = extend(q, x, small_table.indecs[s].rep)
+        r = extend(q, x, small_reps[s])
         ids.add(table.id_by_dim[r.dim_tuple()])
     out = TiltingModule(tuple(sorted(ids)))
     if not is_tilting(table, out.summands):
@@ -232,11 +248,12 @@ def transport_complement(q, x):
     table2 = ext_table(q2)
     _, outside = split_by_simple(q, x)
     _, outside2 = split_by_simple(q2, x)
+    reps = _indec_reps(q)
     mapping = {}
     for t in outside:
         ids = []
         for s in t.summands:
-            r = table.indecs[s].rep
+            r = reps[s]
             r2 = reflection_minus(q, x, r) if src else reflection_plus(q, x, r)
             ids.append(table2.id_by_dim[r2.dim_tuple()])
         mapping[t] = TiltingModule(tuple(sorted(ids)))

@@ -5,12 +5,16 @@ supported on vertices i+1..j.  Type D (stem 1 -> ... -> n-1 forking to n+/n-):
 three families L(a,b), L+/-(a,n) and M(a,b), the last with a two-dimensional
 stretch.  Alongside the dimension vectors and explicit matrices this module
 carries the AR translate and the closed-interval criterion for two-sided
-Ext vanishing; both act as an independent oracle against the linear algebra.
+Ext vanishing; both act as an independent oracle against the Ext table.
+FAMILIES holds these functions once per kind, so no caller branches on A/D.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple, Optional
+
+from .quiver import d_quiver, path_quiver
 
 
 class AInterval(NamedTuple):
@@ -137,32 +141,6 @@ def d_ext_vanish(x, y, n):
     return (y.a <= x.a and x.b <= y.b) or (x.a <= y.a and y.b <= x.b)
 
 
-def ext_vanish_pair(kind, x, y, n):
-    """Dispatch the type-A / type-D Ext-vanishing predicate."""
-    if kind == "A":
-        return a_ext_vanish(x, y)
-    if kind == "D":
-        return d_ext_vanish(x, y, n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def ar_translate(kind, x, n):
-    """AR translate of a model indecomposable, None for projectives."""
-    if kind == "A":
-        return a_tau(x, n)
-    if kind == "D":
-        return d_tau(x, n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def model_dim(kind, x, n):
-    if kind == "A":
-        return a_dim(x, n)
-    if kind == "D":
-        return d_dim(x, n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def _zeros(r, c):
     return tuple(tuple(0 for _ in range(c)) for _ in range(r))
 
@@ -205,6 +183,43 @@ def d_matrices(x, n):
         else:
             maps[(stem_end, tip)] = ((1,),)
     return maps
+
+
+class Family(NamedTuple):
+    """The models of one Dynkin type, indexed by its rank parameter n."""
+
+    reference: Callable  # n -> the reference orientation
+    indecs: Callable  # n -> the model tags
+    dim: Callable  # (x, n) -> dimension vector, a dict over the vertex labels
+    matrices: Callable  # (x, n) -> structure maps over the reference orientation
+    tau: Callable  # (x, n) -> AR translate, None on projectives
+    ext_vanish: Callable  # (x, y, n) -> two-sided Ext vanishing
+
+
+FAMILIES = {
+    "A": Family(path_quiver, a_indecs, a_dim, a_matrices, a_tau, lambda x, y, n: a_ext_vanish(x, y)),
+    "D": Family(d_quiver, d_indecs, d_dim, d_matrices, d_tau, d_ext_vanish),
+}
+
+
+def family(kind):
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown kind {kind!r}")
+    return FAMILIES[kind]
+
+
+def ext_vanish_pair(kind, x, y, n):
+    """Two-sided Ext vanishing between two model tags of one kind."""
+    return family(kind).ext_vanish(x, y, n)
+
+
+def ar_translate(kind, x, n):
+    """AR translate of a model indecomposable, None for projectives."""
+    return family(kind).tau(x, n)
+
+
+def model_dim(kind, x, n):
+    return family(kind).dim(x, n)
 
 
 def render(x):

@@ -173,27 +173,27 @@ def all_orientations(kind, rank):
 def sink_reflection_sequence(start, goal):
     """Shortest sequence of sink reflections turning start into goal.
 
-    BFS over orientations of the shared underlying tree; ties are broken by
+    BFS over orientations of the shared underlying tree, each kept as its
+    sorted arrow tuple (the form Quiver stores); ties are broken by
     reflecting smaller vertices first, so the result is deterministic.
     """
     if start.vertices != goal.vertices or tree_edges(start) != tree_edges(goal):
         raise ValueError("quivers must share the same underlying tree")
-    order = sorted(start.vertices, key=vertex_key)
-    initial = start.arrows
     target = goal.arrows
-    seen = {initial: ()}
-    queue = deque([start])
+    seen = {start.arrows: ()}
+    queue = deque([start.arrows])
     while queue:
-        q = queue.popleft()
-        path = seen[q.arrows]
-        if q.arrows == target:
+        arrows = queue.popleft()
+        path = seen[arrows]
+        if arrows == target:
             return list(path)
-        for x in order:
-            if q.is_sink(x):
-                nq = reflect(q, x)
-                if nq.arrows not in seen:
-                    seen[nq.arrows] = path + (x,)
-                    queue.append(nq)
+        tails = {a for a, _ in arrows}
+        for x in start.vertices:  # sorted by vertex_key
+            if x not in tails:
+                nxt = tuple(sorted((b, a) if b == x else (a, b) for a, b in arrows))
+                if nxt not in seen:
+                    seen[nxt] = path + (x,)
+                    queue.append(nxt)
     raise RuntimeError("orientation unreachable by sink reflections")
 
 

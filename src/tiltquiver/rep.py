@@ -1,4 +1,4 @@
-"""Exact quiver representations: Hom/Ext dimensions and the standard functors.
+"""Exact quiver representations: the Hom/Ext oracle and the standard functors.
 
 A representation assigns a dimension to every vertex and an exact rational
 matrix to every arrow (shape target-dim x source-dim).  Hom dimensions come
@@ -8,6 +8,11 @@ Indecomposables over a reference orientation are instantiated from the
 combinatorial models and pushed to any other orientation with reflection
 functors at sinks.  Their matrices stay integer (nullspace bases are
 integer-primitive), so hom_table solves all their systems in integers.
+
+tilting.ext_table reads the same Hom/Ext tables off the Euler form on the
+positive roots, so this linear algebra is the oracle the tests compare it
+with.  The reflection functors, restrict and extend serve the gluing checks
+in glue, the one caller that needs representations.
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ from .quiver import (
     Quiver,
     canonical_form,
     classify_tree,
-    d_quiver,
     delete_vertex,
-    path_quiver,
     reflect,
     sink_reflection_sequence,
     vertex_key,
@@ -275,20 +278,14 @@ class Indec:
     model: object = None
 
 
-def build_model_rep(kind, x, n):
-    """Instantiate a model indecomposable over the reference orientation."""
-    if kind == "A":
-        q = path_quiver(n)
-        return Rep(q, models.a_dim(x, n), models.a_matrices(x, n))
-    if kind == "D":
-        q = d_quiver(n)
-        return Rep(q, models.d_dim(x, n), models.d_matrices(x, n))
-    raise ValueError(f"unknown kind {kind!r}")
+def build_model_rep(ref, kind, x, n):
+    """Instantiate a model indecomposable over ref, the reference orientation."""
+    fam = models.family(kind)
+    return Rep(ref, fam.dim(x, n), fam.matrices(x, n))
 
 
-def _reference_models(kind, n):
-    xs = models.a_indecs(n) if kind == "A" else models.d_indecs(n)
-    return [(x, build_model_rep(kind, x, n)) for x in xs]
+def _reference_models(ref, kind, n):
+    return [(x, build_model_rep(ref, kind, x, n)) for x in models.family(kind).indecs(n)]
 
 
 def _transport(ref, goal, reps):
@@ -319,9 +316,9 @@ def indecomposables(q):
     """
     canon, mapping = canonical_form(q)
     kind, param = classify_tree(q)
-    ref = path_quiver(param) if kind == "A" else d_quiver(param)
+    ref = models.family(kind).reference(param)
     at_reference = q == ref
-    tagged = _reference_models(kind, param)
+    tagged = _reference_models(ref, kind, param)
     tags = [x for x, _ in tagged]
     reps = [r for _, r in tagged]
     if canon != ref:

@@ -1,11 +1,13 @@
 """Tilting modules of type A/D quivers and the quiver they span.
 
-A basic tilting module is recorded as the strictly increasing tuple of ids of
-its indecomposable summands; over a hereditary Dynkin algebra a set of ids of
-size #vertices with pairwise two-sided Ext vanishing is exactly a tilting
-module.  Arrows of the tilting quiver come from the exchange of a summand, and
-the whole graph is checked to be the Hasse diagram of the order
-t <= u  iff  Ext^1(u, t) = 0 summandwise.
+The indecomposables are identified with their dimension vectors, the positive
+roots, and their Hom/Ext dimensions are read off the Euler form; no
+representation is built here.  A basic tilting module is recorded as the
+strictly increasing tuple of ids of its indecomposable summands; over a
+hereditary Dynkin algebra a set of ids of size #vertices with pairwise
+two-sided Ext vanishing is exactly a tilting module.  Arrows of the tilting
+quiver come from the exchange of a summand, and the whole graph is checked
+to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class ExtTable:
     """Pairwise hom/ext dimensions over the indecomposables of one quiver."""
 
     quiver: Quiver
-    indecs: tuple
+    dims: tuple  # dimension vector per id: the positive roots, sorted
+    models: tuple  # model tag per id at the reference orientation, None elsewhere
     hom: tuple
     ext: tuple
     compat: tuple = field(default=())  # bitmask per id: two-sided ext vanishing
@@ -34,40 +37,44 @@ class ExtTable:
     id_by_dim: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.indecs)
+        return len(self.dims)
 
     def dim_tuple(self, i):
-        return self.indecs[i].rep.dim_tuple()
+        return self.dims[i]
 
     def label(self, i):
-        ind = self.indecs[i]
-        if ind.model is not None:
-            return models.render(ind.model)
-        return "(" + ",".join(str(d) for d in self.dim_tuple(i)) + ")"
+        model = self.models[i]
+        if model is not None:
+            return models.render(model)
+        return "(" + ",".join(str(d) for d in self.dims[i]) + ")"
 
 
 @lru_cache(maxsize=None)
 def ext_table(q):
-    """Full hom/ext tables over the indecomposables of q."""
-    indecs = rep.indecomposables(q)
-    k = len(indecs)
-    hom = rep.hom_table(q, [ind.rep for ind in indecs])
+    """Full hom/ext tables over the indecomposables of q, from the Euler form.
+
+    Over a Dynkin quiver the dimension vectors of the indecomposables are the
+    positive roots (Gabriel), so the ids are the sorted roots.  The AR quiver
+    is directed, so at most one of Hom(M, N) and Ext^1(M, N) is non-zero, and
+    <d_i, d_j> = hom - ext gives hom = max(<d_i, d_j>, 0) and
+    ext = max(-<d_i, d_j>, 0).  No representation is built: rep.hom_table on
+    rep.indecomposables computes the same tables by linear algebra, and the
+    tests compare the two.
+    """
+    dims = tuple(sorted(rep.positive_roots(q)))
+    k = len(dims)
     # <d_i, d_j> = d_i . w_j with w_j[v] = d_j[v] - sum over arrows v->b of d_j[b]
     index = {v: p for p, v in enumerate(q.vertices)}
-    dims = [ind.rep.dim_tuple() for ind in indecs]
+    layout = [(index[a], index[b]) for a, b in q.arrows]
     weights = []
     for d in dims:
         w = list(d)
-        for a, b in q.arrows:
-            w[index[a]] -= d[index[b]]
+        for a, b in layout:
+            w[a] -= d[b]
         weights.append(w)
-    ext = tuple(
-        tuple(
-            rep.ext_from_hom(h, sum(map(mul, d, w)))
-            for h, w in zip(hom_row, weights)
-        )
-        for hom_row, d in zip(hom, dims)
-    )
+    euler = [[sum(map(mul, d, w)) for w in weights] for d in dims]
+    hom = tuple(tuple(max(e, 0) for e in row) for row in euler)
+    ext = tuple(tuple(max(-e, 0) for e in row) for row in euler)
     for i in range(k):
         if hom[i][i] != 1 or ext[i][i] != 0:
             raise RuntimeError("indecomposable is not exceptional: invariant violation")
@@ -82,8 +89,26 @@ def ext_table(q):
     ext_zero = tuple(
         sum(1 << j for j in range(k) if ext[i][j] == 0) for i in range(k)
     )
-    id_by_dim = {ind.rep.dim_tuple(): ind.id for ind in indecs}
-    return ExtTable(q, indecs, hom, ext, compat, ext_zero, id_by_dim)
+    id_by_dim = {d: i for i, d in enumerate(dims)}
+    return ExtTable(q, dims, _model_tags(q, dims), hom, ext, compat, ext_zero, id_by_dim)
+
+
+def _model_tags(q, dims):
+    """Model tag per root of q at the reference orientation, all None elsewhere."""
+    kind, param = classify_tree(q)
+    fam = models.family(kind)
+    if q != fam.reference(param):
+        return (None,) * len(dims)
+    tags = fam.indecs(param)
+    by_dim = {}
+    for x in tags:
+        d = fam.dim(x, param)
+        by_dim[tuple(d[v] for v in q.vertices)] = x
+    if len(by_dim) != len(tags) or by_dim.keys() != set(dims):
+        raise RuntimeError(
+            "model dimension vectors are not the positive roots: invariant violation"
+        )
+    return tuple(by_dim[d] for d in dims)
 
 
 @dataclass(frozen=True, order=True)

@@ -224,7 +224,7 @@ def _ext_predicate(q):
     k = len(table)
     for i in range(k):
         for j in range(i, k):
-            xi, xj = table.indecs[i].model, table.indecs[j].model
+            xi, xj = table.models[i], table.models[j]
             pred = models.ext_vanish_pair(kind, xi, xj, param)
             real = table.ext[i][j] == 0 and table.ext[j][i] == 0
             if pred != real:
@@ -240,7 +240,7 @@ def _ar_duality(q):
     table = ext_table(q)
     k = len(table)
     for i in range(k):
-        translate = models.ar_translate(kind, table.indecs[i].model, param)
+        translate = models.ar_translate(kind, table.models[i], param)
         if translate is None:
             tau_col = None
         else:
@@ -258,7 +258,7 @@ def _hom_criterion_a(q):
     k = len(table)
     for i in range(k):
         for j in range(k):
-            xi, xj = table.indecs[i].model, table.indecs[j].model
+            xi, xj = table.models[i], table.models[j]
             if (table.hom[i][j] != 0) != models.a_hom_nonzero(xi, xj):
                 return f"hom {models.render(xi)} -> {models.render(xj)}"
     return None

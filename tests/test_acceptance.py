@@ -116,7 +116,7 @@ def test_criterion_6_oracle_equivalence_and_ar_duality():
             table = ext_table(q)
             k = len(table)
             for i in range(k):
-                mi = table.indecs[i].model
+                mi = table.models[i]
                 shifted = ar_translate(kind, mi, param)
                 if shifted is None:
                     tau_col = None
@@ -124,7 +124,7 @@ def test_criterion_6_oracle_equivalence_and_ar_duality():
                     dims = model_dim(kind, shifted, param)
                     tau_col = table.id_by_dim[tuple(dims[v] for v in q.vertices)]
                 for j in range(k):
-                    mj = table.indecs[j].model
+                    mj = table.models[j]
                     pred = ext_vanish_pair(kind, mi, mj, param)
                     real = table.ext[i][j] == 0 and table.ext[j][i] == 0
                     assert pred == real, f"{q}: predicate mismatch at ({i},{j})"

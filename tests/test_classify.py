@@ -202,7 +202,7 @@ def test_sincere_stem_summand():
         for t in enumerate_tilting(q):
             s = cl.sincere_stem_summand(table, t)
             assert s is not None
-            model = table.indecs[s].model
+            model = table.models[s]
             assert model.kind in ("L+", "L-", "M") or (
                 model.kind == "L" and model.a == 0 and model.b == n - 1
             )

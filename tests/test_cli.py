@@ -17,6 +17,19 @@ GRAPH_SHA256 = {
         "fca6d779ea8e8007b988e6b83bf546341a6506f4eec0995b9572596c92eae6e5",
 }
 
+# sha256 of stdout taken before the Ext table moved onto the Euler form; at
+# the reference orientation the labels are model tags.
+EULER_PATH_SHA256 = {
+    ("graph", "--type", "D", "--rank", "6"):
+        "328dd3744685ecf1317e64ffd463842116436160838c657612996984888e88fb",
+    ("graph", "--type", "D", "--rank", "6", "--orientation", "10110"):
+        "fca6d779ea8e8007b988e6b83bf546341a6506f4eec0995b9572596c92eae6e5",
+    ("enumerate", "--type", "D", "--rank", "6", "--format", "csv"):
+        "467b23754e2b247ead445c373d5e4440467c743ff3fef89c6c63363fb7afe3a4",
+    ("enumerate", "--type", "A", "--rank", "6", "--format", "csv"):
+        "20a9d007beb674b2a53256f84c0ed3628a2e00dbcdc0352c22d7576dae3441c1",
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -81,6 +94,24 @@ def test_graph_output_bytes_are_pinned(capsys, args):
     code, out, _ = run_cli(capsys, "graph", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_SHA256[args]
+
+
+def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
+    from tiltquiver import linalg, rep, tilting
+
+    def forbidden(*args):
+        raise AssertionError("representation or linear algebra on the hot path")
+
+    for cached in (tilting.ext_table, tilting.enumerate_tilting, tilting.tilting_quiver):
+        cached.cache_clear()
+    monkeypatch.setattr(rep, "indecomposables", forbidden)
+    monkeypatch.setattr(rep, "hom_table", forbidden)
+    for name in ("integer_rows", "int_rank", "rank", "nullspace", "left_nullspace"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    for argv, digest in EULER_PATH_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_enumerate_matches_counts(capsys):

@@ -8,7 +8,7 @@ from tiltquiver.tilting import TiltingModule, enumerate_tilting, ext_table, tilt
 
 
 def module_of(table, *mods):
-    by_model = {ind.model: ind.id for ind in table.indecs}
+    by_model = {m: i for i, m in enumerate(table.models)}
     return TiltingModule(tuple(sorted(by_model[m] for m in mods)))
 
 
@@ -121,6 +121,15 @@ def test_closure_report_projects_each_module_once(monkeypatch):
     keys = set(points) | {(reflect(q, x), x) for q, x in points}
     assert {(q, x) for q, x, _ in calls} <= keys
     assert 0 < len(calls) <= sum(len(enumerate_tilting(q)) for q, _ in keys)
+
+
+def test_representations_must_match_the_table_ids(monkeypatch):
+    q = path_quiver(3)
+    assert [r.dim_tuple() for r in glue._indec_reps(q)] == list(ext_table(q).dims)
+    real = glue.indecomposables
+    monkeypatch.setattr(glue, "indecomposables", lambda q: real(q)[::-1])
+    with pytest.raises(RuntimeError, match="do not match the Ext table ids"):
+        glue._indec_reps.__wrapped__(q)
 
 
 def test_glued_order():

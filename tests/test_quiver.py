@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import pytest
 
@@ -16,6 +17,7 @@ from tiltquiver.quiver import (
     reflect,
     sink_reflection_sequence,
     sinks_sources,
+    vertex_key,
 )
 
 
@@ -113,6 +115,33 @@ def test_sink_reflection_sequence_reaches_every_orientation():
             assert cur.is_sink(x)
             cur = reflect(cur, x)
         assert cur == q
+
+
+def _quiver_bfs_sequence(start, goal):
+    """Oracle: the same BFS, walking validated Quiver objects."""
+    seen = {start.arrows: ()}
+    queue = deque([start])
+    while queue:
+        q = queue.popleft()
+        path = seen[q.arrows]
+        if q == goal:
+            return list(path)
+        for x in sorted(start.vertices, key=vertex_key):
+            if q.is_sink(x):
+                nq = reflect(q, x)
+                if nq.arrows not in seen:
+                    seen[nq.arrows] = path + (x,)
+                    queue.append(nq)
+    raise AssertionError("unreachable")
+
+
+def test_sink_reflection_sequence_matches_quiver_bfs_at_every_pair():
+    for kind, rank in (("A", 5), ("D", 4)):
+        quivers = [q for _, q in all_orientations(kind, rank)]
+        for start in quivers:
+            for goal in quivers:
+                want = _quiver_bfs_sequence(start, goal)
+                assert sink_reflection_sequence(start, goal) == want, (start, goal)
 
 
 def test_admissible_sink_order_round_trip():

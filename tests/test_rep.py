@@ -268,7 +268,7 @@ def test_ar_duality_small():
         for a in inds:
             shifted = ar_translate(kind, a.model, param)
             tau_rep = (
-                build_model_rep(kind, shifted, param) if shifted is not None else None
+                build_model_rep(q, kind, shifted, param) if shifted is not None else None
             )
             for b in inds:
                 want = hom_dim(b.rep, tau_rep) if tau_rep is not None else 0

@@ -28,14 +28,14 @@ from tiltquiver.tilting import (
 
 
 def ids_for(table, *intervals):
-    by_model = {ind.model: ind.id for ind in table.indecs}
+    by_model = {m: i for i, m in enumerate(table.models)}
     return tuple(sorted(by_model[iv] for iv in intervals))
 
 
 def test_ext_table_a2_frozen():
     # ids sort by dimension vector: 0 = L(1,2), 1 = L(0,1), 2 = L(0,2)
     table = ext_table(path_quiver(2))
-    assert [ind.model for ind in table.indecs] == [
+    assert list(table.models) == [
         AInterval(1, 2),
         AInterval(0, 1),
         AInterval(0, 2),
@@ -65,12 +65,44 @@ def test_ext_table_bytes_are_pinned():
         assert hashlib.sha256(repr(table.ext).encode()).hexdigest() == ext_digest
 
 
-def test_ext_table_raises_on_negative_ext(monkeypatch):
-    q = path_quiver(3)
-    k = len(ext_table(q))
-    monkeypatch.setattr(rep, "hom_table", lambda q, reps: ((0,) * k,) * k)
-    with pytest.raises(RuntimeError, match="negative Ext dimension"):
-        ext_table.__wrapped__(q)
+def test_ext_table_raises_on_a_non_exceptional_root(monkeypatch):
+    # (1, 0, 1) is not a root of A3: <d, d> = 2 would make hom(d, d) = 2
+    monkeypatch.setattr(rep, "positive_roots", lambda q: frozenset({(1, 0, 0), (1, 0, 1)}))
+    with pytest.raises(RuntimeError, match="not exceptional"):
+        ext_table.__wrapped__(path_quiver(3))
+
+
+def test_euler_table_matches_rep_oracle():
+    # The Euler-form table against the indecomposables built by reflection
+    # functors and the rank of their k^2 intertwiner systems.
+    for kind, rank in (("A", 6), ("D", 5)):
+        for bits, q in all_orientations(kind, rank):
+            table = ext_table(q)
+            inds = rep.indecomposables(q)
+            reps = [ind.rep for ind in inds]
+            assert [ind.id for ind in inds] == list(range(len(table))), (kind, bits)
+            assert table.dims == tuple(r.dim_tuple() for r in reps), (kind, bits)
+            assert table.models == tuple(ind.model for ind in inds), (kind, bits)
+            hom = rep.hom_table(q, reps)
+            assert table.hom == hom, (kind, bits)
+            ext = tuple(
+                tuple(
+                    rep.ext_from_hom(h, rep.euler_form(q, m.dims, n.dims))
+                    for h, n in zip(row, reps)
+                )
+                for row, m in zip(hom, reps)
+            )
+            assert table.ext == ext, (kind, bits)
+
+
+def test_model_tags_must_be_the_roots(monkeypatch):
+    from tiltquiver import models
+
+    fam = models.FAMILIES["A"]
+    shifted = fam._replace(indecs=lambda n: fam.indecs(n)[1:] + [AInterval(0, n + 1)])
+    monkeypatch.setitem(models.FAMILIES, "A", shifted)
+    with pytest.raises(RuntimeError, match="not the positive roots"):
+        ext_table.__wrapped__(path_quiver(3))
 
 
 def test_ext_diagonal_zero():
@@ -87,7 +119,7 @@ def test_ext_pattern_matches_predicate_on_q3():
     k = len(table)
     for i in range(k):
         for j in range(i, k):
-            pred = ext_vanish_pair("D", table.indecs[i].model, table.indecs[j].model, 3)
+            pred = ext_vanish_pair("D", table.models[i], table.models[j], 3)
             assert pred == (table.ext[i][j] == 0 and table.ext[j][i] == 0)
 
 
