@@ -77,7 +77,7 @@ def classify(table, t):
     if bucket == "T1":
         dim_one_vertex = ones[0]
         m0 = sorted(m.b for m in mods if m.kind == "M" and m.a == 0)
-        all_insincere = all(0 in table.dim_tuple(s) for s in t.summands)
+        all_insincere = all(0 in table.dims[s] for s in t.summands)
         for sign in ("+", "-"):
             if dims[f"{n}{sign}"] == 1:
                 if all_insincere:

@@ -29,19 +29,23 @@ def _parse_bits(text, needed, parser):
     return [c == "1" for c in text]
 
 
-def _build_quiver(kind, rank, orientation, parser):
+def _tree_param(kind, rank, parser):
+    """The rank check of each kind; returns the parameter of its quiver builder."""
     if kind == "A":
         if rank < 1:
             parser.error("type A needs rank >= 1")
-        make = lambda bits: path_quiver(rank, bits)
-    else:
-        if rank < 3:
-            parser.error("type D needs rank >= 3")
-        make = lambda bits: d_quiver(rank - 1, bits)
+        return rank
+    if rank < 3:
+        parser.error("type D needs rank >= 3")
+    return rank - 1
+
+
+def _build_quiver(kind, rank, orientation, parser):
+    param = _tree_param(kind, rank, parser)
+    make = path_quiver if kind == "A" else d_quiver
     if orientation == "reference":
-        return make(None)
-    bits = _parse_bits(orientation, rank - 1, parser)
-    return make(bits)
+        return make(param)
+    return make(param, _parse_bits(orientation, rank - 1, parser))
 
 
 def _print_json(data, out):
@@ -147,14 +151,7 @@ def _cmd_verify(args, parser, out):
 def _cmd_reflect_scan(args, parser, out):
     if args.orientation != "all":
         parser.error("reflect-scan only supports --orientation all")
-    if args.type == "A":
-        if args.rank < 1:
-            parser.error("type A needs rank >= 1")
-        oriented = all_orientations("A", args.rank)
-    else:
-        if args.rank < 3:
-            parser.error("type D needs rank >= 3")
-        oriented = all_orientations("D", args.rank - 1)
+    oriented = all_orientations(args.type, _tree_param(args.type, args.rank, parser))
     pairs = {}
     lines = []
     for bits, q in oriented:

@@ -3,9 +3,15 @@
 Deleting a leaf x splits Tilt(Q) into the modules containing the simple at x
 and the rest.  Projection (restrict, decompose, dedupe) and lift (extend and
 adjoin the simple) identify the first part with Tilt(Q \\ {x}); reflection
-functors at x carry the second part onto its counterpart over the reflected
-quiver.  Crossing arrows of the tilting quiver biject with the first part,
-which yields the arrow-count decomposition behind orientation invariance.
+at x carries the second part onto its counterpart over the reflected quiver.
+Crossing arrows of the tilting quiver biject with the first part, which
+yields the arrow-count decomposition behind orientation invariance.
+
+Everything here reads the ids and dimension vectors of ext_table.
+Restriction deletes the coordinate at x, extension copies the coordinate of
+x's neighbour, and the reflection functor at x sends every indecomposable
+other than the simple to the simple reflection of its dimension vector.  The
+functors of rep that build these modules are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .quiver import delete_vertex, reflect
-from .rep import extend, indecomposables, reflection_minus, reflection_plus, restrict
+from .rep import simple_reflection_dims
 from .tilting import (
     TiltingModule,
     enumerate_tilting,
@@ -24,22 +30,6 @@ from .tilting import (
     order_bitsets,
     tilting_quiver,
 )
-
-
-@lru_cache(maxsize=None)
-def _indec_reps(q):
-    """The indecomposable representations of q, indexed by the ids of ext_table(q).
-
-    Glue is the one caller of the reflection functors and of restrict/extend,
-    so it alone needs representations.  They come from rep.indecomposables,
-    whose dimension vectors must be the roots the Ext table is keyed by.
-    """
-    reps = tuple(ind.rep for ind in indecomposables(q))
-    if tuple(r.dim_tuple() for r in reps) != ext_table(q).dims:
-        raise RuntimeError(
-            "indecomposables do not match the Ext table ids: invariant violation"
-        )
-    return reps
 
 
 def simple_summand_id(table, x):
@@ -68,7 +58,7 @@ def rigid_summand_ids(table, target):
     second solution signals a broken invariant.
     """
     k = len(table)
-    roots = [table.dim_tuple(i) for i in range(k)]
+    roots = table.dims
     solutions = []
 
     def walk(start, remaining, chosen):
@@ -91,53 +81,52 @@ def rigid_summand_ids(table, target):
     return solutions[0]
 
 
+@lru_cache(maxsize=None)
+def _leaf_maps(q, x):
+    """The deleted quiver and the id maps of project and lift at the leaf x.
+
+    down[i] is the summand mask over Q \\ {x} of root i of q with its x
+    coordinate deleted, 0 when nothing is left; up[j] is the id in q of root j
+    of Q \\ {x} with the coordinate of x's neighbour copied to x.
+    """
+    small = delete_vertex(q, x)
+    table, small_table = ext_table(q), ext_table(small)
+    p = q.vertices.index(x)
+    (neighbour,) = q.neighbor_map()[x]
+    y = small.vertices.index(neighbour)
+    down = []
+    for d in table.dims:
+        rest = d[:p] + d[p + 1 :]
+        mask = 0
+        if any(rest):
+            for j in rigid_summand_ids(small_table, rest):
+                mask |= 1 << j
+        down.append(mask)
+    up = tuple(table.id_by_dim[d[:p] + (d[y],) + d[p:]] for d in small_table.dims)
+    return small, tuple(down), up
+
+
 def project(q, x, t):
     """Restrict a tilting module along a leaf deletion and keep distinct summands."""
-    small = delete_vertex(q, x)
-    reps = _indec_reps(q)
-    small_table = ext_table(small)
-    ids = set()
+    small, down, _ = _leaf_maps(q, x)
+    mask = 0
     for s in t.summands:
-        r = restrict(q, x, reps[s])
-        target = r.dim_tuple()
-        if any(target):
-            ids.update(rigid_summand_ids(small_table, target))
-    out = TiltingModule(tuple(sorted(ids)))
-    if not is_tilting(small_table, out.summands):
+        mask |= down[s]
+    out = TiltingModule(tuple(j for j in range(mask.bit_length()) if mask >> j & 1))
+    if not is_tilting(ext_table(small), out.summands):
         raise RuntimeError("projection did not land on a tilting module")
     return out
 
 
 def lift(q, x, t_small):
     """Extend a tilting module over the deleted quiver and adjoin the simple at x."""
-    small = delete_vertex(q, x)
+    _, _, up = _leaf_maps(q, x)
     table = ext_table(q)
-    ids = {simple_summand_id(table, x)}
-    small_reps = _indec_reps(small)
-    for s in t_small.summands:
-        r = extend(q, x, small_reps[s])
-        ids.add(table.id_by_dim[r.dim_tuple()])
+    ids = {simple_summand_id(table, x)} | {up[s] for s in t_small.summands}
     out = TiltingModule(tuple(sorted(ids)))
     if not is_tilting(table, out.summands):
         raise RuntimeError("lift did not land on a tilting module")
     return out
-
-
-@lru_cache(maxsize=32)
-def _projection_map(q, x):
-    """The memo of project(q, x, .) that the glue reports at (q, x) share.
-
-    Bounded: a glue suite visits a few leaf points and their reflections (14
-    pairs at every --max-rank today), so older maps can be dropped.
-    """
-    return {}
-
-
-def _projected(q, x, t):
-    memo = _projection_map(q, x)
-    if t not in memo:
-        memo[t] = project(q, x, t)
-    return memo[t]
 
 
 @dataclass
@@ -163,12 +152,12 @@ def closure_report(q, x):
     small_table = ext_table(small)
     s = simple_summand_id(table, x)
     section_ok = all(
-        _projected(q, x, lift(q, x, t)) == t for t in enumerate_tilting(small)
+        project(q, x, lift(q, x, t)) == t for t in enumerate_tilting(small)
     )
     closure_ok = True
     equality_ok = True
     tilts = enumerate_tilting(q)
-    proj = {t: _projected(q, x, t) for t in tilts}
+    proj = {t: project(q, x, t) for t in tilts}
     for t in tilts:
         ft = lift(q, x, proj[t])
         below = leq(table, ft, t) if src else leq(table, t, ft)
@@ -203,7 +192,7 @@ def glued_order_report(q, x):
     src = q.is_source(x)
     table = ext_table(q)
     inside, outside = split_by_simple(q, x)
-    f = {t: lift(q, x, _projected(q, x, t)) for t in outside}
+    f = {t: lift(q, x, project(q, x, t)) for t in outside}
     cross_ok = True
     forbidden_ok = True
     for t in outside:
@@ -237,26 +226,29 @@ class TransportReport:
 
 
 def transport_complement(q, x):
-    """Carry Tilt(Q) \\ Tilt(Q)^x onto the reflected quiver via reflection functors."""
+    """Carry Tilt(Q) \\ Tilt(Q)^x onto the reflected quiver.
+
+    The reflection functor at x sends each summand, never the simple at x, to
+    the indecomposable whose root is the simple reflection of its own.
+    """
     if not q.is_leaf(x):
         raise ValueError(f"{x!r} is not a leaf")
     if not (q.is_source(x) or q.is_sink(x)):
         raise ValueError(f"{x!r} is neither a source nor a sink")
-    src = q.is_source(x)
     q2 = reflect(q, x)
     table = ext_table(q)
     table2 = ext_table(q2)
     _, outside = split_by_simple(q, x)
     _, outside2 = split_by_simple(q2, x)
-    reps = _indec_reps(q)
-    mapping = {}
-    for t in outside:
-        ids = []
-        for s in t.summands:
-            r = reps[s]
-            r2 = reflection_minus(q, x, r) if src else reflection_plus(q, x, r)
-            ids.append(table2.id_by_dim[r2.dim_tuple()])
-        mapping[t] = TiltingModule(tuple(sorted(ids)))
+    s = simple_summand_id(table, x)
+    moved = {}
+    for i, d in enumerate(table.dims):
+        if i != s:
+            d2 = simple_reflection_dims(q, x, dict(zip(q.vertices, d)))
+            moved[i] = table2.id_by_dim[tuple(d2[v] for v in q2.vertices)]
+    mapping = {
+        t: TiltingModule(tuple(sorted(moved[i] for i in t.summands))) for t in outside
+    }
     image = sorted(mapping.values())
     bijective = image == sorted(outside2) and len(set(image)) == len(image)
     order_iso = all(
@@ -265,7 +257,7 @@ def transport_complement(q, x):
         for u in outside
     )
     commutes = all(
-        _projected(q, x, t) == _projected(q2, x, mapping[t]) for t in outside
+        project(q, x, t) == project(q2, x, mapping[t]) for t in outside
     )
     return TransportReport(mapping, bijective, order_iso, commutes)
 

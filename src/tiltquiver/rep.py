@@ -10,9 +10,10 @@ functors at sinks.  Their matrices stay integer (nullspace bases are
 integer-primitive), so hom_table solves all their systems in integers.
 
 tilting.ext_table reads the same Hom/Ext tables off the Euler form on the
-positive roots, so this linear algebra is the oracle the tests compare it
-with.  The reflection functors, restrict and extend serve the gluing checks
-in glue, the one caller that needs representations.
+positive roots, and glue works on those roots alone, so this linear algebra
+and the reflection functors, restrict and extend are the oracle the tests
+compare them with.  glue reflects dimension vectors with
+simple_reflection_dims.
 """
 
 from __future__ import annotations
@@ -353,23 +354,29 @@ def simple_reflection_dims(q, x, d):
 
 @lru_cache(maxsize=None)
 def positive_roots(q):
-    """Positive roots of the underlying tree by reflection closure of the simples."""
+    """Positive roots of the underlying tree by reflection closure of the simples.
+
+    Every positive root is reached from a simple root by simple reflections
+    that each raise one coordinate, so d is reflected at x only when that
+    raises d[x]; no negative root is visited.
+    """
     verts = q.vertices
     idx = {v: i for i, v in enumerate(verts)}
     adj = q.neighbor_map()
+    nbrs = [[idx[w] for w in adj[v]] for v in verts]
     simples = [tuple(1 if i == j else 0 for j in range(len(verts))) for i in range(len(verts))]
     seen = set(simples)
     queue = list(simples)
     while queue:
         d = queue.pop()
-        for x in verts:
-            new = list(d)
-            new[idx[x]] = -d[idx[x]] + sum(d[idx[w]] for w in adj[x])
-            t = tuple(new)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return frozenset(t for t in seen if all(c >= 0 for c in t) and any(t))
+        for i, around in enumerate(nbrs):
+            c = sum(d[w] for w in around) - d[i]
+            if c > d[i]:
+                t = d[:i] + (c,) + d[i + 1 :]
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+    return frozenset(seen)
 
 
 def projective_dim_vectors(q):

@@ -39,9 +39,6 @@ class ExtTable:
     def __len__(self):
         return len(self.dims)
 
-    def dim_tuple(self, i):
-        return self.dims[i]
-
     def label(self, i):
         model = self.models[i]
         if model is not None:
@@ -123,7 +120,7 @@ def module_dim(table, t):
     verts = table.quiver.vertices
     total = [0] * len(verts)
     for s in t.summands:
-        for i, d in enumerate(table.dim_tuple(s)):
+        for i, d in enumerate(table.dims[s]):
             total[i] += d
     return dict(zip(verts, total))
 
@@ -219,19 +216,6 @@ def order_bitsets(table, nodes):
     n = len(table)
     cols = [sum(1 << i for i in range(n) if table.ext_zero[i] >> j & 1) for j in range(n)]
     return _order_rows(table.ext_zero, nodes, n), _order_rows(cols, nodes, n)
-
-
-def completions(table, part):
-    """All ids completing the almost complete module `part` to a tilting module."""
-    mask = (1 << len(table)) - 1
-    for s in part:
-        mask &= table.compat[s]
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 @dataclass

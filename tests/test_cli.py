@@ -256,6 +256,9 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--max-rank", "0"],
         ["verify", "--max-rank", "-3"],
         ["verify", "--suite", "glue", "--max-rank", "3"],
+        ["reflect-scan", "--type", "D", "--rank", "2"],
+        ["reflect-scan", "--type", "A", "--rank", "0"],
+        ["reflect-scan", "--type", "A", "--rank", "5", "--orientation", "0101"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

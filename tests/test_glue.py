@@ -1,9 +1,15 @@
 import pytest
 
 from tiltquiver import classify as cl
-from tiltquiver import glue, verify
+from tiltquiver import glue, rep, verify
 from tiltquiver.models import AInterval, DIndec
-from tiltquiver.quiver import d_quiver, delete_vertex, path_quiver, reflect
+from tiltquiver.quiver import (
+    all_orientations,
+    d_quiver,
+    delete_vertex,
+    path_quiver,
+    reflect,
+)
 from tiltquiver.tilting import TiltingModule, enumerate_tilting, ext_table, tilting_quiver
 
 
@@ -47,7 +53,7 @@ def test_project_a2():
     small_table = ext_table(delete_vertex(q, "1"))
     for t in enumerate_tilting(q):
         image = glue.project(q, "1", t)
-        assert [small_table.dim_tuple(s) for s in image.summands] == [(1,)]
+        assert [small_table.dims[s] for s in image.summands] == [(1,)]
 
 
 def test_project_decomposes_thick_restrictions():
@@ -63,7 +69,7 @@ def test_project_decomposes_thick_restrictions():
     )
     image = glue.project(q, "1", t)
     small_table = ext_table(delete_vertex(q, "1"))
-    dims = sorted(small_table.dim_tuple(s) for s in image.summands)
+    dims = sorted(small_table.dims[s] for s in image.summands)
     assert dims == [(1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
 
@@ -71,7 +77,7 @@ def test_rigid_decomposition_unique():
     small = delete_vertex(d_quiver(3), "1")
     table = ext_table(small)
     ids = glue.rigid_summand_ids(table, (2, 1, 1))
-    dims = sorted(table.dim_tuple(i) for i in ids)
+    dims = sorted(table.dims[i] for i in ids)
     assert dims == [(1, 0, 1), (1, 1, 0)]
 
 
@@ -98,38 +104,57 @@ def test_closure_identities():
 
 
 def test_closure_report_projects_each_module_once(monkeypatch):
-    q = path_quiver(5)
+    # the whole glue suite decomposes each root at most once per (q, x):
+    # project and lift read the per-leaf id maps, built on first use
     calls = []
-    real = glue.project
+    real = glue.rigid_summand_ids
 
-    def counting_project(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(table, target):
+        calls.append((table.quiver, tuple(target)))
+        return real(table, target)
 
-    monkeypatch.setattr(glue, "project", counting_project)
-    glue._projection_map.cache_clear()
-    assert glue.closure_report(q, "1").ok
-    assert 0 < len(calls) <= len(enumerate_tilting(q))
-
-    # the whole glue suite shares one projection map per (q, x): no module
-    # is projected twice, and only modules of a point or of its reflection
-    calls.clear()
-    glue._projection_map.cache_clear()
+    monkeypatch.setattr(glue, "rigid_summand_ids", counting)
+    glue._leaf_maps.cache_clear()
     assert {r.status for r in verify.run_suite("glue", 5)} == {"pass"}
-    assert len(calls) == len(set(calls))
     points = [point for _, point in verify._glue_points(5)]
     keys = set(points) | {(reflect(q, x), x) for q, x in points}
-    assert {(q, x) for q, x, _ in calls} <= keys
-    assert 0 < len(calls) <= sum(len(enumerate_tilting(q)) for q, _ in keys)
+    assert {small for small, _ in calls} <= {delete_vertex(q, x) for q, x in keys}
+    assert 0 < len(calls) <= sum(len(ext_table(q)) for q, _ in keys)
 
 
-def test_representations_must_match_the_table_ids(monkeypatch):
-    q = path_quiver(3)
-    assert [r.dim_tuple() for r in glue._indec_reps(q)] == list(ext_table(q).dims)
-    real = glue.indecomposables
-    monkeypatch.setattr(glue, "indecomposables", lambda q: real(q)[::-1])
-    with pytest.raises(RuntimeError, match="do not match the Ext table ids"):
-        glue._indec_reps.__wrapped__(q)
+def test_leaf_maps_match_the_functors():
+    # the id maps of project, lift and transport against rep's functors
+    for kind, param in (("A", 5), ("D", 4)):
+        for bits, q in all_orientations(kind, param):
+            reps = [ind.rep for ind in rep.indecomposables(q)]
+            table = ext_table(q)
+            assert [r.dim_tuple() for r in reps] == list(table.dims)
+            for x in q.vertices:
+                if not q.is_leaf(x) or not (q.is_source(x) or q.is_sink(x)):
+                    continue
+                small, down, up = glue._leaf_maps(q, x)
+                small_table = ext_table(small)
+                for i, r in enumerate(reps):
+                    target = rep.restrict(q, x, r).dim_tuple()
+                    want = set()
+                    if any(target):
+                        want.update(glue.rigid_summand_ids(small_table, target))
+                    assert down[i] == sum(1 << j for j in want), (bits, x, i)
+                small_reps = [ind.rep for ind in rep.indecomposables(small)]
+                assert [r.dim_tuple() for r in small_reps] == list(small_table.dims)
+                assert up == tuple(
+                    table.id_by_dim[rep.extend(q, x, r).dim_tuple()] for r in small_reps
+                ), (bits, x)
+                src = q.is_source(x)
+                functor = rep.reflection_minus if src else rep.reflection_plus
+                table2 = ext_table(reflect(q, x))
+                moved = {
+                    i: table2.id_by_dim[functor(q, x, r).dim_tuple()]
+                    for i, r in enumerate(reps)
+                    if i != glue.simple_summand_id(table, x)
+                }
+                for t, u in glue.transport_complement(q, x).mapping.items():
+                    assert u.summands == tuple(sorted(moved[i] for i in t.summands))
 
 
 def test_glued_order():
@@ -150,7 +175,7 @@ def test_transport_a2():
     ((src, dst),) = report.mapping.items()
     # the complement is carried to the unique complement module over 2 -> 1
     q2_table = ext_table(path_quiver(2, [False]))
-    assert sorted(q2_table.dim_tuple(s) for s in dst.summands) == [(0, 1), (1, 1)]
+    assert sorted(q2_table.dims[s] for s in dst.summands) == [(0, 1), (1, 1)]
 
 
 def test_transport_both_kinds_of_leaf():
@@ -224,9 +249,7 @@ def test_transport_requires_leaf():
 
 def test_glue_identities_hold_at_every_orientation():
     # the machinery only sees dimension vectors, so it must work off-reference
-    from tiltquiver.quiver import all_orientations
-
-    for kind, param in (("A", 4), ("D", 3)):
+    for kind, param in (("A", 4), ("A", 5), ("D", 3)):
         for bits, q in all_orientations(kind, param):
             for x in q.vertices:
                 if not q.is_leaf(x) or not (q.is_source(x) or q.is_sink(x)):

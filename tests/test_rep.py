@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from tiltquiver.models import AInterval, a_hom_nonzero, ar_translate, model_dim
+from tiltquiver.models import (
+    FAMILIES,
+    AInterval,
+    a_hom_nonzero,
+    ar_translate,
+    model_dim,
+)
 from tiltquiver.quiver import (
     admissible_sink_order,
     all_orientations,
@@ -124,6 +130,19 @@ def test_dimension_vectors_are_the_positive_roots():
         dims = sorted(ind.rep.dim_tuple() for ind in indecomposables(q))
         assert dims == sorted(positive_roots(q))
         assert len(dims) == 12
+    # reference A1-A12 and D4-D9 against the model dimension vectors
+    for kind, params, count in (
+        ("A", range(1, 13), lambda n: n * (n + 1) // 2),
+        ("D", range(3, 9), lambda n: (n + 1) * n),
+    ):
+        fam = FAMILIES[kind]
+        for n in params:
+            q = fam.reference(n)
+            models = {
+                tuple(fam.dim(x, n)[v] for v in q.vertices) for x in fam.indecs(n)
+            }
+            assert positive_roots(q) == models, (kind, n)
+            assert len(models) == count(n), (kind, n)
 
 
 def test_models_only_at_the_reference_orientation():
