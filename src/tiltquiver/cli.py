@@ -55,6 +55,7 @@ def _print_json(data, out):
 def _cmd_enumerate(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
     table = ext_table(q)
+    labels = [table.label(i) for i in range(len(table))]
     mods = enumerate_tilting(q)
     payload = {
         "type": args.type,
@@ -62,7 +63,7 @@ def _cmd_enumerate(args, parser, out):
         "orientation": args.orientation,
         "count": len(mods),
         "modules": [
-            {"ids": list(t.summands), "labels": [table.label(s) for s in t.summands]}
+            {"ids": list(t.summands), "labels": [labels[s] for s in t.summands]}
             for t in mods
         ],
     }

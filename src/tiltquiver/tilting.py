@@ -8,6 +8,8 @@ hereditary Dynkin algebra a set of ids of size #vertices with pairwise
 two-sided Ext vanishing is exactly a tilting module.  Arrows of the tilting
 quiver come from the exchange of a summand, and the whole graph is checked
 to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
+The exchange graph is connected, so one walk from the projective module
+finds the tilting modules and the arrows together (`tilting_quiver`).
 """
 
 from __future__ import annotations
@@ -144,36 +146,8 @@ def _guard(q):
 
 @lru_cache(maxsize=None)
 def enumerate_tilting(q):
-    """All basic tilting modules, lexicographically sorted summand tuples.
-
-    The walk extends `chosen` by the lowest candidate id first, with ids
-    strictly increasing, so the modules come out in lexicographic order.
-    """
-    _guard(q)
-    table = ext_table(q)
-    n_ind = len(table)
-    need = len(q.vertices)
-    compat = table.compat
-    out = []
-    chosen = []
-
-    def walk(cand):
-        if len(chosen) == need:
-            out.append(TiltingModule(tuple(chosen)))
-            return
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low  # c keeps the candidates above v
-            v = low.bit_length() - 1
-            chosen.append(v)
-            walk(c & compat[v])
-            chosen.pop()
-            if c.bit_count() + len(chosen) < need:
-                return
-
-    walk((1 << n_ind) - 1)
-    return tuple(out)
+    """All basic tilting modules, lexicographically sorted: the nodes of `tilting_quiver`."""
+    return tilting_quiver(q).nodes
 
 
 def leq(table, t, u):
@@ -235,53 +209,97 @@ class TiltingQuiver:
 
 @lru_cache(maxsize=None)
 def tilting_quiver(q):
-    """Build the exchange quiver on all tilting modules of q.
+    """Build the exchange quiver on all tilting modules of q in one walk.
 
-    Nodes are keyed by their summand masks.  For the summands x_0 < ... < x_m
-    of a node, the completions of t minus x_i other than x_i are
-    pre & suf[i + 1] & ~(1 << x_i), where pre is the AND of compat over
-    x_0 .. x_(i-1) and suf[i + 1] over x_(i+1) .. x_m.  Each exchange pair is
-    found from both ends and kept from the end with the smaller index.
+    The exchange graph of a representation-finite hereditary algebra is
+    connected, with the projective module as its unique source (Happel-Unger,
+    "On a partial order of tilting modules", 2005; Riedtmann-Schofield, 1991),
+    so a walk from the projectives along exchanges reaches every tilting
+    module and no search is needed.  Nodes are keyed by their summand masks.
+    For the summands x_0 < ... < x_m of a node, the completions of t minus x_i
+    other than x_i are pre & suf[i + 1] & ~(1 << x_i), where pre is the AND
+    of compat over x_0 .. x_(i-1) and suf[i + 1] over x_(i+1) .. x_m.  Each
+    exchange pair is looked up once: `met[u]` marks the summands of u whose
+    pair was already found from the other end.  The nodes are then sorted by
+    summand tuple and the arrows by (tail, head) in the new numbering.
     """
+    _guard(q)
     table = ext_table(q)
-    nodes = enumerate_tilting(q)
     compat, ext = table.compat, table.ext
     full = (1 << len(table)) - 1
-    masks = [sum(1 << s for s in t.summands) for t in nodes]
-    index = {m: i for i, m in enumerate(masks)}
-    arrows = []
-    out_deg = [0] * len(nodes)
-    in_deg = [0] * len(nodes)
-    for ti, t in enumerate(nodes):
-        summands = t.summands
+    start = tuple(
+        sorted(
+            table.id_by_dim[tuple(d[v] for v in q.vertices)]
+            for d in rep.projective_dim_vectors(q).values()
+        )
+    )
+    summands = [start]  # per node in walk order, its summand ids
+    masks = [sum(1 << s for s in start)]
+    index = {masks[0]: 0}
+    met = [0]  # met[u]: summands of u whose exchange pair is already recorded
+    heads = [[]]  # heads[u]: heads of the arrows out of u
+    in_deg = [0]
+    for ti, ids in enumerate(summands):  # summands grows as the walk finds nodes
+        m = masks[ti]
         suf = [full]
-        for s in reversed(summands):
+        for s in reversed(ids):
             suf.append(suf[-1] & compat[s])
         suf.reverse()
         pre = full
-        for i, x in enumerate(summands):
+        skip = met[ti]
+        for i, x in enumerate(ids):
             other = pre & suf[i + 1] & ~(1 << x)
             pre &= compat[x]
-            if not other:
+            if not other or skip >> x & 1:
                 continue
             if other & (other - 1):
                 raise RuntimeError(
                     "more than two completions of an almost complete module"
                 )
             y = other.bit_length() - 1
-            u = index[masks[ti] ^ (1 << x) ^ other]
-            if u < ti:
-                continue
+            n = m ^ (1 << x) ^ other
+            u = index.get(n)
+            if u is None:
+                u = index[n] = len(masks)
+                masks.append(n)
+                met.append(other)
+                swapped = list(ids)
+                swapped[i] = y
+                swapped.sort()
+                summands.append(tuple(swapped))
+                heads.append([])
+                in_deg.append(0)
+            else:
+                met[u] |= other
             fwd = ext[y][x] != 0
             bwd = ext[x][y] != 0
             if fwd == bwd:
                 raise RuntimeError("exchange pair is not oriented by a unique Ext")
             a, b = (ti, u) if fwd else (u, ti)
-            arrows.append((a, b))
-            out_deg[a] += 1
+            heads[a].append(b)
             in_deg[b] += 1
-    arrows.sort()
-    return TiltingQuiver(q, nodes, tuple(arrows), tuple(out_deg), tuple(in_deg))
+    # Drop the walk's index, and each head list once read, so that the arrow
+    # tuples reuse their memory instead of raising the peak.
+    del index, masks, met
+    order = sorted(range(len(summands)), key=summands.__getitem__)
+    new = [0] * len(order)
+    for pos, old in enumerate(order):
+        new[old] = pos
+    arrows = []
+    out_deg = []
+    for a, old in enumerate(order):
+        hs = [new[b] for b in heads[old]]
+        heads[old] = None
+        hs.sort()
+        out_deg.append(len(hs))
+        arrows.extend((a, b) for b in hs)
+    return TiltingQuiver(
+        q,
+        tuple(TiltingModule(summands[old]) for old in order),
+        tuple(arrows),
+        tuple(out_deg),
+        tuple(in_deg[old] for old in order),
+    )
 
 
 @dataclass
@@ -391,11 +409,15 @@ def closed_form_counts(kind, rank):
 
 
 def tilting_quiver_json(tq):
-    """Fixed field order: quiver, nodes, arrows, delta."""
+    """Fixed field order: quiver, nodes, arrows, delta.
+
+    Summand and arrow tuples are passed through uncopied; json writes them as
+    lists.
+    """
     return {
         "quiver": quiver_to_json(tq.quiver),
-        "nodes": [list(t.summands) for t in tq.nodes],
-        "arrows": [list(a) for a in tq.arrows],
+        "nodes": [t.summands for t in tq.nodes],
+        "arrows": tq.arrows,
         "delta": list(tq.delta),
     }
 
@@ -403,10 +425,11 @@ def tilting_quiver_json(tq):
 def tilting_quiver_dot(tq):
     """Graphviz digraph, one node statement and one edge statement per line."""
     table = ext_table(tq.quiver)
+    labels = [table.label(i) for i in range(len(table))]
     delta = tq.delta
     lines = ["digraph tilting {"]
     for i, t in enumerate(tq.nodes):
-        label = "|".join(table.label(s) for s in t.summands)
+        label = "|".join([labels[s] for s in t.summands])
         lines.append(f'  t{i} [label="{label}", delta={delta[i]}];')
     for a, b in tq.arrows:
         lines.append(f"  t{a} -> t{b};")

@@ -141,8 +141,61 @@ def test_enumerate_counts():
 
 
 def test_rank_guard():
-    with pytest.raises(ValueError):
-        enumerate_tilting(path_quiver(13))
+    # D9 is d_quiver(8), so d_quiver(9) is one vertex past the guard
+    for q in (path_quiver(13), d_quiver(9)):
+        misses = ext_table.cache_info().misses
+        for build in (tilting_quiver, enumerate_tilting):
+            with pytest.raises(ValueError, match="rank guard"):
+                build(q)
+        assert ext_table.cache_info().misses == misses, q
+
+
+def clique_search(q):
+    """Every tilting module of q by a lexicographic clique search over compat.
+
+    The oracle of the exchange walk in `tilting_quiver`, sharing only the Ext
+    table with it.  The search extends `chosen` by the lowest candidate id
+    first, with ids strictly increasing, so the modules come out in
+    lexicographic order.
+    """
+    compat = ext_table(q).compat
+    need = len(q.vertices)
+    out = []
+    chosen = []
+
+    def walk(cand):
+        if len(chosen) == need:
+            out.append(TiltingModule(tuple(chosen)))
+            return
+        c = cand
+        while c:
+            low = c & -c
+            c ^= low  # c keeps the candidates above v
+            v = low.bit_length() - 1
+            chosen.append(v)
+            walk(c & compat[v])
+            chosen.pop()
+            if c.bit_count() + len(chosen) < need:
+                return
+
+    walk((1 << len(compat)) - 1)
+    return tuple(out)
+
+
+def test_exchange_walk_finds_every_clique():
+    instances = [q for kind, param in (("A", 6), ("D", 5)) for _, q in all_orientations(kind, param)]
+    # the benchmark's A8 and D7 base orientations
+    instances += [path_quiver(8, [c == "1" for c in "1101001"])]
+    instances += [d_quiver(6, [c == "1" for c in "101101"])]
+    for q in instances:
+        assert enumerate_tilting(q) == clique_search(q), q
+
+
+def test_exchange_walk_counts_at_every_a7_orientation():
+    want = closed_form_counts("A", 7)
+    for bits, q in all_orientations("A", 7):
+        tq = tilting_quiver(q)
+        assert (len(tq.nodes), len(tq.arrows)) == want, bits
 
 
 def test_leq_examples():
