@@ -40,7 +40,6 @@ from .rep import (
 )
 from .tilting import (
     ExtTable,
-    TiltingModule,
     TiltingQuiver,
     closed_form_counts,
     degree_stats,

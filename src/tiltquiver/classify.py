@@ -17,7 +17,7 @@ from math import comb
 
 from .models import AInterval, DIndec
 from .quiver import classify_tree, d_quiver, path_quiver
-from .tilting import TiltingModule, enumerate_tilting, ext_table, module_dim
+from .tilting import enumerate_tilting, ext_table, module_dim
 
 
 def catalan(k):
@@ -27,7 +27,7 @@ def catalan(k):
 def summand_models(table, t):
     """Model tags of the summands; needs a reference-orientation table."""
     out = []
-    for s in t.summands:
+    for s in t:
         model = table.models[s]
         if model is None:
             raise ValueError("summand models are only available at the reference orientation")
@@ -41,7 +41,7 @@ def _ids_by_model(table):
 
 def tilting_from_models(table, mods):
     by_model = _ids_by_model(table)
-    return TiltingModule(tuple(sorted(by_model[m] for m in mods)))
+    return tuple(sorted(by_model[m] for m in mods))
 
 
 def tilting_model_sets(q):
@@ -77,7 +77,7 @@ def classify(table, t):
     if bucket == "T1":
         dim_one_vertex = ones[0]
         m0 = sorted(m.b for m in mods if m.kind == "M" and m.a == 0)
-        all_insincere = all(0 in table.dims[s] for s in t.summands)
+        all_insincere = all(0 in table.dims[s] for s in t)
         for sign in ("+", "-"):
             if dims[f"{n}{sign}"] == 1:
                 if all_insincere:
@@ -272,7 +272,7 @@ def sincere_stem_summand(table, t):
     """A summand covering the whole stem 1..n-1 exists in every tilting module."""
     _, n = classify_tree(table.quiver)
     verts = [str(v) for v in range(1, n)]
-    for s in t.summands:
+    for s in t:
         dims = dict(zip(table.quiver.vertices, table.dims[s]))
         if all(dims[v] >= 1 for v in verts):
             return s

@@ -63,7 +63,7 @@ def _cmd_enumerate(args, parser, out):
         "orientation": args.orientation,
         "count": len(mods),
         "modules": [
-            {"ids": list(t.summands), "labels": [labels[s] for s in t.summands]}
+            {"ids": list(t), "labels": [labels[s] for s in t]}
             for t in mods
         ],
     }

@@ -22,7 +22,6 @@ from functools import lru_cache
 from .quiver import delete_vertex, reflect
 from .rep import simple_reflection_dims
 from .tilting import (
-    TiltingModule,
     enumerate_tilting,
     ext_table,
     is_tilting,
@@ -45,7 +44,7 @@ def split_by_simple(q, x):
     s = simple_summand_id(table, x)
     inside, outside = [], []
     for t in enumerate_tilting(q):
-        (inside if s in t.summands else outside).append(t)
+        (inside if s in t else outside).append(t)
     return inside, outside
 
 
@@ -110,10 +109,10 @@ def project(q, x, t):
     """Restrict a tilting module along a leaf deletion and keep distinct summands."""
     small, down, _ = _leaf_maps(q, x)
     mask = 0
-    for s in t.summands:
+    for s in t:
         mask |= down[s]
-    out = TiltingModule(tuple(j for j in range(mask.bit_length()) if mask >> j & 1))
-    if not is_tilting(ext_table(small), out.summands):
+    out = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+    if not is_tilting(ext_table(small), out):
         raise RuntimeError("projection did not land on a tilting module")
     return out
 
@@ -122,9 +121,9 @@ def lift(q, x, t_small):
     """Extend a tilting module over the deleted quiver and adjoin the simple at x."""
     _, _, up = _leaf_maps(q, x)
     table = ext_table(q)
-    ids = {simple_summand_id(table, x)} | {up[s] for s in t_small.summands}
-    out = TiltingModule(tuple(sorted(ids)))
-    if not is_tilting(table, out.summands):
+    ids = {simple_summand_id(table, x)} | {up[s] for s in t_small}
+    out = tuple(sorted(ids))
+    if not is_tilting(table, out):
         raise RuntimeError("lift did not land on a tilting module")
     return out
 
@@ -163,7 +162,7 @@ def closure_report(q, x):
         below = leq(table, ft, t) if src else leq(table, t, ft)
         if not below:
             closure_ok = False
-        if (ft == t) != (s in t.summands):
+        if (ft == t) != (s in t):
             equality_ok = False
     monotone_ok = all(
         not leq(table, t, u) or leq(small_table, proj[t], proj[u])
@@ -246,9 +245,7 @@ def transport_complement(q, x):
         if i != s:
             d2 = simple_reflection_dims(q, x, dict(zip(q.vertices, d)))
             moved[i] = table2.id_by_dim[tuple(d2[v] for v in q2.vertices)]
-    mapping = {
-        t: TiltingModule(tuple(sorted(moved[i] for i in t.summands))) for t in outside
-    }
+    mapping = {t: tuple(sorted(moved[i] for i in t)) for t in outside}
     image = sorted(mapping.values())
     bijective = image == sorted(outside2) and len(set(image)) == len(image)
     order_iso = all(
@@ -285,7 +282,7 @@ def crossing_report(q, x):
     table = ext_table(q)
     tq = tilting_quiver(q)
     s = simple_summand_id(table, x)
-    has_simple = [s in t.summands for t in tq.nodes]
+    has_simple = [s in t for t in tq.nodes]
     inside = outside = 0
     crossing = []
     direction_ok = True

@@ -110,18 +110,11 @@ def _model_tags(q, dims):
     return tuple(by_dim[d] for d in dims)
 
 
-@dataclass(frozen=True, order=True)
-class TiltingModule:
-    """Strictly increasing tuple of summand ids, one per vertex."""
-
-    summands: tuple
-
-
 def module_dim(table, t):
     """Dimension vector of the whole module (sum over summands)."""
     verts = table.quiver.vertices
     total = [0] * len(verts)
-    for s in t.summands:
+    for s in t:
         for i, d in enumerate(table.dims[s]):
             total[i] += d
     return dict(zip(verts, total))
@@ -153,22 +146,22 @@ def enumerate_tilting(q):
 def leq(table, t, u):
     """t <= u iff Ext^1 from every summand of u to every summand of t vanishes."""
     z = -1  # Z(u): ids j with Ext^1(i, j) = 0 for every summand i of u
-    for i in u.summands:
+    for i in u:
         z &= table.ext_zero[i]
-    return all(z >> j & 1 for j in t.summands)
+    return all(z >> j & 1 for j in t)
 
 
 def _order_rows(rows, nodes, n_ids):
     """Yield per node u the bitset of nodes whose summands all lie in AND rows[i], i in u."""
     has = [0] * n_ids  # has[j]: nodes with summand j
     for v, t in enumerate(nodes):
-        for j in t.summands:
+        for j in t:
             has[j] |= 1 << v
     all_ids = (1 << n_ids) - 1
     everyone = (1 << len(nodes)) - 1
     for u in nodes:
         z = all_ids
-        for i in u.summands:
+        for i in u:
             z &= rows[i]
         off = 0  # nodes with a summand outside z
         rest = all_ids ^ z
@@ -216,17 +209,27 @@ def tilting_quiver(q):
     "On a partial order of tilting modules", 2005; Riedtmann-Schofield, 1991),
     so a walk from the projectives along exchanges reaches every tilting
     module and no search is needed.  Nodes are keyed by their summand masks.
-    For the summands x_0 < ... < x_m of a node, the completions of t minus x_i
-    other than x_i are pre & suf[i + 1] & ~(1 << x_i), where pre is the AND
-    of compat over x_0 .. x_(i-1) and suf[i + 1] over x_(i+1) .. x_m.  Each
-    exchange pair is looked up once: `met[u]` marks the summands of u whose
-    pair was already found from the other end.  The nodes are then sorted by
-    summand tuple and the arrows by (tail, head) in the new numbering.
+    An almost complete tilting module has one or two complements, so the
+    neighbours of a node t are the ids outside t that are Ext-incompatible
+    with exactly one summand x of t, each exchanged against that x.  One
+    bit-sliced counter over the summands finds them: with inc[j] the ids
+    incompatible with j (j included), `ones` collects the ids hit at least
+    once and `twos` those hit at least twice.  `ones` must be every id, since
+    an id compatible with all of t would make a rigid module with more
+    summands than vertices, and no two candidates may share their x, since
+    t minus x would have three complements.  Each exchange pair is walked
+    once: `met[u]` marks the ids outside u whose pair with u was already
+    recorded from the other end.  The first node the walk reaches that
+    contains an almost complete module sees all its other complements as
+    candidates, so no pair skipped through `met` hides a third complement.
+    The nodes are then sorted by summand tuple and the arrows by (tail,
+    head) in the new numbering.
     """
     _guard(q)
     table = ext_table(q)
-    compat, ext = table.compat, table.ext
+    ext = table.ext
     full = (1 << len(table)) - 1
+    inc = [full ^ c for c in table.compat]  # compat is symmetric
     start = tuple(
         sorted(
             table.id_by_dim[tuple(d[v] for v in q.vertices)]
@@ -236,41 +239,47 @@ def tilting_quiver(q):
     summands = [start]  # per node in walk order, its summand ids
     masks = [sum(1 << s for s in start)]
     index = {masks[0]: 0}
-    met = [0]  # met[u]: summands of u whose exchange pair is already recorded
+    met = [0]  # met[u]: ids outside u whose exchange pair is already recorded
     heads = [[]]  # heads[u]: heads of the arrows out of u
     in_deg = [0]
     for ti, ids in enumerate(summands):  # summands grows as the walk finds nodes
         m = masks[ti]
-        suf = [full]
-        for s in reversed(ids):
-            suf.append(suf[-1] & compat[s])
-        suf.reverse()
-        pre = full
-        skip = met[ti]
-        for i, x in enumerate(ids):
-            other = pre & suf[i + 1] & ~(1 << x)
-            pre &= compat[x]
-            if not other or skip >> x & 1:
-                continue
-            if other & (other - 1):
+        ones = twos = 0
+        for x in ids:
+            c = inc[x]
+            twos |= ones & c
+            ones |= c
+        if ones != full:
+            raise RuntimeError(
+                "more than two completions of an almost complete module"
+            )
+        cand = ones & ~(twos | m | met[ti])
+        used = 0  # summands of t exchanged so far
+        while cand:
+            yb = cand & -cand
+            cand ^= yb
+            y = yb.bit_length() - 1
+            xb = inc[y] & m  # the one summand y clashes with
+            if used & xb:
                 raise RuntimeError(
                     "more than two completions of an almost complete module"
                 )
-            y = other.bit_length() - 1
-            n = m ^ (1 << x) ^ other
+            used |= xb
+            x = xb.bit_length() - 1
+            n = m ^ xb ^ yb
             u = index.get(n)
             if u is None:
                 u = index[n] = len(masks)
                 masks.append(n)
-                met.append(other)
+                met.append(xb)
                 swapped = list(ids)
-                swapped[i] = y
+                swapped[ids.index(x)] = y
                 swapped.sort()
                 summands.append(tuple(swapped))
                 heads.append([])
                 in_deg.append(0)
             else:
-                met[u] |= other
+                met[u] |= xb
             fwd = ext[y][x] != 0
             bwd = ext[x][y] != 0
             if fwd == bwd:
@@ -295,7 +304,7 @@ def tilting_quiver(q):
         arrows.extend((a, b) for b in hs)
     return TiltingQuiver(
         q,
-        tuple(TiltingModule(summands[old]) for old in order),
+        tuple(summands[old] for old in order),
         tuple(arrows),
         tuple(out_deg),
         tuple(in_deg[old] for old in order),
@@ -315,7 +324,8 @@ def hasse_check(table, tq):
     The order comes from `table.ext_zero` only, never from the arrows.  The
     down- and up-set bitsets of `order_bitsets` give antisymmetry in one AND
     per node; the covers of each node are then peeled off its strict down-set
-    along a linear extension, one big-int step per cover.  `missing` and
+    along a linear extension, one big-int step per cover, with the down-sets
+    alone built again in that order.  `missing` and
     `extra` hold (larger, smaller) pairs of node indices; when antisymmetry
     fails, `extra` holds the first pair (u, t) with t <= u <= t instead.
     """
@@ -335,7 +345,7 @@ def hasse_check(table, tq):
     # sorting by down-set size gives a linear extension.  Positions in it
     # exist only inside this function.
     order = sorted(range(k), key=size.__getitem__)
-    down = list(order_bitsets(table, [nodes[u] for u in order])[0])
+    down = list(_order_rows(table.ext_zero, [nodes[u] for u in order], len(table)))
     covers = set()
     for p in range(k):
         cand = down[p] ^ (1 << p)
@@ -416,7 +426,7 @@ def tilting_quiver_json(tq):
     """
     return {
         "quiver": quiver_to_json(tq.quiver),
-        "nodes": [t.summands for t in tq.nodes],
+        "nodes": tq.nodes,
         "arrows": tq.arrows,
         "delta": list(tq.delta),
     }
@@ -429,7 +439,7 @@ def tilting_quiver_dot(tq):
     delta = tq.delta
     lines = ["digraph tilting {"]
     for i, t in enumerate(tq.nodes):
-        label = "|".join([labels[s] for s in t.summands])
+        label = "|".join([labels[s] for s in t])
         lines.append(f'  t{i} [label="{label}", delta={delta[i]}];')
     for a, b in tq.arrows:
         lines.append(f"  t{a} -> t{b};")

@@ -185,7 +185,7 @@ def _unique_extremes(q):
     proj_ids = tuple(
         sorted(table.id_by_dim[tuple(d[v] for v in q.vertices)] for d in proj_dims.values())
     )
-    if len(sources) == 1 and len(sinks) == 1 and tq.nodes[sources[0]].summands == proj_ids:
+    if len(sources) == 1 and len(sinks) == 1 and tq.nodes[sources[0]] == proj_ids:
         return None
     return f"sources {sources}, sinks {sinks}"
 
@@ -336,8 +336,8 @@ def _simple_membership(q):
             continue
         s = glue.simple_summand_id(table, x)
         for t in enumerate_tilting(q):
-            if s in t.summands and module_dim(table, t)[x] < 2:
-                return f"vertex {x}, module {t.summands}"
+            if s in t and module_dim(table, t)[x] < 2:
+                return f"vertex {x}, module {t}"
     return None
 
 
@@ -348,14 +348,14 @@ def _class_partition(q):
     for t in enumerate_tilting(q):
         c = cl.classify(table, t)
         if c.bucket not in ("T0", "T1", "T2") or c.problems:
-            return f"module {t.summands}: {c.bucket} {c.problems}"
+            return f"module {t}: {c.bucket} {c.problems}"
     return None
 
 
 def _class_a_empty(q):
     table = ext_table(q)
     bad = [
-        t.summands
+        t
         for t in enumerate_tilting(q)
         if any(tag.startswith("A") for tag in cl.classify(table, t).tags)
     ]
@@ -380,9 +380,9 @@ def _bijection_path(q):
             continue
         j, sign, ivs = cl.to_path_tilting(table, t)
         if ivs not in path_sets or cl.min_end_statistic(ivs, n) != j:
-            return f"image of {t.summands} off"
+            return f"image of {t} off"
         if cl.from_path_tilting(n, j, sign, ivs) != frozenset(cl.summand_models(table, t)):
-            return f"round trip failed on {t.summands}"
+            return f"round trip failed on {t}"
         images[sign].append(ivs)
     want_total = {s for s in path_sets if cl.min_end_statistic(s, n) >= 1}
     for sign, got in images.items():
@@ -403,9 +403,9 @@ def _bijection_shrink(q):
             continue
         j, ms = cl.to_smaller_fork(table, t)
         if ms not in small_sets or cl.fork_reach_statistic(ms) != j - 1:
-            return f"image of {t.summands} off"
+            return f"image of {t} off"
         if cl.from_smaller_fork(n, j, ms) != frozenset(cl.summand_models(table, t)):
-            return f"round trip failed on {t.summands}"
+            return f"round trip failed on {t}"
         images.append(ms)
     if len(images) != len(set(images)) or set(images) != small_sets:
         return "images do not exhaust the smaller fork quiver"
@@ -431,7 +431,7 @@ def _product_split(q):
         i, left, right = cl.split_product(table, t)
         fibers[i] += 1
         if cl.unsplit_product(n, i, left, right) != frozenset(cl.summand_models(table, t)):
-            return f"round trip failed on {t.summands}"
+            return f"round trip failed on {t}"
     for i, size in sorted(fibers.items()):
         small = d_quiver(n - i + 1)
         table_small = ext_table(small)
@@ -451,7 +451,7 @@ def _product_split(q):
 
 def _sincere_cover(q):
     table = ext_table(q)
-    bad = [t.summands for t in enumerate_tilting(q) if cl.sincere_stem_summand(table, t) is None]
+    bad = [t for t in enumerate_tilting(q) if cl.sincere_stem_summand(table, t) is None]
     return f"members {bad[:3]}" if bad else None
 
 
@@ -462,7 +462,7 @@ def _fork_pair(q):
     for t in enumerate_tilting(q):
         mods = set(cl.summand_models(table, t))
         if models.DIndec("L", 0, n - 1) in mods and not tips <= mods:
-            return f"module {t.summands}"
+            return f"module {t}"
     return None
 
 

@@ -10,7 +10,6 @@ from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.tilting import (
     HasseReport,
-    TiltingModule,
     closed_form_counts,
     degree_stats,
     enumerate_tilting,
@@ -127,8 +126,8 @@ def test_enumerate_a2_exact():
     table = ext_table(q)
     mods = enumerate_tilting(q)
     assert mods == (
-        TiltingModule(ids_for(table, AInterval(1, 2), AInterval(0, 2))),
-        TiltingModule(ids_for(table, AInterval(0, 1), AInterval(0, 2))),
+        ids_for(table, AInterval(1, 2), AInterval(0, 2)),
+        ids_for(table, AInterval(0, 1), AInterval(0, 2)),
     )
 
 
@@ -165,7 +164,7 @@ def clique_search(q):
 
     def walk(cand):
         if len(chosen) == need:
-            out.append(TiltingModule(tuple(chosen)))
+            out.append(tuple(chosen))
             return
         c = cand
         while c:
@@ -191,18 +190,20 @@ def test_exchange_walk_finds_every_clique():
         assert enumerate_tilting(q) == clique_search(q), q
 
 
-def test_exchange_walk_counts_at_every_a7_orientation():
-    want = closed_form_counts("A", 7)
-    for bits, q in all_orientations("A", 7):
-        tq = tilting_quiver(q)
-        assert (len(tq.nodes), len(tq.arrows)) == want, bits
+def test_exchange_walk_at_every_rank_7_orientation():
+    for kind, param in (("A", 7), ("D", 6)):
+        want = closed_form_counts(kind, 7)
+        for bits, q in all_orientations(kind, param):
+            tq = tilting_quiver(q)
+            assert enumerate_tilting(q) == clique_search(q), (kind, bits)
+            assert (len(tq.nodes), len(tq.arrows)) == want, (kind, bits)
 
 
 def test_leq_examples():
     q = path_quiver(2)
     table = ext_table(q)
-    lower = TiltingModule(ids_for(table, AInterval(0, 1), AInterval(0, 2)))
-    upper = TiltingModule(ids_for(table, AInterval(1, 2), AInterval(0, 2)))
+    lower = ids_for(table, AInterval(0, 1), AInterval(0, 2))
+    upper = ids_for(table, AInterval(1, 2), AInterval(0, 2))
     assert leq(table, lower, lower) and leq(table, upper, upper)
     assert leq(table, lower, upper)
     assert not leq(table, upper, lower)
@@ -211,12 +212,10 @@ def test_leq_examples():
 def test_projectives_are_the_maximum():
     q = path_quiver(4)
     table = ext_table(q)
-    proj = TiltingModule(
-        tuple(
-            sorted(
-                table.id_by_dim[tuple(d[v] for v in q.vertices)]
-                for d in projective_dim_vectors(q).values()
-            )
+    proj = tuple(
+        sorted(
+            table.id_by_dim[tuple(d[v] for v in q.vertices)]
+            for d in projective_dim_vectors(q).values()
         )
     )
     for t in enumerate_tilting(q):
@@ -227,8 +226,8 @@ def test_tilting_quiver_a2_direction():
     q = path_quiver(2)
     table = ext_table(q)
     tq = tilting_quiver(q)
-    projectives = TiltingModule(ids_for(table, AInterval(1, 2), AInterval(0, 2)))
-    other = TiltingModule(ids_for(table, AInterval(0, 1), AInterval(0, 2)))
+    projectives = ids_for(table, AInterval(1, 2), AInterval(0, 2))
+    other = ids_for(table, AInterval(0, 1), AInterval(0, 2))
     (arrow,) = tq.arrows
     assert tq.nodes[arrow[0]] == projectives
     assert tq.nodes[arrow[1]] == other
@@ -244,12 +243,12 @@ def test_exchange_quiver_matches_pairwise_oracle():
         for bits, q in all_orientations(kind, param):
             table = ext_table(q)
             nodes = enumerate_tilting(q)
-            assert all(a.summands < b.summands for a, b in zip(nodes, nodes[1:]))
+            assert all(a < b for a, b in zip(nodes, nodes[1:]))
             want = set()
             for a, t in enumerate(nodes):
                 for b, u in enumerate(nodes):
-                    only_t = set(t.summands) - set(u.summands)
-                    only_u = set(u.summands) - set(t.summands)
+                    only_t = set(t) - set(u)
+                    only_u = set(u) - set(t)
                     if len(only_t) != 1 or len(only_u) != 1:
                         continue
                     (x,), (y,) = only_t, only_u
@@ -264,11 +263,39 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
     q = path_quiver(3)
     table = ext_table(q)
     k = len(table)
-    monkeypatch.setattr(tilting, "enumerate_tilting", enumerate_tilting.__wrapped__)
+
+    def flipped(*pairs):
+        compat = list(table.compat)
+        for i, j in pairs:
+            compat[i] ^= 1 << j
+            compat[j] ^= 1 << i
+        return replace(table, compat=tuple(compat))
+
+    # ids sort by dimension vector: the projective module is (0, 2, 5), and
+    # outside it id 4 = (1, 1, 0) clashes with the summands 0 and 2 and
+    # id 1 with 0 alone
+    proj = (0, 2, 5)
+    assert proj == tuple(
+        sorted(
+            table.id_by_dim[tuple(d[v] for v in q.vertices)]
+            for d in projective_dim_vectors(q).values()
+        )
+    )
+    clashes = {j: [x for x in proj if not table.compat[x] >> j & 1] for j in (1, 4)}
+    assert clashes == {1: [0], 4: [0, 2]}
     everything = replace(table, compat=((1 << k) - 1,) * k)
-    monkeypatch.setattr(tilting, "ext_table", lambda _: everything)
-    with pytest.raises(RuntimeError, match="more than two completions"):
-        tilting_quiver.__wrapped__(q)
+    broken = (
+        everything,
+        # 4 compatible with every summand of the projective module
+        flipped((4, 0), (4, 2)),
+        # 4 and 1 both clash with the summand 0 alone, and with each other,
+        # so (2, 5) has the three complements 0, 1 and 4
+        flipped((4, 2), (4, 1)),
+    )
+    for bad in broken:
+        monkeypatch.setattr(tilting, "ext_table", lambda _, t=bad: t)
+        with pytest.raises(RuntimeError, match="more than two completions"):
+            tilting_quiver.__wrapped__(q)
     both_ways = tuple(
         tuple(table.ext[i][j] + table.ext[j][i] for j in range(k)) for i in range(k)
     )
@@ -291,7 +318,7 @@ def test_order_bitsets_match_pairwise_leq():
             for a, t in enumerate(nodes):
                 for b, u in enumerate(nodes):
                     # leq against the Ext dimensions themselves, not ext_zero
-                    le = all(table.ext[i][j] == 0 for i in u.summands for j in t.summands)
+                    le = all(table.ext[i][j] == 0 for i in u for j in t)
                     assert leq(table, t, u) == le, (kind, bits, a, b)
                     assert (down[b] >> a & 1, up[a] >> b & 1) == (le, le), (kind, bits, a, b)
 
@@ -403,8 +430,8 @@ def test_module_dim_and_is_tilting():
     dims = module_dim(table, t)
     assert set(dims) == set(q.vertices)
     assert all(v >= 1 for v in dims.values())
-    assert is_tilting(table, t.summands)
-    assert not is_tilting(table, t.summands[:-1])
+    assert is_tilting(table, t)
+    assert not is_tilting(table, t[:-1])
 
 
 def test_json_and_dot_export():
