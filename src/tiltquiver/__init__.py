@@ -3,6 +3,7 @@
 from .models import (
     AInterval,
     DIndec,
+    all_orientations,
     ar_translate,
     compatible,
     ext_vanish_pair,
@@ -10,7 +11,6 @@ from .models import (
 )
 from .quiver import (
     Quiver,
-    all_orientations,
     canonical_form,
     classify_tree,
     d_quiver,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .models import AInterval, DIndec
+from .models import FAMILIES, AInterval, DIndec
 from .quiver import classify_tree, d_quiver, path_quiver
 from .tilting import enumerate_tilting, ext_table, module_dim
 
@@ -219,9 +219,8 @@ def fork_reach_statistic(mods):
 
 
 def c_count_formula(n):
-    """|C| equals the number of tilting modules over Q_{n-1}."""
-    m = n  # Dynkin rank of the smaller fork quiver Q_{n-1}
-    return (3 * m - 4) * comb(2 * (m - 1), m - 1) // (2 * m)
+    """|C| equals the number of tilting modules over Q_{n-1}, of Dynkin rank n."""
+    return FAMILIES["D"].counts(n)[0]
 
 
 # --------------------------------------------------- product decomposition

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .quiver import all_orientations, d_quiver, path_quiver
+from .models import FAMILIES, all_orientations, builder_param
 from .tilting import (
     closed_form_counts,
     enumerate_tilting,
@@ -29,23 +29,17 @@ def _parse_bits(text, needed, parser):
     return [c == "1" for c in text]
 
 
-def _tree_param(kind, rank, parser):
-    """The rank check of each kind; returns the parameter of its quiver builder."""
-    if kind == "A":
-        if rank < 1:
-            parser.error("type A needs rank >= 1")
-        return rank
-    if rank < 3:
-        parser.error("type D needs rank >= 3")
-    return rank - 1
+def _param(kind, rank, parser):
+    try:
+        return builder_param(kind, rank)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _build_quiver(kind, rank, orientation, parser):
-    param = _tree_param(kind, rank, parser)
-    make = path_quiver if kind == "A" else d_quiver
-    if orientation == "reference":
-        return make(param)
-    return make(param, _parse_bits(orientation, rank - 1, parser))
+    param = _param(kind, rank, parser)
+    bits = None if orientation == "reference" else _parse_bits(orientation, rank - 1, parser)
+    return FAMILIES[kind].reference(param, bits)
 
 
 def _print_json(data, out):
@@ -54,9 +48,9 @@ def _print_json(data, out):
 
 def _cmd_enumerate(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
+    mods = enumerate_tilting(q)  # first, so the rank guard runs before any table is built
     table = ext_table(q)
     labels = [table.label(i) for i in range(len(table))]
-    mods = enumerate_tilting(q)
     payload = {
         "type": args.type,
         "rank": args.rank,
@@ -152,11 +146,11 @@ def _cmd_verify(args, parser, out):
 def _cmd_reflect_scan(args, parser, out):
     if args.orientation != "all":
         parser.error("reflect-scan only supports --orientation all")
-    oriented = all_orientations(args.type, _tree_param(args.type, args.rank, parser))
+    oriented = all_orientations(args.type, _param(args.type, args.rank, parser))
     pairs = {}
     lines = []
     for bits, q in oriented:
-        tq = tilting_quiver(q)
+        tq = tilting_quiver.__wrapped__(q)  # uncached: no quiver outlives its orientation
         key = (len(tq.nodes), len(tq.arrows))
         pairs.setdefault(key, 0)
         pairs[key] += 1

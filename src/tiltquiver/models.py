@@ -6,12 +6,15 @@ three families L(a,b), L+/-(a,n) and M(a,b), the last with a two-dimensional
 stretch.  Alongside the dimension vectors and explicit matrices this module
 carries the AR translate and the closed-interval criterion for two-sided
 Ext vanishing; both act as an independent oracle against the Ext table.
-FAMILIES holds these functions once per kind, so no caller branches on A/D.
+FAMILIES holds these functions once per kind, with the rank rules and the
+closed-form counts, so no caller branches on A/D.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import product
+from math import comb
 from typing import NamedTuple, Optional
 
 from .quiver import d_quiver, path_quiver
@@ -68,6 +71,11 @@ def a_ext_vanish(x, y):
 def a_hom_nonzero(x, y):
     """Nonzero Hom L(i,j) -> L(i',j') iff i' <= i < j' <= j (strict at i)."""
     return y.lo <= x.lo < y.hi <= x.hi
+
+
+def a_counts(n):
+    """Vertices (the Catalan number) and arrows of the tilting quiver of A_n."""
+    return comb(2 * n, n) // (n + 1), comb(2 * n - 1, n + 1)
 
 
 # ---------------------------------------------------------------- type D
@@ -141,6 +149,11 @@ def d_ext_vanish(x, y, n):
     return (y.a <= x.a and x.b <= y.b) or (x.a <= y.a and y.b <= x.b)
 
 
+def d_counts(m):
+    """Vertices and arrows of the tilting quiver of D_m; D_3 agrees with A_3."""
+    return (3 * m - 4) * comb(2 * m - 2, m - 1) // (2 * m), (3 * m - 4) * comb(2 * m - 4, m - 3)
+
+
 def _zeros(r, c):
     return tuple(tuple(0 for _ in range(c)) for _ in range(r))
 
@@ -186,19 +199,26 @@ def d_matrices(x, n):
 
 
 class Family(NamedTuple):
-    """The models of one Dynkin type, indexed by its rank parameter n."""
+    """One Dynkin type.  `counts` takes the rank; the other functions take the
+    builder parameter n = rank - shift (A_n is path_quiver(n), D_m is d_quiver(m - 1))."""
 
-    reference: Callable  # n -> the reference orientation
+    reference: Callable  # (n, bits=None) -> the quiver, reference orientation by default
     indecs: Callable  # n -> the model tags
     dim: Callable  # (x, n) -> dimension vector, a dict over the vertex labels
     matrices: Callable  # (x, n) -> structure maps over the reference orientation
     tau: Callable  # (x, n) -> AR translate, None on projectives
     ext_vanish: Callable  # (x, y, n) -> two-sided Ext vanishing
+    shift: int  # rank minus the builder parameter
+    min_rank: int
+    guard: int  # the most vertices a tilting quiver is enumerated at
+    counts: Callable  # rank -> (vertices, arrows) of the tilting quiver
 
 
 FAMILIES = {
-    "A": Family(path_quiver, a_indecs, a_dim, a_matrices, a_tau, lambda x, y, n: a_ext_vanish(x, y)),
-    "D": Family(d_quiver, d_indecs, d_dim, d_matrices, d_tau, d_ext_vanish),
+    "A": Family(path_quiver, a_indecs, a_dim, a_matrices, a_tau, lambda x, y, n: a_ext_vanish(x, y),
+                shift=0, min_rank=1, guard=12, counts=a_counts),
+    "D": Family(d_quiver, d_indecs, d_dim, d_matrices, d_tau, d_ext_vanish,
+                shift=1, min_rank=3, guard=9, counts=d_counts),
 }
 
 
@@ -206,6 +226,21 @@ def family(kind):
     if kind not in FAMILIES:
         raise ValueError(f"unknown kind {kind!r}")
     return FAMILIES[kind]
+
+
+def builder_param(kind, rank):
+    """The builder parameter of the type-`kind` tree with `rank` vertices; checks the rank."""
+    fam = family(kind)
+    if rank < fam.min_rank:
+        raise ValueError(f"type {kind} needs rank >= {fam.min_rank}")
+    return rank - fam.shift
+
+
+def all_orientations(kind, n):
+    """Yield (bits, quiver) over every orientation of the tree with builder parameter n."""
+    fam = family(kind)
+    for bits in product((True, False), repeat=n + fam.shift - 1):
+        yield bits, fam.reference(n, bits)
 
 
 def ext_vanish_pair(kind, x, y, n):

@@ -1,4 +1,4 @@
-"""Tree-shaped quivers: construction, reflection, leaf deletion, orientation scans.
+"""Tree-shaped quivers: construction, reflection, leaf deletion, classification.
 
 Vertex labels are strings.  The canonical families use "1", "2", ... for path
 vertices and "n+"/"n-" for the two fork tips of the D-type quiver.  A quiver is
@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 _LABEL = re.compile(r"^(\d+)([+-]?)$")
 _SUFFIX_ORDER = {"": 0, "+": 1, "-": 2}
@@ -154,20 +153,6 @@ def sinks_sources(q):
 def tree_edges(q):
     """Underlying edges as frozensets, orientation forgotten."""
     return frozenset(frozenset(ar) for ar in q.arrows)
-
-
-def all_orientations(kind, rank):
-    """Yield (bits, quiver) over every orientation of the A_rank path or Q_rank tree."""
-    if kind == "A":
-        nbits = rank - 1
-        build = lambda bits: path_quiver(rank, bits)
-    elif kind == "D":
-        nbits = rank
-        build = lambda bits: d_quiver(rank, bits)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    for bits in product((True, False), repeat=nbits):
-        yield bits, build(bits)
 
 
 def sink_reflection_sequence(start, goal):

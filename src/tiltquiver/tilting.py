@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from operator import mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
-
-RANK_GUARD = {"A": 12, "D": 9}
 
 
 @dataclass
@@ -130,11 +127,9 @@ def is_tilting(table, ids):
 
 def _guard(q):
     kind, _ = classify_tree(q)
-    if len(q.vertices) > RANK_GUARD[kind]:
-        raise ValueError(
-            f"rank guard exceeded: type {kind} is capped at {RANK_GUARD[kind]} vertices"
-        )
-    return kind
+    cap = models.family(kind).guard
+    if len(q.vertices) > cap:
+        raise ValueError(f"rank guard exceeded: type {kind} is capped at {cap} vertices")
 
 
 @lru_cache(maxsize=None)
@@ -402,20 +397,8 @@ def degree_stats(tq):
 
 def closed_form_counts(kind, rank):
     """Exact vertex/arrow counts of the tilting quiver from the closed forms."""
-    if kind == "A":
-        if rank < 1:
-            raise ValueError("type A needs rank >= 1")
-        n = rank
-        return comb(2 * n, n) // (n + 1), comb(2 * n - 1, n + 1)
-    if kind == "D":
-        # rank 3 is accepted as an alias of A_3; both formulas agree there.
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
-        m = rank
-        return (3 * m - 4) * comb(2 * (m - 1), m - 1) // (2 * m), (3 * m - 4) * comb(
-            2 * (m - 2), m - 3
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    models.builder_param(kind, rank)  # rejects an unknown kind or a rank below the minimum
+    return models.FAMILIES[kind].counts(rank)
 
 
 def tilting_quiver_json(tq):

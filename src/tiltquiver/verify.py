@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import classify as cl
 from . import glue, models, rep
-from .quiver import all_orientations, classify_tree, d_quiver, path_quiver, reflect
+from .models import all_orientations, builder_param
+from .quiver import classify_tree, d_quiver, path_quiver, reflect
 from .tilting import (
     closed_form_counts,
     degree_stats,
@@ -108,10 +109,10 @@ def _glue_points(max_rank):
 
 
 def _orientation_targets(max_rank):
-    """(kind, Dynkin rank, quiver parameter), checked over all orientations."""
-    targets = [("A", n, n) for n in range(2, min(max_rank, 5) + 1)]
-    targets += [("D", fork + 1, fork) for fork in range(3, min(max_rank - 1, 4) + 1)]
-    return [(f"{kind}{rank}", (kind, rank, param)) for kind, rank, param in targets]
+    """(kind, Dynkin rank), checked over all orientations."""
+    targets = [("A", n) for n in range(2, min(max_rank, 5) + 1)]
+    targets += [("D", n) for n in range(4, min(max_rank, 5) + 1)]
+    return [(f"{kind}{rank}", (kind, rank)) for kind, rank in targets]
 
 
 def _reflection_targets(max_rank):
@@ -140,9 +141,9 @@ def _closed_form(kind):
 
 
 def _orientation_invariant(target):
-    kind, rank, param = target
+    kind, rank = target
     reference = closed_form_counts(kind, rank)
-    pairs = {_counts(q) for _, q in all_orientations(kind, param)}
+    pairs = {_counts(q) for _, q in all_orientations(kind, builder_param(kind, rank))}
     if pairs == {reference}:
         return None
     return f"distinct counts {sorted(pairs)}, want {{{reference}}}"

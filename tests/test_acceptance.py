@@ -11,8 +11,8 @@ from contextlib import contextmanager
 from tiltquiver import classify as cl
 from tiltquiver import verify
 from tiltquiver.cli import main
-from tiltquiver.models import ar_translate, ext_vanish_pair, model_dim
-from tiltquiver.quiver import all_orientations, classify_tree, d_quiver, path_quiver
+from tiltquiver.models import all_orientations, ar_translate, ext_vanish_pair, model_dim
+from tiltquiver.quiver import classify_tree, d_quiver, path_quiver
 from tiltquiver.tilting import (
     closed_form_counts,
     degree_stats,

@@ -17,6 +17,10 @@ GRAPH_SHA256 = {
         "fca6d779ea8e8007b988e6b83bf546341a6506f4eec0995b9572596c92eae6e5",
 }
 
+# sha256 of `reflect-scan --type D --rank 5` stdout, pinned while the scan
+# still kept every orientation's quiver in the tilting_quiver cache.
+REFLECT_SCAN_D5_SHA256 = "3f2623cdfa4459d381b1afd02c8ccaf875bf051ebb49b3722c60e278367a8203"
+
 # sha256 of stdout taken before the Ext table moved onto the Euler form; at
 # the reference orientation the labels are model tags.
 EULER_PATH_SHA256 = {
@@ -160,6 +164,16 @@ def test_reflect_scan_d4(capsys):
     assert all(ln.endswith("20,32") for ln in lines[1:])
 
 
+def test_reflect_scan_caches_no_quiver(capsys):
+    from tiltquiver.tilting import enumerate_tilting, tilting_quiver
+
+    before = [f.cache_info() for f in (tilting_quiver, enumerate_tilting)]
+    code, out, _ = run_cli(capsys, "reflect-scan", "--type", "D", "--rank", "5")
+    assert code == 0
+    assert [f.cache_info() for f in (tilting_quiver, enumerate_tilting)] == before
+    assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_SCAN_D5_SHA256
+
+
 def test_verify_small_passes(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "counts", "--max-rank", "3")
     assert code == 0
@@ -266,10 +280,15 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_rank_guard_reported_as_usage_error(capsys):
+    from tiltquiver.tilting import ext_table
+
+    misses = ext_table.cache_info().misses
     code = main(["enumerate", "--type", "A", "--rank", "13"])
     captured = capsys.readouterr()
     assert code == 2
     assert "rank guard" in captured.err
+    # the guard runs before the Ext table is built
+    assert ext_table.cache_info().misses == misses
 
 
 def test_graph_labels_fall_back_to_dim_vectors_off_reference(capsys):

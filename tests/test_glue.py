@@ -2,9 +2,8 @@ import pytest
 
 from tiltquiver import classify as cl
 from tiltquiver import glue, rep, verify
-from tiltquiver.models import AInterval, DIndec
+from tiltquiver.models import AInterval, DIndec, all_orientations
 from tiltquiver.quiver import (
-    all_orientations,
     d_quiver,
     delete_vertex,
     path_quiver,

@@ -1,13 +1,16 @@
 import pytest
 
 from tiltquiver.models import (
+    FAMILIES,
     AInterval,
     DIndec,
     a_dim,
     a_hom_nonzero,
     a_indecs,
     a_tau,
+    all_orientations,
     ar_translate,
+    builder_param,
     compatible,
     d_dim,
     d_indecs,
@@ -17,6 +20,8 @@ from tiltquiver.models import (
     model_dim,
     render,
 )
+from tiltquiver.quiver import classify_tree
+from tiltquiver.tilting import closed_form_counts
 
 
 def test_compatible_examples():
@@ -110,3 +115,27 @@ def test_render():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         ext_vanish_pair("E", None, None, 6)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_builds_every_rank_up_to_its_guard(kind):
+    fam = FAMILIES[kind]
+    for rank in range(fam.min_rank, fam.guard + 1):
+        n = builder_param(kind, rank)
+        q = fam.reference(n)
+        assert len(q.vertices) == rank
+        assert classify_tree(q)[0] == kind
+        oriented = [o for _, o in all_orientations(kind, n)]
+        assert len(set(oriented)) == len(oriented) == 2 ** (rank - 1), rank
+        assert all(o.vertices == q.vertices for o in oriented), rank
+
+
+def test_rank_minimum_and_kind_errors_keep_their_messages():
+    for kind, message in (("A", "type A needs rank >= 1"), ("D", "type D needs rank >= 3")):
+        for call in (closed_form_counts, builder_param):
+            with pytest.raises(ValueError) as exc:
+                call(kind, FAMILIES[kind].min_rank - 1)
+            assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        closed_form_counts("E", 6)
+    assert str(exc.value) == "unknown kind 'E'"

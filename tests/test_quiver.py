@@ -3,9 +3,9 @@ from collections import deque
 
 import pytest
 
+from tiltquiver.models import all_orientations
 from tiltquiver.quiver import (
     Quiver,
-    all_orientations,
     admissible_sink_order,
     canonical_form,
     classify_tree,

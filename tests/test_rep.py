@@ -7,12 +7,12 @@ from tiltquiver.models import (
     FAMILIES,
     AInterval,
     a_hom_nonzero,
+    all_orientations,
     ar_translate,
     model_dim,
 )
 from tiltquiver.quiver import (
     admissible_sink_order,
-    all_orientations,
     classify_tree,
     d_quiver,
     delete_vertex,

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from tiltquiver.models import AInterval
-from tiltquiver.quiver import all_orientations, d_quiver, path_quiver
+from tiltquiver.models import AInterval, all_orientations
+from tiltquiver.quiver import d_quiver, path_quiver
 from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.tilting import (
