@@ -10,17 +10,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from itertools import islice
 
 from .models import FAMILIES, all_orientations, builder_param
 from .tilting import (
     closed_form_counts,
-    enumerate_tilting,
     ext_table,
     tilting_quiver,
-    tilting_quiver_dot,
+    tilting_quiver_dot_chunks,
     tilting_quiver_json,
+    transient_quiver,
 )
 from .verify import run_suite
+
+# Items per json.dumps call when a list field is written in slices.
+JSON_SLICE = 1024
 
 
 def _parse_bits(text, needed, parser):
@@ -42,63 +47,85 @@ def _build_quiver(kind, rank, orientation, parser):
     return FAMILIES[kind].reference(param, bits)
 
 
+def _json_slices(items):
+    """json.dumps(list(items))[1:-1] in pieces of JSON_SLICE items each."""
+    items = iter(items)
+    sep = ""
+    while chunk := list(islice(items, JSON_SLICE)):
+        yield sep + json.dumps(chunk)[1:-1]
+        sep = ", "
+
+
 def _print_json(data, out):
-    out.write(json.dumps(data) + "\n")
+    """Write json.dumps(data) and a newline, a dict field by field.
+
+    A list, tuple or iterator field goes out in slices, so its text is never
+    built whole and a generator field is never held in memory.
+    """
+    if not isinstance(data, dict):
+        out.write(json.dumps(data) + "\n")
+        return
+    out.write("{")
+    for n, (key, value) in enumerate(data.items()):
+        out.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+        if isinstance(value, (list, tuple, Iterator)):
+            out.write("[")
+            out.writelines(_json_slices(value))
+            out.write("]")
+        else:
+            out.write(json.dumps(value))
+    out.write("}\n")
 
 
 def _cmd_enumerate(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
-    mods = enumerate_tilting(q)  # first, so the rank guard runs before any table is built
+    # uncached, and first, so that the rank guard runs before any table is
+    # built; only the nodes are kept
+    mods = tilting_quiver.__wrapped__(q).nodes
     table = ext_table(q)
     labels = [table.label(i) for i in range(len(table))]
-    payload = {
-        "type": args.type,
-        "rank": args.rank,
-        "orientation": args.orientation,
-        "count": len(mods),
-        "modules": [
-            {"ids": list(t), "labels": [labels[s] for s in t]}
-            for t in mods
-        ],
-    }
     if args.format == "csv":
         out.write("index,ids,labels\n")
-        for i, m in enumerate(payload["modules"]):
-            ids = "|".join(str(s) for s in m["ids"])
-            labels = "|".join(m["labels"])
-            out.write(f"{i},{ids},{labels}\n")
+        out.writelines(
+            f"{i},{'|'.join(map(str, t))},{'|'.join([labels[s] for s in t])}\n"
+            for i, t in enumerate(mods)
+        )
     else:
+        payload = {
+            "type": args.type,
+            "rank": args.rank,
+            "orientation": args.orientation,
+            "count": len(mods),
+            "modules": (
+                {"ids": list(t), "labels": [labels[s] for s in t]} for t in mods
+            ),
+        }
         _print_json(payload, out)
     return 0
 
 
 def _cmd_graph(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
-    tq = tilting_quiver(q)
+    tq = tilting_quiver.__wrapped__(q)  # uncached: no quiver outlives the command
     if args.format == "json":
         _print_json(tilting_quiver_json(tq), out)
     else:
-        out.write(tilting_quiver_dot(tq))
+        out.writelines(tilting_quiver_dot_chunks(tq))
     return 0
 
 
-def _counts_rows(args, parser):
+def _cmd_counts(args, parser, out):
     rows = []
     if args.source in ("closed-form", "both"):
-        v, a = closed_form_counts(args.type, args.rank)
+        try:
+            v, a = closed_form_counts(args.type, args.rank)
+        except ValueError as exc:
+            parser.error(str(exc))
         rows.append((v, a, "closed-form"))
     if args.source in ("enumeration", "both"):
-        q = _build_quiver(args.type, args.rank, "reference", parser)
-        tq = tilting_quiver(q)
+        # a rank past the guard raises here and is reported like any other command's
+        tq = transient_quiver(_build_quiver(args.type, args.rank, "reference", parser))
         rows.append((len(tq.nodes), len(tq.arrows), "enumeration"))
-    return rows
-
-
-def _cmd_counts(args, parser, out):
-    try:
-        rows = _counts_rows(args, parser)
-    except ValueError as exc:
-        parser.error(str(exc))
     if args.type == "D" and args.rank == 3:
         sys.stderr.write("note: rank 3 of type D coincides with type A rank 3\n")
     if args.format == "csv":
@@ -150,7 +177,7 @@ def _cmd_reflect_scan(args, parser, out):
     pairs = {}
     lines = []
     for bits, q in oriented:
-        tq = tilting_quiver.__wrapped__(q)  # uncached: no quiver outlives its orientation
+        tq = transient_quiver(q)  # uncached: no table or quiver outlives its orientation
         key = (len(tq.nodes), len(tq.arrows))
         pairs.setdefault(key, 0)
         pairs[key] += 1

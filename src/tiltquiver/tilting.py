@@ -16,10 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice
 from operator import mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
+
+# Lines per chunk of the streamed DOT export.
+CHUNK_LINES = 4096
 
 
 @dataclass
@@ -57,7 +61,12 @@ def ext_table(q):
     rep.indecomposables computes the same tables by linear algebra, and the
     tests compare the two.
     """
-    dims = tuple(sorted(rep.positive_roots(q)))
+    return _euler_table(q, rep.positive_roots(q))
+
+
+def _euler_table(q, roots):
+    """The `ext_table` of q on its positive roots `roots`."""
+    dims = tuple(sorted(roots))
     k = len(dims)
     # <d_i, d_j> = d_i . w_j with w_j[v] = d_j[v] - sum over arrows v->b of d_j[b]
     index = {v: p for p, v in enumerate(q.vertices)}
@@ -221,7 +230,23 @@ def tilting_quiver(q):
     head) in the new numbering.
     """
     _guard(q)
-    table = ext_table(q)
+    return _exchange_walk(ext_table(q))
+
+
+def transient_quiver(q):
+    """`tilting_quiver(q)` built without reading or filling any cache.
+
+    Its roots and Ext table are built for this call alone, so nothing of q
+    outlives the quiver returned: a scan over many orientations holds one
+    orientation's data at a time.
+    """
+    _guard(q)
+    return _exchange_walk(_euler_table(q, rep.positive_roots.__wrapped__(q)))
+
+
+def _exchange_walk(table):
+    """The walk of `tilting_quiver` over `table`, the Ext table of its quiver."""
+    q = table.quiver
     ext = table.ext
     full = (1 << len(table)) - 1
     inc = [full ^ c for c in table.compat]  # compat is symmetric
@@ -415,16 +440,20 @@ def tilting_quiver_json(tq):
     }
 
 
-def tilting_quiver_dot(tq):
-    """Graphviz digraph, one node statement and one edge statement per line."""
+def tilting_quiver_dot_chunks(tq):
+    """Graphviz digraph in chunks of CHUNK_LINES lines, one node or edge statement per line."""
     table = ext_table(tq.quiver)
     labels = [table.label(i) for i in range(len(table))]
-    delta = tq.delta
-    lines = ["digraph tilting {"]
-    for i, t in enumerate(tq.nodes):
-        label = "|".join([labels[s] for s in t])
-        lines.append(f'  t{i} [label="{label}", delta={delta[i]}];')
-    for a, b in tq.arrows:
-        lines.append(f"  t{a} -> t{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = (
+        f'  t{i} [label="{"|".join([labels[s] for s in t])}", delta={d}];\n'
+        for i, (t, d) in enumerate(zip(tq.nodes, tq.delta))
+    )
+    edges = (f"  t{a} -> t{b};\n" for a, b in tq.arrows)
+    lines = chain(["digraph tilting {\n"], nodes, edges, ["}\n"])
+    while chunk := "".join(islice(lines, CHUNK_LINES)):
+        yield chunk
+
+
+def tilting_quiver_dot(tq):
+    """The whole `tilting_quiver_dot_chunks` text as one string."""
+    return "".join(tilting_quiver_dot_chunks(tq))

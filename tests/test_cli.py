@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import sys
+import tracemalloc
 
 import pytest
 
@@ -32,6 +36,20 @@ EULER_PATH_SHA256 = {
         "467b23754e2b247ead445c373d5e4440467c743ff3fef89c6c63363fb7afe3a4",
     ("enumerate", "--type", "A", "--rank", "6", "--format", "csv"):
         "20a9d007beb674b2a53256f84c0ed3628a2e00dbcdc0352c22d7576dae3441c1",
+}
+
+
+# sha256 of stdout pinned before `graph` and `enumerate` streamed their
+# output; each spans several chunks of the DOT export or JSON slices.
+STREAMED_SHA256 = {
+    ("graph", "--type", "A", "--rank", "9", "--format", "json"):
+        "cb598ee9617e3289c285c98e73207e6aa020cb364ecca19fcc67bf0bca95dc5f",
+    ("graph", "--type", "D", "--rank", "8", "--orientation", "0110101"):
+        "bffdc38c5a06874fc7c94ae13809e2ae83fea2e6f16672e17032bd35febd01ab",
+    ("enumerate", "--type", "A", "--rank", "9", "--format", "json"):
+        "46c1b461801eae5d18d0f556899b73ded040bfe9e3742f3121aaef525a177505",
+    ("enumerate", "--type", "D", "--rank", "8", "--orientation", "0110101", "--format", "csv"):
+        "e0f9f9eb884aa319c6761ece386b426a818901974c0ec69b2339ecca2e973947",
 }
 
 
@@ -98,6 +116,85 @@ def test_graph_output_bytes_are_pinned(capsys, args):
     code, out, _ = run_cli(capsys, "graph", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_SHA256[args]
+
+
+@pytest.mark.parametrize("argv", sorted(STREAMED_SHA256))
+def test_streamed_output_bytes_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAMED_SHA256[argv]
+
+
+def test_streamed_output_spans_several_chunks():
+    from tiltquiver.cli import JSON_SLICE
+    from tiltquiver.tilting import CHUNK_LINES, closed_form_counts
+
+    assert 2 * CHUNK_LINES < sum(closed_form_counts("D", 8))
+    assert 2 * JSON_SLICE < closed_form_counts("A", 9)[0]
+
+
+def test_print_json_matches_json_dumps():
+    from tiltquiver.cli import JSON_SLICE, _print_json
+
+    big = list(range(2 * JSON_SLICE + 3))
+    for data in (
+        {},
+        [1, [2, 3]],
+        {"a": [], "b": "text", "c": {"d": [1]}, "e": (), "f": None},
+        {"rows": tuple((i, -i) for i in big), "ids": big, "n": len(big)},
+    ):
+        buf = io.StringIO()
+        _print_json(data, buf)
+        assert buf.getvalue() == json.dumps(data) + "\n"
+    buf = io.StringIO()
+    _print_json({"lazy": (i for i in big), "empty": iter(())}, buf)
+    assert buf.getvalue() == json.dumps({"lazy": big, "empty": []}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--type", "D", "--rank", "5"),
+        ("graph", "--type", "A", "--rank", "5", "--format", "json"),
+        ("enumerate", "--type", "A", "--rank", "5"),
+        ("enumerate", "--type", "D", "--rank", "5", "--format", "csv"),
+        ("counts", "--type", "D", "--rank", "5", "--source", "enumeration"),
+    ],
+)
+def test_commands_keep_no_quiver(capsys, argv):
+    from tiltquiver.tilting import enumerate_tilting, tilting_quiver
+
+    before = [f.cache_info() for f in (tilting_quiver, enumerate_tilting)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [f.cache_info() for f in (tilting_quiver, enumerate_tilting)] == before
+
+
+def test_graph_export_stays_near_the_walk_peak(monkeypatch):
+    """At D9 `graph` may add at most 10% (DOT) or 20% (JSON) to the walk's peak."""
+    from tiltquiver import models, rep, tilting
+
+    for cached in (tilting.ext_table, tilting.tilting_quiver, rep.positive_roots):
+        cached.cache_clear()
+    q = models.FAMILIES["D"].reference(models.builder_param("D", 9))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        tq = tilting.tilting_quiver.__wrapped__(q)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+        # Each command gets this quiver from its walk, traced and held as it
+        # would hold its own, so only the export is run again.
+        monkeypatch.setattr(tilting, "_exchange_walk", lambda table: tq)
+        with open(os.devnull, "w") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            for fmt in ("dot", "json"):
+                tracemalloc.reset_peak()
+                assert main(["graph", "--type", "D", "--rank", "9", "--format", fmt]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks["dot"] <= 1.1 * walk_peak, (peaks, walk_peak)
+    assert peaks["json"] <= 1.2 * walk_peak, (peaks, walk_peak)
 
 
 def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
@@ -172,6 +269,17 @@ def test_reflect_scan_caches_no_quiver(capsys):
     assert code == 0
     assert [f.cache_info() for f in (tilting_quiver, enumerate_tilting)] == before
     assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_SCAN_D5_SHA256
+
+
+def test_reflect_scan_keeps_no_table(capsys):
+    from tiltquiver.rep import positive_roots
+    from tiltquiver.tilting import ext_table
+
+    before = [f.cache_info().currsize for f in (ext_table, positive_roots)]
+    code, out, _ = run_cli(capsys, "reflect-scan", "--type", "A", "--rank", "6")
+    assert code == 0
+    assert out.endswith("distinct=1\n") and out.count("vertices=132 arrows=330") == 32
+    assert [f.cache_info().currsize for f in (ext_table, positive_roots)] == before
 
 
 def test_verify_small_passes(capsys):
@@ -283,10 +391,17 @@ def test_rank_guard_reported_as_usage_error(capsys):
     from tiltquiver.tilting import ext_table
 
     misses = ext_table.cache_info().misses
-    code = main(["enumerate", "--type", "A", "--rank", "13"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "rank guard" in captured.err
+    for argv in (
+        ["enumerate", "--type", "A", "--rank", "13"],
+        ["counts", "--type", "A", "--rank", "13", "--source", "enumeration"],
+        ["counts", "--type", "D", "--rank", "10", "--source", "both"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        # one form for every command: no argparse usage line
+        assert captured.err.startswith("error: rank guard exceeded"), argv
+        assert "usage:" not in captured.err, argv
     # the guard runs before the Ext table is built
     assert ext_table.cache_info().misses == misses
 
