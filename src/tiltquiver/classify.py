@@ -35,15 +35,6 @@ def summand_models(table, t):
     return out
 
 
-def _ids_by_model(table):
-    return {m: i for i, m in enumerate(table.models)}
-
-
-def tilting_from_models(table, mods):
-    by_model = _ids_by_model(table)
-    return tuple(sorted(by_model[m] for m in mods))
-
-
 def tilting_model_sets(q):
     """All tilting modules of a reference quiver as frozensets of model tags."""
     table = ext_table(q)

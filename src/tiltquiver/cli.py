@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from itertools import islice
 
 from .models import FAMILIES, all_orientations, builder_param
@@ -114,6 +115,25 @@ def _cmd_graph(args, parser, out):
     return 0
 
 
+@contextmanager
+def _every_digit():
+    """Let ints of any length be written in decimal inside the block.
+
+    Python 3.11, and 3.10 from 3.10.7, refuse to convert an int of more than
+    4300 digits to decimal; the closed-form counts pass that length near
+    rank 7,100.  Earlier Pythons have no limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_counts(args, parser, out):
     rows = []
     if args.source in ("closed-form", "both"):
@@ -128,22 +148,23 @@ def _cmd_counts(args, parser, out):
         rows.append((len(tq.nodes), len(tq.arrows), "enumeration"))
     if args.type == "D" and args.rank == 3:
         sys.stderr.write("note: rank 3 of type D coincides with type A rank 3\n")
-    if args.format == "csv":
-        out.write("type,rank,vertices,arrows,source\n")
-        for v, a, src in rows:
-            out.write(f"{args.type},{args.rank},{v},{a},{src}\n")
-    elif args.format == "json":
-        _print_json(
-            [
-                {"type": args.type, "rank": args.rank, "vertices": v, "arrows": a, "source": src}
-                for v, a, src in rows
-            ],
-            out,
-        )
-    else:
-        for v, a, src in rows:
-            suffix = "" if len(rows) == 1 else f" source={src}"
-            out.write(f"vertices={v} arrows={a}{suffix}\n")
+    with _every_digit():
+        if args.format == "csv":
+            out.write("type,rank,vertices,arrows,source\n")
+            for v, a, src in rows:
+                out.write(f"{args.type},{args.rank},{v},{a},{src}\n")
+        elif args.format == "json":
+            _print_json(
+                [
+                    {"type": args.type, "rank": args.rank, "vertices": v, "arrows": a, "source": src}
+                    for v, a, src in rows
+                ],
+                out,
+            )
+        else:
+            for v, a, src in rows:
+                suffix = "" if len(rows) == 1 else f" source={src}"
+                out.write(f"vertices={v} arrows={a}{suffix}\n")
     return 0
 
 

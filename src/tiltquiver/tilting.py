@@ -14,10 +14,11 @@ finds the tilting modules and the arrows together (`tilting_quiver`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice
-from operator import mul
+from operator import gt, mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
@@ -155,34 +156,61 @@ def leq(table, t, u):
     return all(z >> j & 1 for j in t)
 
 
-def _order_rows(rows, nodes, n_ids):
-    """Yield per node u the bitset of nodes whose summands all lie in AND rows[i], i in u."""
-    has = [0] * n_ids  # has[j]: nodes with summand j
+def _below(rows, nodes, n_ids):
+    """Per id i, the bitset of nodes whose summands all lie in rows[i].
+
+    Bit v stands for nodes[v].  A node has a summand outside rows[i] exactly
+    when it is in has[j] for some id j outside rows[i], so each bitset is the
+    complement of an OR over those has[j].
+    """
+    # has[j]: nodes with summand j, set bit by bit in bytes, since or-ing
+    # 1 << v into a #nodes-bit int per summand is quadratic in #nodes
+    buf = [bytearray((len(nodes) + 7) >> 3) for _ in range(n_ids)]
     for v, t in enumerate(nodes):
+        byte, bit = v >> 3, 1 << (v & 7)
         for j in t:
-            has[j] |= 1 << v
+            buf[j][byte] |= bit
+    has = [int.from_bytes(b, "little") for b in buf]
+    del buf
     all_ids = (1 << n_ids) - 1
     everyone = (1 << len(nodes)) - 1
-    for u in nodes:
-        z = all_ids
-        for i in u:
-            z &= rows[i]
-        off = 0  # nodes with a summand outside z
-        rest = all_ids ^ z
+    below = []
+    for r in rows:
+        off = 0  # nodes with a summand outside r
+        rest = all_ids & ~r
         while rest:
             low = rest & -rest
             off |= has[low.bit_length() - 1]
             rest ^= low
-        yield everyone ^ off
+        below.append(everyone ^ off)
+    return below
+
+
+def _row(below, t):
+    """AND below[i] over the summands i of t: the nodes with every summand in each row of t."""
+    row = -1
+    for i in t:
+        row &= below[i]
+    return row
+
+
+def _order_rows(rows, nodes, n_ids):
+    """Yield per node u the bitset of nodes whose summands all lie in AND rows[i], i in u."""
+    below = _below(rows, nodes, n_ids)
+    for u in nodes:
+        yield _row(below, u)
 
 
 def order_bitsets(table, nodes):
     """Down- and up-set bitsets of <= on `nodes`, as two iterators over the nodes.
 
-    Bit v stands for nodes[v].  down[u] = {t : t <= u}: the nodes whose
-    summands all lie in Z(u), the AND of ext_zero[i] over the summands i of u.
-    up[u] = {w : u <= w}: the nodes whose summands all lie in the AND of the
-    ext_zero columns at the summands of u.  Each row is built when asked for.
+    Bit v stands for nodes[v].  t <= u iff every summand i of u has
+    mask(t) inside ext_zero[i], so down[u] = {t : t <= u} is the AND, over
+    the summands i of u, of below[i]: the nodes whose summands all lie in
+    ext_zero[i].  up[u] = {w : u <= w} is the same AND over the ext_zero
+    columns at the summands of u.  The below bitsets are built once per id,
+    #ids bitsets of #nodes bits, and each row, rank ANDs of them, only when
+    asked for; no row is kept.
     """
     n = len(table)
     cols = [sum(1 << i for i in range(n) if table.ext_zero[i] >> j & 1) for j in range(n)]
@@ -344,10 +372,15 @@ def hasse_check(table, tq):
     The order comes from `table.ext_zero` only, never from the arrows.  The
     down- and up-set bitsets of `order_bitsets` give antisymmetry in one AND
     per node; the covers of each node are then peeled off its strict down-set
-    along a linear extension, one big-int step per cover, with the down-sets
-    alone built again in that order.  `missing` and
-    `extra` hold (larger, smaller) pairs of node indices; when antisymmetry
-    fails, `extra` holds the first pair (u, t) with t <= u <= t instead.
+    along a linear extension, one big-int step per cover.  No row is stored:
+    each down-set the peel needs, of the node and of each cover found, is
+    rebuilt from the per-id below bitsets of `order_bitsets`, laid out in
+    linear-extension positions, and each node's covers are compared with its
+    own arrows in the sorted arrow list.  Memory is #ids bitsets of #nodes
+    bits, not #nodes rows of #nodes bits, nor a set of all the covers.
+    `missing` and `extra` hold (larger, smaller) pairs of node indices; when
+    antisymmetry fails, `extra` holds the first pair (u, t) with
+    t <= u <= t instead.
     """
     if table.quiver != tq.quiver:
         raise ValueError("Ext table and tilting quiver belong to different quivers")
@@ -365,29 +398,49 @@ def hasse_check(table, tq):
     # sorting by down-set size gives a linear extension.  Positions in it
     # exist only inside this function.
     order = sorted(range(k), key=size.__getitem__)
-    down = list(_order_rows(table.ext_zero, [nodes[u] for u in order], len(table)))
-    covers = set()
-    for p in range(k):
-        cand = down[p] ^ (1 << p)
+    del size
+    placed = [nodes[u] for u in order]
+    below = _below(table.ext_zero, placed, len(table))
+    # The arrows out of node u are the slice of the sorted arrows between
+    # (u,) and (u + 1,), so each node's covers are compared with its own
+    # arrows and no pair set is built.
+    arrows = tq.arrows
+    if any(map(gt, arrows, islice(arrows, 1, None))):
+        arrows = sorted(arrows)
+    missing, extra = [], []
+    for p, t in enumerate(placed):
+        down_p = _row(below, t)
+        cand = down_p ^ (1 << p)
+        covers = set()
         while cand:
             # The top position left is maximal in cand: everything above it
             # below p was peeled off with the down-set of an earlier cover.
             c = cand.bit_length() - 1
+            down_c = _row(below, placed[c])
             # down[c] inside down[p] for every peeled c, with antisymmetry,
-            # makes <= transitive, which the peel relies on.
-            stray = down[c] & ~down[p]
-            if stray:
-                t = order[stray.bit_length() - 1]
+            # makes <= transitive, which the peel relies on.  Only ANDs and
+            # XORs of non-negative ints here: a complement would cost a
+            # two's-complement copy of a #nodes-bit int per cover.
+            inside = down_c & down_p
+            if inside != down_c:
+                s = order[(down_c ^ inside).bit_length() - 1]
                 raise RuntimeError(
-                    f"<= is not transitive: {t} <= {order[c]} <= {order[p]} "
-                    f"but not {t} <= {order[p]}: invariant violation"
+                    f"<= is not transitive: {s} <= {order[c]} <= {order[p]} "
+                    f"but not {s} <= {order[p]}: invariant violation"
                 )
-            covers.add((order[p], order[c]))
-            cand &= ~down[c]
-    arrows = set(tq.arrows)
-    missing = tuple(sorted(covers - arrows))
-    extra = tuple(sorted(arrows - covers))
-    return HasseReport(not missing and not extra, missing, extra)
+            covers.add(order[c])
+            cand ^= cand & down_c
+        u = order[p]
+        lo = bisect_left(arrows, (u,))
+        heads = {b for _, b in arrows[lo : bisect_left(arrows, (u + 1,), lo)]}
+        if covers != heads:
+            missing.extend((u, c) for c in covers - heads)
+            extra.extend((u, b) for b in heads - covers)
+    # arrows whose tail is no node index
+    extra.extend(set(arrows[: bisect_left(arrows, (0,))] + arrows[bisect_left(arrows, (k,)) :]))
+    missing.sort()
+    extra.sort()
+    return HasseReport(not missing and not extra, tuple(missing), tuple(extra))
 
 
 @dataclass

@@ -5,10 +5,12 @@ import json
 import os
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
 from tiltquiver.cli import main
+from tiltquiver.tilting import closed_form_counts
 
 # sha256 of `verify --suite all --max-rank 4` stdout: 248 passing checks.
 VERIFY_ALL_RANK_4_SHA256 = "66fce05d3928c55a846799665c6c8e00cb2ac50057b64866bf69fcff3cff540f"
@@ -91,6 +93,30 @@ def test_counts_json(capsys):
     assert json.loads(out) == [
         {"type": "A", "rank": 4, "vertices": 14, "arrows": 21, "source": "closed-form"}
     ]
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_counts_print_every_digit(capsys, kind):
+    """At rank 8000 each count has over 4800 digits, past Python's 4300-digit str limit."""
+    want = closed_form_counts(kind, 8000)
+    # Decimal reads and writes ints of any length, so the test does not rely
+    # on the limit the command lifts
+    assert all(len(str(Decimal(n))) > 4800 for n in want)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    base = ("counts", "--type", kind, "--rank", "8000")
+    outputs = {}
+    for fmt in ("text", "csv", "json"):
+        code, outputs[fmt], err = run_cli(capsys, *base, "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+    text = dict(field.split("=") for field in outputs["text"].split())
+    assert (int(Decimal(text["vertices"])), int(Decimal(text["arrows"]))) == want
+    header, row = (line.split(",") for line in outputs["csv"].splitlines())
+    row = dict(zip(header, row))
+    assert (int(Decimal(row["vertices"])), int(Decimal(row["arrows"]))) == want
+    (doc,) = json.loads(outputs["json"], parse_int=Decimal)
+    assert (int(doc["vertices"]), int(doc["arrows"])) == want
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_graph_dot_a3(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -324,12 +325,38 @@ def test_order_bitsets_match_pairwise_leq():
 
 
 def test_hasse_property_at_every_small_orientation():
-    instances = [q for kind, param in (("A", 6), ("D", 5)) for _, q in all_orientations(kind, param)]
-    # the benchmark's A8 and D7 base orientations
+    # every orientation of A6, A7, D6 and D7 (builder parameters 5 and 6)
+    instances = [
+        q for kind, param in (("A", 6), ("A", 7), ("D", 5), ("D", 6))
+        for _, q in all_orientations(kind, param)
+    ]
+    # the benchmark's A8 base orientation
     instances += [path_quiver(8, [c == "1" for c in "1101001"])]
-    instances += [d_quiver(6, [c == "1" for c in "101101"])]
     for q in instances:
         assert hasse_check(ext_table(q), tilting_quiver(q)).ok, q
+
+
+def test_hasse_check_memory_stays_near_the_walk_peak():
+    """At D9 hasse_check may add at most 1.5 times the walk's own peak.
+
+    Storing a down-set row per node, #nodes rows of #nodes bits, added
+    about 4.8 times the walk's peak here.
+    """
+    from tiltquiver import models
+
+    q = models.FAMILIES["D"].reference(models.builder_param("D", 9))
+    table = ext_table(q)
+    tracemalloc.start()
+    try:
+        tq = tilting_quiver.__wrapped__(q)
+        held, walk_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = hasse_check(table, tq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak - held <= 1.5 * walk_peak, (peak - held, walk_peak)
 
 
 def test_hasse_check_reports_wrong_arrows():
