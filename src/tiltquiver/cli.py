@@ -20,7 +20,7 @@ from .tilting import (
     ext_table,
     tilting_quiver,
     tilting_quiver_dot_chunks,
-    tilting_quiver_json,
+    tilting_quiver_json_stream,
     transient_quiver,
 )
 from .verify import run_suite
@@ -109,7 +109,7 @@ def _cmd_graph(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
     tq = tilting_quiver.__wrapped__(q)  # uncached: no quiver outlives the command
     if args.format == "json":
-        _print_json(tilting_quiver_json(tq), out)
+        _print_json(tilting_quiver_json_stream(tq), out)
     else:
         out.writelines(tilting_quiver_dot_chunks(tq))
     return 0

@@ -14,11 +14,11 @@ finds the tilting modules and the arrows together (`tilting_quiver`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice
-from operator import gt, mul
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
@@ -217,15 +217,46 @@ def order_bitsets(table, nodes):
     return _order_rows(table.ext_zero, nodes, n), _order_rows(cols, nodes, n)
 
 
+class Arrows:
+    """Read-only view of the arrows stored as `heads` with row lengths `out_deg`.
+
+    Iterating yields the (tail, head) pairs in sorted order, built one at a
+    time; no pair is stored.
+    """
+
+    __slots__ = ("heads", "out_deg")
+
+    def __init__(self, heads, out_deg):
+        self.heads = heads
+        self.out_deg = out_deg
+
+    def __len__(self):
+        return len(self.heads)
+
+    def __iter__(self):
+        tails = chain.from_iterable(map(repeat, range(len(self.out_deg)), self.out_deg))
+        return zip(tails, self.heads)
+
+
 @dataclass
 class TiltingQuiver:
-    """Tilting modules as nodes, exchange arrows pointing larger -> smaller."""
+    """Tilting modules as nodes, exchange arrows pointing larger -> smaller.
+
+    The arrows are stored once, in compressed sparse row form: `heads` holds
+    the heads of node 0's arrows in increasing order, then node 1's, and so
+    on, with `out_deg[u]` the length of node u's run.  `arrows` views them as
+    sorted (tail, head) pairs.
+    """
 
     quiver: Quiver
     nodes: tuple
-    arrows: tuple
+    heads: array  # array('I')
     out_deg: tuple
     in_deg: tuple
+
+    @property
+    def arrows(self):
+        return Arrows(self.heads, self.out_deg)
 
     @property
     def delta(self):
@@ -254,8 +285,8 @@ def tilting_quiver(q):
     recorded from the other end.  The first node the walk reaches that
     contains an almost complete module sees all its other complements as
     candidates, so no pair skipped through `met` hides a third complement.
-    The nodes are then sorted by summand tuple and the arrows by (tail,
-    head) in the new numbering.
+    The nodes are then sorted by summand tuple, and each node's heads are
+    renumbered, sorted and appended to one flat array (`TiltingQuiver.heads`).
     """
     _guard(q)
     return _exchange_walk(ext_table(q))
@@ -335,25 +366,24 @@ def _exchange_walk(table):
             a, b = (ti, u) if fwd else (u, ti)
             heads[a].append(b)
             in_deg[b] += 1
-    # Drop the walk's index, and each head list once read, so that the arrow
-    # tuples reuse their memory instead of raising the peak.
+    # Drop the walk's index, and each head list once read, so that the flat
+    # array reuses their memory instead of raising the peak.
     del index, masks, met
     order = sorted(range(len(summands)), key=summands.__getitem__)
     new = [0] * len(order)
     for pos, old in enumerate(order):
         new[old] = pos
-    arrows = []
+    flat = array("I")
     out_deg = []
-    for a, old in enumerate(order):
-        hs = [new[b] for b in heads[old]]
+    for old in order:
+        hs = sorted(map(new.__getitem__, heads[old]))
         heads[old] = None
-        hs.sort()
         out_deg.append(len(hs))
-        arrows.extend((a, b) for b in hs)
+        flat.extend(hs)
     return TiltingQuiver(
         q,
         tuple(summands[old] for old in order),
-        tuple(arrows),
+        flat,
         tuple(out_deg),
         tuple(in_deg[old] for old in order),
     )
@@ -376,16 +406,20 @@ def hasse_check(table, tq):
     each down-set the peel needs, of the node and of each cover found, is
     rebuilt from the per-id below bitsets of `order_bitsets`, laid out in
     linear-extension positions, and each node's covers are compared with its
-    own arrows in the sorted arrow list.  Memory is #ids bitsets of #nodes
-    bits, not #nodes rows of #nodes bits, nor a set of all the covers.
-    `missing` and `extra` hold (larger, smaller) pairs of node indices; when
-    antisymmetry fails, `extra` holds the first pair (u, t) with
-    t <= u <= t instead.
+    own run of `tq.heads`.  Memory is #ids bitsets of #nodes bits, not
+    #nodes rows of #nodes bits, nor a set of all the covers.  `missing` and
+    `extra` hold (larger, smaller) pairs of node indices, a head outside the
+    nodes included; when antisymmetry fails, `extra` holds the first pair
+    (u, t) with t <= u <= t instead.
     """
     if table.quiver != tq.quiver:
         raise ValueError("Ext table and tilting quiver belong to different quivers")
     nodes = tq.nodes
     k = len(nodes)
+    heads = tq.heads
+    off = array("I", accumulate(tq.out_deg, initial=0))  # u's heads: heads[off[u]:off[u + 1]]
+    if len(off) != k + 1 or off[-1] != len(heads):
+        raise ValueError("arrow rows do not match the nodes")
     size = []  # only the down-set sizes outlive this loop
     for u, (down_u, up_u) in enumerate(zip(*order_bitsets(table, nodes))):
         if not down_u >> u & 1:
@@ -401,12 +435,6 @@ def hasse_check(table, tq):
     del size
     placed = [nodes[u] for u in order]
     below = _below(table.ext_zero, placed, len(table))
-    # The arrows out of node u are the slice of the sorted arrows between
-    # (u,) and (u + 1,), so each node's covers are compared with its own
-    # arrows and no pair set is built.
-    arrows = tq.arrows
-    if any(map(gt, arrows, islice(arrows, 1, None))):
-        arrows = sorted(arrows)
     missing, extra = [], []
     for p, t in enumerate(placed):
         down_p = _row(below, t)
@@ -431,13 +459,10 @@ def hasse_check(table, tq):
             covers.add(order[c])
             cand ^= cand & down_c
         u = order[p]
-        lo = bisect_left(arrows, (u,))
-        heads = {b for _, b in arrows[lo : bisect_left(arrows, (u + 1,), lo)]}
-        if covers != heads:
-            missing.extend((u, c) for c in covers - heads)
-            extra.extend((u, b) for b in heads - covers)
-    # arrows whose tail is no node index
-    extra.extend(set(arrows[: bisect_left(arrows, (0,))] + arrows[bisect_left(arrows, (k,)) :]))
+        hs = set(heads[off[u] : off[u + 1]])
+        if covers != hs:
+            missing.extend((u, c) for c in covers - hs)
+            extra.extend((u, b) for b in hs - covers)
     missing.sort()
     extra.sort()
     return HasseReport(not missing and not extra, tuple(missing), tuple(extra))
@@ -479,18 +504,30 @@ def closed_form_counts(kind, rank):
     return models.FAMILIES[kind].counts(rank)
 
 
-def tilting_quiver_json(tq):
-    """Fixed field order: quiver, nodes, arrows, delta.
+def tilting_quiver_json_stream(tq):
+    """The `tilting_quiver_json` document with its arrows as an iterator of pairs.
 
-    Summand and arrow tuples are passed through uncopied; json writes them as
-    lists.
+    For a writer that streams list fields (`cli._print_json`): no list of
+    arrow pairs is built.  Fixed field order: quiver, nodes, arrows, delta.
     """
     return {
         "quiver": quiver_to_json(tq.quiver),
         "nodes": tq.nodes,
-        "arrows": tq.arrows,
+        "arrows": iter(tq.arrows),
         "delta": list(tq.delta),
     }
+
+
+def tilting_quiver_json(tq):
+    """The tilting quiver as a dict that `json.dumps` writes whole.
+
+    Fields as in `tilting_quiver_json_stream`, with the arrows listed as
+    (tail, head) tuples; the summand tuples are passed through uncopied.
+    json writes every tuple as a list.
+    """
+    doc = tilting_quiver_json_stream(tq)
+    doc["arrows"] = list(doc["arrows"])
+    return doc
 
 
 def tilting_quiver_dot_chunks(tq):

@@ -196,8 +196,17 @@ def test_commands_keep_no_quiver(capsys, argv):
     assert [f.cache_info() for f in (tilting_quiver, enumerate_tilting)] == before
 
 
-def test_graph_export_stays_near_the_walk_peak(monkeypatch):
-    """At D9 `graph` may add at most 10% (DOT) or 20% (JSON) to the walk's peak."""
+def test_d9_walk_memory_bounds(monkeypatch):
+    """Three tracemalloc bounds at reference D9, all read off one traced walk.
+
+    * The quiver holds at most 48 B per arrow: its nodes, the flat array of
+      heads and the degrees (109 B while every arrow was a pair tuple).
+    * `graph` may peak at most 10% (DOT) or 20% (JSON) over the walk's peak,
+      the Ext table's build included.
+    * `hasse_check` may add at most 1.5 times the walk's own peak, the Ext
+      table excluded; storing a down-set row per node, #nodes rows of
+      #nodes bits, added about 4.8 times.
+    """
     from tiltquiver import models, rep, tilting
 
     for cached in (tilting.ext_table, tilting.tilting_quiver, rep.positive_roots):
@@ -206,8 +215,16 @@ def test_graph_export_stays_near_the_walk_peak(monkeypatch):
     peaks = {}
     tracemalloc.start()
     try:
+        table = tilting.ext_table(q)
+        table_held, table_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         tq = tilting.tilting_quiver.__wrapped__(q)
-        walk_peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        walk_peak = max(table_peak, peak)  # the Ext table built inside the walk
+        own_walk_peak = peak - table_held  # the Ext table built before it
+        tracemalloc.reset_peak()
+        report = tilting.hasse_check(table, tq)
+        hasse_added = tracemalloc.get_traced_memory()[1] - held
         # Each command gets this quiver from its walk, traced and held as it
         # would hold its own, so only the export is run again.
         monkeypatch.setattr(tilting, "_exchange_walk", lambda table: tq)
@@ -219,8 +236,12 @@ def test_graph_export_stays_near_the_walk_peak(monkeypatch):
                 peaks[fmt] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    quiver_held = held - table_held
+    assert quiver_held <= 48 * len(tq.arrows), (quiver_held, len(tq.arrows))
     assert peaks["dot"] <= 1.1 * walk_peak, (peaks, walk_peak)
     assert peaks["json"] <= 1.2 * walk_peak, (peaks, walk_peak)
+    assert report.ok
+    assert hasse_added <= 1.5 * own_walk_peak, (hasse_added, own_walk_peak)
 
 
 def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):

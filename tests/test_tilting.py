@@ -1,6 +1,6 @@
 import hashlib
 import json
-import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -255,7 +255,7 @@ def test_exchange_quiver_matches_pairwise_oracle():
                     (x,), (y,) = only_t, only_u
                     if table.ext[y][x] != 0:
                         want.add((a, b))
-            assert tilting_quiver(q).arrows == tuple(sorted(want)), (kind, bits)
+            assert tuple(tilting_quiver(q).arrows) == tuple(sorted(want)), (kind, bits)
 
 
 def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
@@ -336,27 +336,13 @@ def test_hasse_property_at_every_small_orientation():
         assert hasse_check(ext_table(q), tilting_quiver(q)).ok, q
 
 
-def test_hasse_check_memory_stays_near_the_walk_peak():
-    """At D9 hasse_check may add at most 1.5 times the walk's own peak.
-
-    Storing a down-set row per node, #nodes rows of #nodes bits, added
-    about 4.8 times the walk's peak here.
-    """
-    from tiltquiver import models
-
-    q = models.FAMILIES["D"].reference(models.builder_param("D", 9))
-    table = ext_table(q)
-    tracemalloc.start()
-    try:
-        tq = tilting_quiver.__wrapped__(q)
-        held, walk_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        report = hasse_check(table, tq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok
-    assert peak - held <= 1.5 * walk_peak, (peak - held, walk_peak)
+def with_arrows(tq, pairs):
+    """tq with its arrows replaced by `pairs`, stored the way the walk stores them."""
+    pairs = sorted(pairs)
+    out_deg = [0] * len(tq.nodes)
+    for a, _ in pairs:
+        out_deg[a] += 1
+    return replace(tq, heads=array("I", [b for _, b in pairs]), out_deg=tuple(out_deg))
 
 
 def test_hasse_check_reports_wrong_arrows():
@@ -365,9 +351,10 @@ def test_hasse_check_reports_wrong_arrows():
     tq = tilting_quiver(q)
     arrows = list(tq.arrows)
     assert arrows[:2] == [(0, 1), (0, 2)] and (1, 4) in arrows and (0, 4) not in arrows
+    assert with_arrows(tq, arrows) == tq
 
     def check(new_arrows):
-        return hasse_check(table, replace(tq, arrows=tuple(sorted(new_arrows))))
+        return hasse_check(table, with_arrows(tq, new_arrows))
 
     assert check(arrows[1:]) == HasseReport(False, missing=((0, 1),))
     # 0 -> 1 -> 4 makes 0 -> 4 transitive, not a cover
@@ -375,6 +362,25 @@ def test_hasse_check_reports_wrong_arrows():
     assert check([(1, 0)] + arrows[1:]) == HasseReport(
         False, missing=((0, 1),), extra=((1, 0),)
     )
+
+
+def test_hasse_check_reports_heads_outside_the_nodes():
+    q = path_quiver(4)
+    table = ext_table(q)
+    tq = tilting_quiver(q)
+    k = len(tq.nodes)
+    arrows = list(tq.arrows)
+    assert hasse_check(table, with_arrows(tq, arrows + [(3, k), (0, k + 7)])) == HasseReport(
+        False, extra=((0, k + 7), (3, k))
+    )
+    # rows that do not add up to the heads, or to the nodes, are no arrow set
+    for bad in (
+        replace(tq, out_deg=tq.out_deg[:-1]),
+        replace(tq, out_deg=tq.out_deg + (0,)),
+        replace(tq, heads=tq.heads[:-1]),
+    ):
+        with pytest.raises(ValueError, match="arrow rows do not match the nodes"):
+            hasse_check(table, bad)
 
 
 def test_hasse_check_reports_antisymmetry_failure():
