@@ -336,6 +336,24 @@ def test_hasse_property_at_every_small_orientation():
         assert hasse_check(ext_table(q), tilting_quiver(q)).ok, q
 
 
+def test_hasse_check_memory_stays_near_the_walk_peak(d9_walk_memory):
+    """At D9 hasse_check may add at most 1.5 times the walk's own peak.
+
+    Storing a down-set row per node, #nodes rows of #nodes bits, added
+    about 4.8 times the walk's peak here.
+    """
+    added, walk_peak = d9_walk_memory["hasse_added"], d9_walk_memory["own_walk_peak"]
+    assert d9_walk_memory["hasse_ok"]
+    assert added <= 1.5 * walk_peak, (added, walk_peak)
+
+
+def test_quiver_holds_at_most_48_bytes_per_arrow(d9_walk_memory):
+    """At D9 the quiver's nodes, flat array of heads and degrees hold at most
+    48 B per arrow (109 B while every arrow was a pair tuple)."""
+    held, n = d9_walk_memory["quiver_held"], d9_walk_memory["n_arrows"]
+    assert held <= 48 * n, (held, n)
+
+
 def with_arrows(tq, pairs):
     """tq with its arrows replaced by `pairs`, stored the way the walk stores them."""
     pairs = sorted(pairs)
