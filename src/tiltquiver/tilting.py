@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
-from operator import mul
+from operator import eq, mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
@@ -156,24 +156,27 @@ def leq(table, t, u):
     return all(z >> j & 1 for j in t)
 
 
-def _below(rows, nodes, n_ids):
-    """Per id i, the bitset of nodes whose summands all lie in rows[i].
-
-    Bit v stands for nodes[v].  A node has a summand outside rows[i] exactly
-    when it is in has[j] for some id j outside rows[i], so each bitset is the
-    complement of an OR over those has[j].
-    """
-    # has[j]: nodes with summand j, set bit by bit in bytes, since or-ing
-    # 1 << v into a #nodes-bit int per summand is quadratic in #nodes
+def _has(nodes, n_ids):
+    """Per id j, the bitset of nodes with summand j; bit v stands for nodes[v]."""
+    # set bit by bit in bytes, since or-ing 1 << v into a #nodes-bit int per
+    # summand is quadratic in #nodes
     buf = [bytearray((len(nodes) + 7) >> 3) for _ in range(n_ids)]
     for v, t in enumerate(nodes):
         byte, bit = v >> 3, 1 << (v & 7)
         for j in t:
             buf[j][byte] |= bit
-    has = [int.from_bytes(b, "little") for b in buf]
-    del buf
-    all_ids = (1 << n_ids) - 1
-    everyone = (1 << len(nodes)) - 1
+    return [int.from_bytes(b, "little") for b in buf]
+
+
+def _below(rows, has, k):
+    """Per id i, the bitset of the k nodes of `has` whose summands all lie in rows[i].
+
+    A node has a summand outside rows[i] exactly when it is in has[j] for
+    some id j outside rows[i], so each bitset is the complement of an OR
+    over those has[j].
+    """
+    all_ids = (1 << len(has)) - 1
+    everyone = (1 << k) - 1
     below = []
     for r in rows:
         off = 0  # nodes with a summand outside r
@@ -194,9 +197,9 @@ def _row(below, t):
     return row
 
 
-def _order_rows(rows, nodes, n_ids):
+def _order_rows(rows, has, nodes):
     """Yield per node u the bitset of nodes whose summands all lie in AND rows[i], i in u."""
-    below = _below(rows, nodes, n_ids)
+    below = _below(rows, has, len(nodes))
     for u in nodes:
         yield _row(below, u)
 
@@ -209,12 +212,14 @@ def order_bitsets(table, nodes):
     the summands i of u, of below[i]: the nodes whose summands all lie in
     ext_zero[i].  up[u] = {w : u <= w} is the same AND over the ext_zero
     columns at the summands of u.  The below bitsets are built once per id,
-    #ids bitsets of #nodes bits, and each row, rank ANDs of them, only when
-    asked for; no row is kept.
+    #ids bitsets of #nodes bits, from one shared set of per-id summand
+    bitsets, and each row, rank ANDs of them, only when asked for; no row is
+    kept.
     """
     n = len(table)
     cols = [sum(1 << i for i in range(n) if table.ext_zero[i] >> j & 1) for j in range(n)]
-    return _order_rows(table.ext_zero, nodes, n), _order_rows(cols, nodes, n)
+    has = _has(nodes, n)
+    return _order_rows(table.ext_zero, has, nodes), _order_rows(cols, has, nodes)
 
 
 class Arrows:
@@ -238,21 +243,62 @@ class Arrows:
         return zip(tails, self.heads)
 
 
+class Nodes:
+    """Read-only view of the tilting modules stored as `summands`, `width` ids each.
+
+    It reads like the tuple of the modules' summand tuples: `len`, int
+    indexing (negative included), slicing (a tuple of tuples), iteration and
+    `==` against such a tuple.  Each tuple is built when it is read; none is
+    stored.
+    """
+
+    __slots__ = ("summands", "width")
+
+    def __init__(self, summands, width):
+        self.summands = summands
+        self.width = width
+
+    def __len__(self):
+        return len(self.summands) // self.width
+
+    def __getitem__(self, i):
+        w = self.width
+        at = range(0, len(self.summands), w)[i]  # IndexError past either end
+        if isinstance(at, range):
+            return tuple(tuple(self.summands[a : a + w]) for a in at)
+        return tuple(self.summands[at : at + w])
+
+    def __iter__(self):
+        return zip(*[iter(self.summands)] * self.width)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Nodes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass
 class TiltingQuiver:
     """Tilting modules as nodes, exchange arrows pointing larger -> smaller.
 
-    The arrows are stored once, in compressed sparse row form: `heads` holds
-    the heads of node 0's arrows in increasing order, then node 1's, and so
-    on, with `out_deg[u]` the length of node u's run.  `arrows` views them as
-    sorted (tail, head) pairs.
+    The nodes are stored once, as one byte string: `summands` holds node 0's
+    sorted summand ids, then node 1's, and so on, #vertices ids per node (an
+    id is below 256 up to the rank guards).  `nodes` views them as the sorted
+    tuple of the modules' summand tuples.  The arrows are stored once, in
+    compressed sparse row form: `heads` holds the heads of node 0's arrows in
+    increasing order, then node 1's, and so on, with `out_deg[u]` the length
+    of node u's run.  `arrows` views them as sorted (tail, head) pairs.
     """
 
     quiver: Quiver
-    nodes: tuple
+    summands: bytes
     heads: array  # array('I')
     out_deg: tuple
     in_deg: tuple
+
+    @property
+    def nodes(self):
+        return Nodes(self.summands, len(self.quiver.vertices))
 
     @property
     def arrows(self):
@@ -285,8 +331,9 @@ def tilting_quiver(q):
     recorded from the other end.  The first node the walk reaches that
     contains an almost complete module sees all its other complements as
     candidates, so no pair skipped through `met` hides a third complement.
-    The nodes are then sorted by summand tuple, and each node's heads are
-    renumbered, sorted and appended to one flat array (`TiltingQuiver.heads`).
+    The nodes are then sorted by summand ids and joined into one byte string
+    (`TiltingQuiver.summands`), and each node's heads are renumbered, sorted
+    and appended to one flat array (`TiltingQuiver.heads`).
     """
     _guard(q)
     return _exchange_walk(ext_table(q))
@@ -309,13 +356,14 @@ def _exchange_walk(table):
     ext = table.ext
     full = (1 << len(table)) - 1
     inc = [full ^ c for c in table.compat]  # compat is symmetric
-    start = tuple(
-        sorted(
-            table.id_by_dim[tuple(d[v] for v in q.vertices)]
-            for d in rep.projective_dim_vectors(q).values()
-        )
+    start = bytes(
+        table.id_by_dim[tuple(d[v] for v in q.vertices)]
+        for d in rep.projective_dim_vectors(q).values()
     )
-    summands = [start]  # per node in walk order, its summand ids
+    # per node in walk order, its summand ids as bytes, sorted only at the
+    # end: the ids are distinct, so an exchange is one replace
+    summands = [start]
+    byte = [bytes((i,)) for i in range(len(table))]
     masks = [sum(1 << s for s in start)]
     index = {masks[0]: 0}
     met = [0]  # met[u]: ids outside u whose exchange pair is already recorded
@@ -351,10 +399,7 @@ def _exchange_walk(table):
                 u = index[n] = len(masks)
                 masks.append(n)
                 met.append(xb)
-                swapped = list(ids)
-                swapped[ids.index(x)] = y
-                swapped.sort()
-                summands.append(tuple(swapped))
+                summands.append(ids.replace(byte[x], byte[y]))
                 heads.append([])
                 in_deg.append(0)
             else:
@@ -366,10 +411,15 @@ def _exchange_walk(table):
             a, b = (ti, u) if fwd else (u, ti)
             heads[a].append(b)
             in_deg[b] += 1
-    # Drop the walk's index, and each head list once read, so that the flat
-    # array reuses their memory instead of raising the peak.
+    # Drop the walk's index, its per-node summands once joined, and each head
+    # list once read, so that the flat stores reuse their memory instead of
+    # raising the peak.
     del index, masks, met
+    for u, ids in enumerate(summands):
+        summands[u] = bytes(sorted(ids))
     order = sorted(range(len(summands)), key=summands.__getitem__)
+    nodes = b"".join(map(summands.__getitem__, order))
+    del summands
     new = [0] * len(order)
     for pos, old in enumerate(order):
         new[old] = pos
@@ -382,7 +432,7 @@ def _exchange_walk(table):
         flat.extend(hs)
     return TiltingQuiver(
         q,
-        tuple(summands[old] for old in order),
+        nodes,
         flat,
         tuple(out_deg),
         tuple(in_deg[old] for old in order),
@@ -433,18 +483,21 @@ def hasse_check(table, tq):
     # exist only inside this function.
     order = sorted(range(k), key=size.__getitem__)
     del size
-    placed = [nodes[u] for u in order]
-    below = _below(table.ext_zero, placed, len(table))
+    w = nodes.width
+    flat = tq.summands
+    # the summands again, laid out by position
+    placed = b"".join([flat[u * w : u * w + w] for u in order])
+    below = _below(table.ext_zero, _has(Nodes(placed, w), len(table)), k)
     missing, extra = [], []
-    for p, t in enumerate(placed):
-        down_p = _row(below, t)
+    for p in range(k):
+        down_p = _row(below, placed[p * w : p * w + w])
         cand = down_p ^ (1 << p)
         covers = set()
         while cand:
             # The top position left is maximal in cand: everything above it
             # below p was peeled off with the down-set of an earlier cover.
             c = cand.bit_length() - 1
-            down_c = _row(below, placed[c])
+            down_c = _row(below, placed[c * w : c * w + w])
             # down[c] inside down[p] for every peeled c, with antisymmetry,
             # makes <= transitive, which the peel relies on.  Only ANDs and
             # XORs of non-negative ints here: a complement would cost a
@@ -505,14 +558,15 @@ def closed_form_counts(kind, rank):
 
 
 def tilting_quiver_json_stream(tq):
-    """The `tilting_quiver_json` document with its arrows as an iterator of pairs.
+    """The `tilting_quiver_json` document with its nodes and arrows as iterators.
 
     For a writer that streams list fields (`cli._print_json`): no list of
-    arrow pairs is built.  Fixed field order: quiver, nodes, arrows, delta.
+    summand tuples or arrow pairs is built.  Fixed field order: quiver,
+    nodes, arrows, delta.
     """
     return {
         "quiver": quiver_to_json(tq.quiver),
-        "nodes": tq.nodes,
+        "nodes": iter(tq.nodes),
         "arrows": iter(tq.arrows),
         "delta": list(tq.delta),
     }
@@ -521,11 +575,12 @@ def tilting_quiver_json_stream(tq):
 def tilting_quiver_json(tq):
     """The tilting quiver as a dict that `json.dumps` writes whole.
 
-    Fields as in `tilting_quiver_json_stream`, with the arrows listed as
-    (tail, head) tuples; the summand tuples are passed through uncopied.
-    json writes every tuple as a list.
+    Fields as in `tilting_quiver_json_stream`, with the nodes listed as
+    summand tuples and the arrows as (tail, head) tuples.  json writes every
+    tuple as a list.
     """
     doc = tilting_quiver_json_stream(tq)
+    doc["nodes"] = list(doc["nodes"])
     doc["arrows"] = list(doc["arrows"])
     return doc
 

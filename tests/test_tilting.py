@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 from array import array
 from dataclasses import replace
 
 import pytest
 
-from tiltquiver.models import AInterval, all_orientations
+from tiltquiver.models import FAMILIES, AInterval, all_orientations, builder_param
 from tiltquiver.quiver import d_quiver, path_quiver
 from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
@@ -352,6 +353,68 @@ def test_quiver_holds_at_most_48_bytes_per_arrow(d9_walk_memory):
     48 B per arrow (109 B while every arrow was a pair tuple)."""
     held, n = d9_walk_memory["quiver_held"], d9_walk_memory["n_arrows"]
     assert held <= 48 * n, (held, n)
+
+
+def test_nodes_view_reads_like_a_tuple_of_tuples():
+    instances = [q for kind, param in (("A", 6), ("D", 5)) for _, q in all_orientations(kind, param)]
+    # the benchmark's A8 and D7 base orientations
+    instances += [path_quiver(8, [c == "1" for c in "1101001"])]
+    instances += [d_quiver(6, [c == "1" for c in "101101"])]
+    for q in instances:
+        tq = tilting_quiver(q)
+        nodes = tq.nodes
+        want = tuple(nodes)
+        k = len(want)
+        assert len(nodes) == k > 1, q
+        assert b"".join(map(bytes, want)) == tq.summands, q
+        assert all(type(t) is tuple and list(t) == sorted(set(t)) for t in want), q
+        assert all(nodes[i] == want[i] for i in range(-k, k)), q
+        for i in (k, -k - 1):
+            with pytest.raises(IndexError):
+                nodes[i]
+        for s in (
+            slice(None),
+            slice(1, None),
+            slice(None, -1),
+            slice(None, None, 2),
+            slice(None, None, -3),
+            slice(-5, None),
+            slice(3, 1),
+            slice(k + 3, None),
+        ):
+            assert type(nodes[s]) is tuple and nodes[s] == want[s], (q, s)
+        assert list(nodes) == list(want), q
+        assert nodes == want and want == nodes, q
+        assert not (nodes != want) and not (want != nodes), q
+        for other in (want[:-1], want[:-1] + (want[0],), list(want)):
+            assert nodes != other and other != nodes, q
+            assert not (nodes == other) and not (other == nodes), q
+
+
+def test_cached_quivers_hold_at_most_48_bytes_per_node():
+    """All 32 orientations of D6, with their Ext tables built first, cached
+    by `tilting_quiver`: at most 48 B held per node (125 B while each node
+    was a tuple of its summand ids)."""
+    quivers = [q for _, q in all_orientations("D", 5)]
+    for q in quivers:
+        ext_table(q)
+    tilting_quiver.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        n = sum(len(tilting_quiver(q).nodes) for q in quivers)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert n == 32 * closed_form_counts("D", 6)[0]
+    assert held <= 48 * n, (held, n)
+
+
+def test_every_id_fits_a_byte_up_to_the_guards():
+    """`TiltingQuiver.summands` stores each summand id in one byte."""
+    for kind, fam in FAMILIES.items():
+        q = fam.reference(builder_param(kind, fam.guard))
+        assert len(rep.positive_roots(q)) <= 256, kind
 
 
 def with_arrows(tq, pairs):
