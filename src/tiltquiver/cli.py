@@ -192,8 +192,6 @@ def _cmd_verify(args, parser, out):
 
 
 def _cmd_reflect_scan(args, parser, out):
-    if args.orientation != "all":
-        parser.error("reflect-scan only supports --orientation all")
     oriented = all_orientations(args.type, _param(args.type, args.rank, parser))
     pairs = {}
     lines = []
@@ -222,10 +220,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, orientation_default="reference"):
+    def add_common(p):
         p.add_argument("--type", choices=("A", "D"), required=True)
         p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--orientation", default=orientation_default)
+        p.add_argument("--orientation", default="reference")
 
     p_enum = sub.add_parser("enumerate", help="list all basic tilting modules")
     add_common(p_enum)
@@ -250,7 +248,6 @@ def build_parser():
     p_scan = sub.add_parser("reflect-scan", help="counts across all orientations")
     p_scan.add_argument("--type", choices=("A", "D"), required=True)
     p_scan.add_argument("--rank", type=int, required=True)
-    p_scan.add_argument("--orientation", default="all")
     p_scan.add_argument("--format", choices=("text", "csv"), default="text")
 
     return parser

@@ -1,29 +1,16 @@
-"""Exact linear algebra over the rationals, computed in integers.
+"""Exact linear algebra over the integers.
 
-Matrices are lists of rows with int or Fraction entries.  Everything in this
-package stays tiny (intertwiner systems below ~40 unknowns), so dense cubic
-elimination is the right tool.  Rows are first scaled to integers; ranks then
-use fraction-free (Bareiss) elimination and nullspaces a fraction-free
-Gauss-Jordan elimination that divides each combined row by its content.  No
-Fraction is built on int input, and nullspace basis vectors come back
-integer-primitive.
+Matrices are lists of rows with int entries.  Everything in this package
+stays tiny (intertwiner systems below ~40 unknowns), so dense cubic
+elimination is the right tool.  Ranks use fraction-free (Bareiss)
+elimination and nullspaces a fraction-free Gauss-Jordan elimination that
+divides each combined row by its content, so nullspace basis vectors come
+back integer-primitive.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-
-
-def integer_rows(rows):
-    """Scale each row by its common denominator so every entry is an int."""
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            if x.denominator != 1:
-                denom = lcm(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
 
 
 def int_rank(m):
@@ -59,22 +46,10 @@ def int_rank(m):
     return r
 
 
-def rank(rows):
-    """Exact rank of int or Fraction rows."""
-    return int_rank(integer_rows(rows))
-
-
 def primitive(vec):
-    """Clear denominators and divide by the content; exact and growth-free."""
-    denom = 1
-    for x in vec:
-        if x.denominator != 1:
-            denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    """Divide an int vector by its content."""
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
 
 
 def nullspace(rows, ncols):
@@ -87,7 +62,7 @@ def nullspace(rows, ncols):
     the |p_r|) is a positive multiple of the reduced-echelon basis vector,
     and primitive() maps both to the same integers.
     """
-    m = integer_rows(rows)
+    m = list(rows)
     pivots = []
     r = 0
     for c in range(ncols):

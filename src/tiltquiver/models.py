@@ -241,21 +241,3 @@ def all_orientations(kind, n):
     fam = family(kind)
     for bits in product((True, False), repeat=n + fam.shift - 1):
         yield bits, fam.reference(n, bits)
-
-
-def ext_vanish_pair(kind, x, y, n):
-    """Two-sided Ext vanishing between two model tags of one kind."""
-    return family(kind).ext_vanish(x, y, n)
-
-
-def ar_translate(kind, x, n):
-    """AR translate of a model indecomposable, None for projectives."""
-    return family(kind).tau(x, n)
-
-
-def model_dim(kind, x, n):
-    return family(kind).dim(x, n)
-
-
-def render(x):
-    return x.render()

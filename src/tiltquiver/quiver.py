@@ -72,14 +72,6 @@ class Quiver:
             adj[b].append(a)
         return adj
 
-    def sinks(self):
-        outgoing = {a for a, _ in self.arrows}
-        return tuple(v for v in self.vertices if v not in outgoing)
-
-    def sources(self):
-        incoming = {b for _, b in self.arrows}
-        return tuple(v for v in self.vertices if v not in incoming)
-
     def is_sink(self, v):
         return v in self.vertices and all(a != v for a, _ in self.arrows)
 
@@ -144,10 +136,6 @@ def delete_vertex(q, x):
     verts = tuple(v for v in q.vertices if v != x)
     arrows = tuple(ar for ar in q.arrows if x not in ar)
     return Quiver(verts, arrows)
-
-
-def sinks_sources(q):
-    return set(q.sinks()), set(q.sources())
 
 
 def tree_edges(q):
@@ -304,7 +292,3 @@ def _d_positions(q, adj, tips):
 def quiver_to_json(q):
     """JSON-ready dict with fixed field order and sorted vertices."""
     return {"vertices": list(q.vertices), "arrows": [list(ar) for ar in q.arrows]}
-
-
-def quiver_from_json(data):
-    return Quiver(tuple(data["vertices"]), tuple(tuple(ar) for ar in data["arrows"]))

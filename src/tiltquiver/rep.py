@@ -1,13 +1,14 @@
 """Exact quiver representations: the Hom/Ext oracle and the standard functors.
 
-A representation assigns a dimension to every vertex and an exact rational
+A representation assigns a dimension to every vertex and an exact integer
 matrix to every arrow (shape target-dim x source-dim).  Hom dimensions come
 from the nullity of the assembled intertwiner system; Ext dimensions follow
 from hom - euler, valid because path algebras of trees are hereditary.
 Indecomposables over a reference orientation are instantiated from the
 combinatorial models and pushed to any other orientation with reflection
 functors at sinks.  Their matrices stay integer (nullspace bases are
-integer-primitive), so hom_table solves all their systems in integers.
+integer-primitive), so hom_dim and hom_table solve their systems in integers
+and reject any other matrix entry.
 
 tilting.ext_table reads the same Hom/Ext tables off the Euler form on the
 positive roots, and glue works on those roots alone, so this linear algebra
@@ -62,11 +63,6 @@ def _zeros(r, c):
     return tuple(tuple(0 for _ in range(c)) for _ in range(r))
 
 
-def zero_rep(q):
-    dims = {v: 0 for v in q.vertices}
-    return Rep(q, dims, {ar: () for ar in q.arrows})
-
-
 def simple_rep(q, x):
     dims = {v: 1 if v == x else 0 for v in q.vertices}
     return Rep(q, dims, {(a, b): _zeros(dims[b], dims[a]) for a, b in q.arrows})
@@ -99,8 +95,17 @@ def _hom_data(q, r):
     """Per-representation input of the intertwiner rows, in q's vertex/arrow order.
 
     Returns the dims and, per arrow, the columns of its matrix and its negated
-    rows: the slices that one row of the system copies.
+    rows: the slices that one row of the system copies.  r must live over q
+    and have int matrix entries, so each system goes straight to the integer
+    rank.
     """
+    if r.quiver != q:
+        raise ValueError("representations live over different quivers")
+    for ar in q.arrows:
+        for row in r.maps[ar]:
+            for x in row:
+                if not isinstance(x, int):
+                    raise TypeError(f"matrix entry {x!r} is not an int")
     cols = []
     negs = []
     for a, b in q.arrows:
@@ -143,30 +148,18 @@ def _hom_rows(arrows, m, n):
 
 def hom_dim(m, n):
     """dim Hom(m, n): nullity of the intertwiner system f_b M_ab = N_ab f_a."""
-    if m.quiver != n.quiver:
-        raise ValueError("representations live over different quivers")
     q = m.quiver
     total, rows = _hom_rows(_arrow_layout(q), _hom_data(q, m), _hom_data(q, n))
-    return total - linalg.rank(rows)
+    return total - linalg.int_rank(rows)
 
 
 def hom_table(q, reps):
     """dim Hom(reps[i], reps[j]) for every pair, as a tuple of row tuples.
 
-    Every representation must live over q and have int matrix entries, so
-    each system goes straight to the integer rank.
+    Every representation must live over q and have int matrix entries.
     """
     arrows = _arrow_layout(q)
-    data = []
-    for r in reps:
-        if r.quiver != q:
-            raise ValueError("representations live over different quivers")
-        for ar in q.arrows:
-            for row in r.maps[ar]:
-                for x in row:
-                    if not isinstance(x, int):
-                        raise TypeError(f"matrix entry {x!r} is not an int")
-        data.append(_hom_data(q, r))
+    data = [_hom_data(q, r) for r in reps]
     out = []
     for m in data:
         row = []

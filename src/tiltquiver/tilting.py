@@ -15,7 +15,7 @@ finds the tilting modules and the arrows together (`tilting_quiver`).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, mul
@@ -25,6 +25,10 @@ from .quiver import Quiver, classify_tree, quiver_to_json
 
 # Lines per chunk of the streamed DOT export.
 CHUNK_LINES = 4096
+
+# The highest rank `closed_form_counts` accepts: its cost grows about
+# quadratically with the rank (A100000 takes about 2 s on a 2-vCPU VM).
+COUNTS_MAX_RANK = 100_000
 
 
 @dataclass
@@ -36,9 +40,9 @@ class ExtTable:
     models: tuple  # model tag per id at the reference orientation, None elsewhere
     hom: tuple
     ext: tuple
-    compat: tuple = field(default=())  # bitmask per id: two-sided ext vanishing
-    ext_zero: tuple = field(default=())  # bitmask per id i: {j : ext[i][j] == 0}
-    id_by_dim: dict = field(default_factory=dict)
+    compat: tuple  # bitmask per id: two-sided ext vanishing
+    ext_zero: tuple  # bitmask per id i: {j : ext[i][j] == 0}
+    id_by_dim: dict
 
     def __len__(self):
         return len(self.dims)
@@ -46,7 +50,7 @@ class ExtTable:
     def label(self, i):
         model = self.models[i]
         if model is not None:
-            return models.render(model)
+            return model.render()
         return "(" + ",".join(str(d) for d in self.dims[i]) + ")"
 
 
@@ -523,9 +527,8 @@ def hasse_check(table, tq):
 
 @dataclass
 class DegreeReport:
-    """Per-node (out, in, total) degrees plus the dim-vector cross-check."""
+    """Node-degree histogram plus the dim-vector cross-check."""
 
-    stats: tuple
     histogram: dict
     formula_ok: bool
     mismatches: tuple
@@ -534,26 +537,22 @@ class DegreeReport:
 def degree_stats(tq):
     table = ext_table(tq.quiver)
     n_vert = len(tq.quiver.vertices)
-    stats = []
     mismatches = []
     hist = {}
-    for i, t in enumerate(tq.nodes):
-        s, e = tq.out_deg[i], tq.in_deg[i]
-        delta = s + e
-        stats.append((s, e, delta))
+    for i, (t, delta) in enumerate(zip(tq.nodes, tq.delta)):
         hist[delta] = hist.get(delta, 0) + 1
         dims = module_dim(table, t)
         predicted = n_vert - sum(1 for v in dims.values() if v == 1)
         if predicted != delta:
             mismatches.append((i, delta, predicted))
-    return DegreeReport(
-        tuple(stats), dict(sorted(hist.items())), not mismatches, tuple(mismatches)
-    )
+    return DegreeReport(dict(sorted(hist.items())), not mismatches, tuple(mismatches))
 
 
 def closed_form_counts(kind, rank):
     """Exact vertex/arrow counts of the tilting quiver from the closed forms."""
     models.builder_param(kind, rank)  # rejects an unknown kind or a rank below the minimum
+    if rank > COUNTS_MAX_RANK:
+        raise ValueError(f"closed-form counts are capped at rank {COUNTS_MAX_RANK}")
     return models.FAMILIES[kind].counts(rank)
 
 

@@ -221,16 +221,17 @@ def _degree_histogram_d(q):
 
 def _ext_predicate(q):
     kind, param = classify_tree(q)
+    fam = models.family(kind)
     table = ext_table(q)
     k = len(table)
     for i in range(k):
         for j in range(i, k):
             xi, xj = table.models[i], table.models[j]
-            pred = models.ext_vanish_pair(kind, xi, xj, param)
+            pred = fam.ext_vanish(xi, xj, param)
             real = table.ext[i][j] == 0 and table.ext[j][i] == 0
             if pred != real:
                 return (
-                    f"{models.render(xi)} vs {models.render(xj)}: "
+                    f"{xi.render()} vs {xj.render()}: "
                     f"predicate {pred}, ext {real}"
                 )
     return None
@@ -238,14 +239,15 @@ def _ext_predicate(q):
 
 def _ar_duality(q):
     kind, param = classify_tree(q)
+    fam = models.family(kind)
     table = ext_table(q)
     k = len(table)
     for i in range(k):
-        translate = models.ar_translate(kind, table.models[i], param)
+        translate = fam.tau(table.models[i], param)
         if translate is None:
             tau_col = None
         else:
-            tau_dim = models.model_dim(kind, translate, param)
+            tau_dim = fam.dim(translate, param)
             tau_col = table.id_by_dim[tuple(tau_dim[v] for v in q.vertices)]
         for j in range(k):
             want = table.hom[j][tau_col] if tau_col is not None else 0
@@ -261,7 +263,7 @@ def _hom_criterion_a(q):
         for j in range(k):
             xi, xj = table.models[i], table.models[j]
             if (table.hom[i][j] != 0) != models.a_hom_nonzero(xi, xj):
-                return f"hom {models.render(xi)} -> {models.render(xj)}"
+                return f"hom {xi.render()} -> {xj.render()}"
     return None
 
 

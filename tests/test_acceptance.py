@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from tiltquiver import classify as cl
 from tiltquiver import verify
 from tiltquiver.cli import main
-from tiltquiver.models import all_orientations, ar_translate, ext_vanish_pair, model_dim
+from tiltquiver.models import all_orientations, family
 from tiltquiver.quiver import classify_tree, d_quiver, path_quiver
 from tiltquiver.tilting import (
     closed_form_counts,
@@ -113,19 +113,20 @@ def test_criterion_6_oracle_equivalence_and_ar_duality():
         instances += [d_quiver(fork) for fork in range(2, 6)]
         for q in instances:
             kind, param = classify_tree(q)
+            fam = family(kind)
             table = ext_table(q)
             k = len(table)
             for i in range(k):
                 mi = table.models[i]
-                shifted = ar_translate(kind, mi, param)
+                shifted = fam.tau(mi, param)
                 if shifted is None:
                     tau_col = None
                 else:
-                    dims = model_dim(kind, shifted, param)
+                    dims = fam.dim(shifted, param)
                     tau_col = table.id_by_dim[tuple(dims[v] for v in q.vertices)]
                 for j in range(k):
                     mj = table.models[j]
-                    pred = ext_vanish_pair(kind, mi, mj, param)
+                    pred = fam.ext_vanish(mi, mj, param)
                     real = table.ext[i][j] == 0 and table.ext[j][i] == 0
                     assert pred == real, f"{q}: predicate mismatch at ({i},{j})"
                     dual = table.hom[j][tau_col] if tau_col is not None else 0

@@ -117,6 +117,25 @@ def test_counts_print_every_digit(capsys, kind):
         assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_counts_past_the_rank_cap_exit_2_at_once(capsys, monkeypatch, kind):
+    from tiltquiver import models
+    from tiltquiver.tilting import COUNTS_MAX_RANK
+
+    def forbidden(rank):
+        raise AssertionError("closed form evaluated past the cap")
+
+    monkeypatch.setitem(models.FAMILIES, kind, models.FAMILIES[kind]._replace(counts=forbidden))
+    rank = str(COUNTS_MAX_RANK + 1)
+    for source in ("closed-form", "both"):
+        with pytest.raises(SystemExit) as exc:
+            main(["counts", "--type", kind, "--rank", rank, "--source", source])
+        assert exc.value.code == 2, source
+        assert f"capped at rank {COUNTS_MAX_RANK}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="capped"):
+        closed_form_counts(kind, COUNTS_MAX_RANK + 1)
+
+
 def test_graph_dot_a3(capsys):
     code, out, _ = run_cli(capsys, "graph", "--type", "A", "--rank", "3", "--format", "dot")
     assert code == 0
@@ -211,9 +230,16 @@ def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
         cached.cache_clear()
     monkeypatch.setattr(rep, "indecomposables", forbidden)
     monkeypatch.setattr(rep, "hom_table", forbidden)
-    for name in ("integer_rows", "int_rank", "rank", "nullspace", "left_nullspace"):
+    for name in ("int_rank", "primitive", "nullspace", "left_nullspace"):
         monkeypatch.setattr(linalg, name, forbidden)
-    for argv, digest in EULER_PATH_SHA256.items():
+    vertices, arrows = closed_form_counts("D", 5)
+    digests = {
+        **EULER_PATH_SHA256,
+        ("counts", "--type", "D", "--rank", "5", "--source", "enumeration"):
+            hashlib.sha256(f"vertices={vertices} arrows={arrows}\n".encode()).hexdigest(),
+        ("reflect-scan", "--type", "D", "--rank", "5"): REFLECT_SCAN_D5_SHA256,
+    }
+    for argv, digest in digests.items():
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from tiltquiver import linalg
 
@@ -39,27 +40,20 @@ def rref_nullspace(rows, ncols):
         v[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
             v[p] = -row[f]
-        basis.append(linalg.primitive(v))
+        # clear denominators, then divide by the gcd
+        denom = lcm(*(x.denominator for x in v))
+        ints = [int(x * denom) for x in v]
+        g = gcd(*ints)
+        basis.append([x // g for x in ints])
     return basis
 
 
-def _random_fraction(rng):
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-
-
 def test_rank_basic():
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
-    assert linalg.rank([[1, 0], [0, 1]]) == 2
-    assert linalg.rank([[0, 0], [0, 0]]) == 0
-    assert linalg.rank([]) == 0
-    assert linalg.rank([[1, 2, 3]]) == 1
-
-
-def test_rank_with_fractions():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 1)]]
-    assert linalg.rank(rows) == 2
-    rows = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(2), Fraction(1)]]
-    assert linalg.rank(rows) == 1
+    assert linalg.int_rank([[1, 2], [2, 4]]) == 1
+    assert linalg.int_rank([[1, 0], [0, 1]]) == 2
+    assert linalg.int_rank([[0, 0], [0, 0]]) == 0
+    assert linalg.int_rank([]) == 0
+    assert linalg.int_rank([[1, 2, 3]]) == 1
 
 
 def test_rank_matches_rref_pivots_on_random_matrices():
@@ -68,7 +62,7 @@ def test_rank_matches_rref_pivots_on_random_matrices():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         _, pivots = rref(rows, nc)
-        assert linalg.rank(rows) == len(pivots)
+        assert linalg.int_rank(rows) == len(pivots)
 
 
 def test_int_rank_matches_rank_on_random_int_matrices():
@@ -89,19 +83,9 @@ def test_int_rank_matches_rank_on_random_int_matrices():
         rng.shuffle(rows)
         copy = [list(row) for row in rows]
         want = len(rref(rows, nc)[1])
-        assert linalg.int_rank(copy) == linalg.rank(rows) == want
+        assert linalg.int_rank(copy) == want
     assert linalg.int_rank([]) == 0
     assert linalg.int_rank([[]]) == 0
-
-
-def test_nullspace_matches_rref_oracle_on_random_fraction_matrices():
-    rng = random.Random(17)
-    for _ in range(150):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
-        rows = [[_random_fraction(rng) for _ in range(nc)] for _ in range(nr)]
-        if rng.random() < 0.3:
-            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
-        assert linalg.nullspace(rows, nc) == rref_nullspace(rows, nc)
 
 
 def test_nullspace_matches_rref_oracle_on_random_int_matrices():
@@ -118,7 +102,7 @@ def test_nullspace_annihilates():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
         basis = linalg.nullspace(rows, nc)
-        assert len(basis) == nc - linalg.rank(rows)
+        assert len(basis) == nc - linalg.int_rank([list(row) for row in rows])
         for vec in basis:
             assert any(vec)
             for row in rows:
@@ -135,6 +119,7 @@ def test_left_nullspace_annihilates():
 
 
 def test_primitive_scaling():
-    assert linalg.primitive([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert linalg.primitive([Fraction(2), Fraction(4)]) == [1, 2]
-    assert linalg.primitive([Fraction(0), Fraction(0)]) == [0, 0]
+    assert linalg.primitive([6, 4]) == [3, 2]
+    assert linalg.primitive([2, 4]) == [1, 2]
+    assert linalg.primitive([-3, 6, 9]) == [-1, 2, 3]
+    assert linalg.primitive([0, 0]) == [0, 0]

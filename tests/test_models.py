@@ -9,16 +9,13 @@ from tiltquiver.models import (
     a_indecs,
     a_tau,
     all_orientations,
-    ar_translate,
     builder_param,
     compatible,
     d_dim,
     d_indecs,
     d_matrices,
     d_tau,
-    ext_vanish_pair,
-    model_dim,
-    render,
+    family,
 )
 from tiltquiver.quiver import classify_tree
 from tiltquiver.tilting import closed_form_counts
@@ -32,9 +29,9 @@ def test_compatible_examples():
 
 
 def test_ext_vanish_examples():
-    assert ext_vanish_pair("D", DIndec("L+", 0, 3), DIndec("L-", 0, 3), 3)
-    assert not ext_vanish_pair("D", DIndec("M", 0, 1), DIndec("M", 1, 2), 3)
-    assert not ext_vanish_pair("A", AInterval(0, 2), AInterval(2, 4), 4)
+    assert family("D").ext_vanish(DIndec("L+", 0, 3), DIndec("L-", 0, 3), 3)
+    assert not family("D").ext_vanish(DIndec("M", 0, 1), DIndec("M", 1, 2), 3)
+    assert not family("A").ext_vanish(AInterval(0, 2), AInterval(2, 4), 4)
 
 
 def test_ext_vanish_is_symmetric():
@@ -42,13 +39,13 @@ def test_ext_vanish_is_symmetric():
     indecs = d_indecs(n)
     for x in indecs:
         for y in indecs:
-            assert ext_vanish_pair("D", x, y, n) == ext_vanish_pair("D", y, x, n)
+            assert family("D").ext_vanish(x, y, n) == family("D").ext_vanish(y, x, n)
 
 
 def test_tau_examples_type_a():
     assert a_tau(AInterval(0, 1), 2) == AInterval(1, 2)
     assert a_tau(AInterval(1, 2), 2) is None
-    assert ar_translate("A", AInterval(1, 3), 5) == AInterval(2, 4)
+    assert family("A").tau(AInterval(1, 3), 5) == AInterval(2, 4)
 
 
 def test_tau_examples_type_d():
@@ -68,7 +65,7 @@ def test_dim_vector_examples():
     assert a_dim(AInterval(1, 3), 4) == {"1": 0, "2": 1, "3": 1, "4": 0}
     assert d_dim(DIndec("M", 0, 1), 3) == {"1": 1, "2": 2, "3+": 1, "3-": 1}
     assert d_dim(DIndec("L-", 0, 3), 3) == {"1": 1, "2": 1, "3+": 0, "3-": 1}
-    assert model_dim("D", DIndec("L+", 2, 3), 3) == {"1": 0, "2": 0, "3+": 1, "3-": 0}
+    assert family("D").dim(DIndec("L+", 2, 3), 3) == {"1": 0, "2": 0, "3+": 1, "3-": 0}
 
 
 def test_indec_counts():
@@ -107,14 +104,14 @@ def test_hom_criterion_is_strict_at_the_left_end():
 
 
 def test_render():
-    assert render(AInterval(0, 2)) == "L(0,2)"
-    assert render(DIndec("L+", 1, 3)) == "L+(1,3)"
-    assert render(DIndec("M", 0, 2)) == "M(0,2)"
+    assert AInterval(0, 2).render() == "L(0,2)"
+    assert DIndec("L+", 1, 3).render() == "L+(1,3)"
+    assert DIndec("M", 0, 2).render() == "M(0,2)"
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        ext_vanish_pair("E", None, None, 6)
+        family("E")
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))

@@ -8,8 +8,7 @@ from tiltquiver.models import (
     AInterval,
     a_hom_nonzero,
     all_orientations,
-    ar_translate,
-    model_dim,
+    family,
 )
 from tiltquiver.quiver import (
     admissible_sink_order,
@@ -35,7 +34,6 @@ from tiltquiver.rep import (
     restrict,
     simple_reflection_dims,
     simple_rep,
-    zero_rep,
 )
 
 
@@ -93,7 +91,8 @@ def test_hom_table_rejects_foreign_and_non_int_representations():
     ((a, b),) = [ar for ar, mat in maps.items() if mat]
     maps[(a, b)] = ((Fraction(1, 2),),)
     fractional = Rep(q, dict(ind.dims), maps)
-    assert hom_dim(fractional, fractional) == 1
+    with pytest.raises(TypeError, match="not an int"):
+        hom_dim(fractional, fractional)
     with pytest.raises(TypeError, match="not an int"):
         hom_table(q, reps + [fractional])
 
@@ -165,7 +164,7 @@ def test_reflection_plus_examples():
 
 def test_reflection_plus_acts_as_simple_reflection_on_dims():
     for q in (path_quiver(4), d_quiver(3)):
-        for x in q.sinks():
+        for x in filter(q.is_sink, q.vertices):
             for ind in indecomposables(q):
                 if ind.dim == simple_rep(q, x).dims:
                     continue
@@ -226,7 +225,8 @@ def test_extend_examples():
     lifted = extend(back, "1", simple_rep(small, "2"))
     assert lifted.dims == {"1": 1, "2": 1}
     assert lifted.maps[("2", "1")] == ((1,),)
-    assert extend(q, "1", zero_rep(small)).is_zero()
+    zero = Rep(small, {"2": 0}, {})
+    assert extend(q, "1", zero).is_zero()
     with pytest.raises(ValueError):
         extend(q, "1", simple_rep(path_quiver(1), "1"))
 
@@ -273,11 +273,12 @@ def _coxeter_dims(q, dims):
 def test_translate_matches_coxeter_reflection_on_dims():
     for q in (path_quiver(5), d_quiver(4)):
         kind, param = classify_tree(q)
+        fam = family(kind)
         for ind in indecomposables(q):
-            shifted = ar_translate(kind, ind.model, param)
+            shifted = fam.tau(ind.model, param)
             if shifted is None:
                 continue
-            assert model_dim(kind, shifted, param) == _coxeter_dims(q, ind.dim)
+            assert fam.dim(shifted, param) == _coxeter_dims(q, ind.dim)
 
 
 def test_ar_duality_small():
@@ -285,7 +286,7 @@ def test_ar_duality_small():
         kind, param = classify_tree(q)
         inds = indecomposables(q)
         for a in inds:
-            shifted = ar_translate(kind, a.model, param)
+            shifted = family(kind).tau(a.model, param)
             tau_rep = (
                 build_model_rep(q, kind, shifted, param) if shifted is not None else None
             )

@@ -113,13 +113,13 @@ def test_ext_diagonal_zero():
 
 
 def test_ext_pattern_matches_predicate_on_q3():
-    from tiltquiver.models import ext_vanish_pair
+    from tiltquiver.models import family
 
     table = ext_table(d_quiver(3))
     k = len(table)
     for i in range(k):
         for j in range(i, k):
-            pred = ext_vanish_pair("D", table.models[i], table.models[j], 3)
+            pred = family("D").ext_vanish(table.models[i], table.models[j], 3)
             assert pred == (table.ext[i][j] == 0 and table.ext[j][i] == 0)
 
 
