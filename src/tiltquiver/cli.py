@@ -16,17 +16,15 @@ from itertools import islice
 
 from .models import FAMILIES, all_orientations, builder_param
 from .tilting import (
+    JSON_SLICE,
     closed_form_counts,
     ext_table,
     tilting_quiver,
     tilting_quiver_dot_chunks,
-    tilting_quiver_json_stream,
+    tilting_quiver_json_chunks,
     transient_quiver,
 )
 from .verify import run_suite
-
-# Items per json.dumps call when a list field is written in slices.
-JSON_SLICE = 1024
 
 
 def _parse_bits(text, needed, parser):
@@ -109,7 +107,7 @@ def _cmd_graph(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
     tq = tilting_quiver.__wrapped__(q)  # uncached: no quiver outlives the command
     if args.format == "json":
-        _print_json(tilting_quiver_json_stream(tq), out)
+        out.writelines(tilting_quiver_json_chunks(tq))
     else:
         out.writelines(tilting_quiver_dot_chunks(tq))
     return 0

@@ -8,23 +8,28 @@ hereditary Dynkin algebra a set of ids of size #vertices with pairwise
 two-sided Ext vanishing is exactly a tilting module.  Arrows of the tilting
 quiver come from the exchange of a summand, and the whole graph is checked
 to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
-The exchange graph is connected, so one walk from the projective module
-finds the tilting modules and the arrows together (`tilting_quiver`).
+The projective module is the maximum of that order, so one walk along the
+arrows from it finds the tilting modules and the arrows together
+(`tilting_quiver`).
 """
 
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
-from operator import eq, mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import and_, eq, mul
 
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
 
 # Lines per chunk of the streamed DOT export.
 CHUNK_LINES = 4096
+
+# Items per slice of a JSON list written in pieces.
+JSON_SLICE = 1024
 
 # The highest rank `closed_form_counts` accepts: its cost grows about
 # quadratically with the rank (A100000 takes about 2 s on a 2-vCPU VM).
@@ -243,8 +248,11 @@ class Arrows:
         return len(self.heads)
 
     def __iter__(self):
-        tails = chain.from_iterable(map(repeat, range(len(self.out_deg)), self.out_deg))
-        return zip(tails, self.heads)
+        return zip(self.tails(), self.heads)
+
+    def tails(self):
+        """The tail of each arrow, in the order of `heads`."""
+        return chain.from_iterable(map(repeat, range(len(self.out_deg)), self.out_deg))
 
 
 class Nodes:
@@ -317,27 +325,32 @@ class TiltingQuiver:
 def tilting_quiver(q):
     """Build the exchange quiver on all tilting modules of q in one walk.
 
-    The exchange graph of a representation-finite hereditary algebra is
-    connected, with the projective module as its unique source (Happel-Unger,
-    "On a partial order of tilting modules", 2005; Riedtmann-Schofield, 1991),
-    so a walk from the projectives along exchanges reaches every tilting
-    module and no search is needed.  Nodes are keyed by their summand masks.
-    An almost complete tilting module has one or two complements, so the
-    neighbours of a node t are the ids outside t that are Ext-incompatible
-    with exactly one summand x of t, each exchanged against that x.  One
-    bit-sliced counter over the summands finds them: with inc[j] the ids
-    incompatible with j (j included), `ones` collects the ids hit at least
-    once and `twos` those hit at least twice.  `ones` must be every id, since
-    an id compatible with all of t would make a rigid module with more
-    summands than vertices, and no two candidates may share their x, since
-    t minus x would have three complements.  Each exchange pair is walked
-    once: `met[u]` marks the ids outside u whose pair with u was already
-    recorded from the other end.  The first node the walk reaches that
-    contains an almost complete module sees all its other complements as
-    candidates, so no pair skipped through `met` hides a third complement.
-    The nodes are then sorted by summand ids and joined into one byte string
-    (`TiltingQuiver.summands`), and each node's heads are renumbered, sorted
-    and appended to one flat array (`TiltingQuiver.heads`).
+    The projective module is the maximum of the order, and the arrows are
+    its covers (Happel-Unger, "On a partial order of tilting modules", 2005;
+    Riedtmann-Schofield, 1991), so every tilting module lies below it along
+    arrows, and a walk from the projective module that follows arrows only
+    reaches every tilting module and records each arrow once, at its tail.
+    Nodes are keyed by their summand masks.  An almost complete tilting
+    module has one or two complements, so the neighbours of a node t are the
+    ids outside t that are Ext-incompatible with exactly one summand x of t,
+    each exchanged against that x.  One bit-sliced counter over the summands
+    finds them: with inc[j] the ids incompatible with j (j included), `ones`
+    collects the ids hit at least once and `twos` those hit at least twice.
+    `ones` must be every id, since an id compatible with all of t would make
+    a rigid module with more summands than vertices, and no summand x may
+    clash with two candidates, since t minus x would have three complements.
+    Every node runs both checks on all its candidates.  The exchange of x
+    for y is an arrow out of t when Ext^1(y, x) != 0, so with
+    up[x] = {y : Ext^1(y, x) != 0} one AND per summand tells an out-arrow
+    from an in-arrow.  A pair with Ext both ways is rejected before the
+    walk.  Only out-arrows are followed and recorded, and a node's
+    candidate count is its degree, so the degrees sum to twice the arrows
+    exactly when no exchange of a reached node leads outside the walk or
+    goes unoriented; otherwise the walk raises, instead of returning part of
+    the quiver.  Each node's summand ids are kept sorted, as bytes; the
+    nodes are then sorted by them and joined into one byte string
+    (`TiltingQuiver.summands`), and each node's run of heads is renumbered,
+    sorted and appended to one flat array (`TiltingQuiver.heads`).
     """
     _guard(q)
     return _exchange_walk(ext_table(q))
@@ -357,22 +370,30 @@ def transient_quiver(q):
 def _exchange_walk(table):
     """The walk of `tilting_quiver` over `table`, the Ext table of its quiver."""
     q = table.quiver
-    ext = table.ext
-    full = (1 << len(table)) - 1
+    k = len(table)
+    full = (1 << k) - 1
     inc = [full ^ c for c in table.compat]  # compat is symmetric
+    bit = [1 << i for i in range(k)]
+    # up[x]: the ids y with Ext^1(y, x) != 0; exchanging a summand x for y
+    # is an arrow out of the module exactly when y is in up[x]
+    up = [sum(compress(bit, col)) for col in zip(*table.ext)]
+    down = [sum(compress(bit, row)) for row in table.ext]
+    if any(map(and_, up, down)):
+        raise RuntimeError("exchange pair is not oriented by a unique Ext")
     start = bytes(
-        table.id_by_dim[tuple(d[v] for v in q.vertices)]
-        for d in rep.projective_dim_vectors(q).values()
+        sorted(
+            table.id_by_dim[tuple(d[v] for v in q.vertices)]
+            for d in rep.projective_dim_vectors(q).values()
+        )
     )
-    # per node in walk order, its summand ids as bytes, sorted only at the
-    # end: the ids are distinct, so an exchange is one replace
+    # per node in walk order, its sorted summand ids as bytes
     summands = [start]
-    byte = [bytes((i,)) for i in range(len(table))]
-    masks = [sum(1 << s for s in start)]
+    byte = [bytes((i,)) for i in range(k)]
+    masks = [sum(bit[s] for s in start)]
     index = {masks[0]: 0}
-    met = [0]  # met[u]: ids outside u whose exchange pair is already recorded
-    heads = [[]]  # heads[u]: heads of the arrows out of u
-    in_deg = [0]
+    arcs = array("I")  # heads of the arrows, in walk order of their tails
+    out_deg = array("B")
+    deg = array("B")
     for ti, ids in enumerate(summands):  # summands grows as the walk finds nodes
         m = masks[ti]
         ones = twos = 0
@@ -384,62 +405,53 @@ def _exchange_walk(table):
             raise RuntimeError(
                 "more than two completions of an almost complete module"
             )
-        cand = ones & ~(twos | m | met[ti])
-        used = 0  # summands of t exchanged so far
-        while cand:
-            yb = cand & -cand
-            cand ^= yb
-            y = yb.bit_length() - 1
-            xb = inc[y] & m  # the one summand y clashes with
-            if used & xb:
+        cand = ones & ~(twos | m)
+        deg.append(cand.bit_count())
+        before = len(arcs)
+        for x in ids:
+            yb = cand & inc[x]  # the complement of t without x other than x, if any
+            if yb & (yb - 1):
                 raise RuntimeError(
                     "more than two completions of an almost complete module"
                 )
-            used |= xb
-            x = xb.bit_length() - 1
-            n = m ^ xb ^ yb
-            u = index.get(n)
-            if u is None:
-                u = index[n] = len(masks)
-                masks.append(n)
-                met.append(xb)
-                summands.append(ids.replace(byte[x], byte[y]))
-                heads.append([])
-                in_deg.append(0)
-            else:
-                met[u] |= xb
-            fwd = ext[y][x] != 0
-            bwd = ext[x][y] != 0
-            if fwd == bwd:
-                raise RuntimeError("exchange pair is not oriented by a unique Ext")
-            a, b = (ti, u) if fwd else (u, ti)
-            heads[a].append(b)
-            in_deg[b] += 1
-    # Drop the walk's index, its per-node summands once joined, and each head
-    # list once read, so that the flat stores reuse their memory instead of
-    # raising the peak.
-    del index, masks, met
-    for u, ids in enumerate(summands):
-        summands[u] = bytes(sorted(ids))
+            if yb & up[x]:
+                n = m ^ bit[x] ^ yb
+                u = index.get(n)
+                if u is None:
+                    u = index[n] = len(masks)
+                    masks.append(n)
+                    # y's position is the number of ids of n below it
+                    rest = ids.replace(byte[x], b"")
+                    at = (n & (yb - 1)).bit_count()
+                    summands.append(rest[:at] + byte[yb.bit_length() - 1] + rest[at:])
+                arcs.append(u)
+        out_deg.append(len(arcs) - before)
+    # Every pair is recorded at its tail alone, so the degree sum counts each
+    # recorded arrow twice, and anything more is an exchange the walk could
+    # not orient or an in-arrow from a module it never reached.
+    if sum(deg) != 2 * len(arcs):
+        raise RuntimeError(
+            "walk along arrows from the projective module misses an exchange"
+        )
+    # Drop the walk's index, and its per-node summands once joined, so that
+    # the flat stores reuse their memory instead of raising the peak.
+    del index, masks
     order = sorted(range(len(summands)), key=summands.__getitem__)
     nodes = b"".join(map(summands.__getitem__, order))
     del summands
-    new = [0] * len(order)
+    new = array("I", bytes(4 * len(order)))
     for pos, old in enumerate(order):
         new[old] = pos
-    flat = array("I")
-    out_deg = []
+    off = array("I", accumulate(out_deg, initial=0))
+    heads = array("I")
     for old in order:
-        hs = sorted(map(new.__getitem__, heads[old]))
-        heads[old] = None
-        out_deg.append(len(hs))
-        flat.extend(hs)
+        heads.extend(sorted(map(new.__getitem__, arcs[off[old] : off[old + 1]])))
     return TiltingQuiver(
         q,
         nodes,
-        flat,
-        tuple(out_deg),
-        tuple(in_deg[old] for old in order),
+        heads,
+        tuple(map(out_deg.__getitem__, order)),
+        tuple(deg[old] - out_deg[old] for old in order),
     )
 
 
@@ -556,32 +568,73 @@ def closed_form_counts(kind, rank):
     return models.FAMILIES[kind].counts(rank)
 
 
-def tilting_quiver_json_stream(tq):
-    """The `tilting_quiver_json` document with its nodes and arrows as iterators.
+def tilting_quiver_json(tq):
+    """The tilting quiver as a dict that `json.dumps` writes whole.
 
-    For a writer that streams list fields (`cli._print_json`): no list of
-    summand tuples or arrow pairs is built.  Fixed field order: quiver,
-    nodes, arrows, delta.
+    Fixed field order: quiver, nodes, arrows, delta.  The nodes are listed as
+    summand tuples and the arrows as (tail, head) tuples; json writes every
+    tuple as a list.
     """
     return {
         "quiver": quiver_to_json(tq.quiver),
-        "nodes": iter(tq.nodes),
-        "arrows": iter(tq.arrows),
+        "nodes": list(tq.nodes),
+        "arrows": list(tq.arrows),
         "delta": list(tq.delta),
     }
 
 
-def tilting_quiver_json(tq):
-    """The tilting quiver as a dict that `json.dumps` writes whole.
+def _json_list(rows, item):
+    """Yield the text of one JSON list in pieces, one piece per row of `rows`.
 
-    Fields as in `tilting_quiver_json_stream`, with the nodes listed as
-    summand tuples and the arrows as (tail, head) tuples.  json writes every
-    tuple as a list.
+    Each row is a flat sequence of ints, read `item.count("%d")` at a time
+    into the `%` template `item`.  One template per row length is built, so
+    a full slice is formatted in one `%`.
     """
-    doc = tilting_quiver_json_stream(tq)
-    doc["nodes"] = list(doc["nodes"])
-    doc["arrows"] = list(doc["arrows"])
-    return doc
+    per = item.count("%d")
+    templates = {}
+    sep = "["
+    for row in rows:
+        n = len(row) // per
+        template = templates.get(n)
+        if template is None:
+            template = templates[n] = ", ".join([item] * n)
+        yield sep + template % tuple(row)
+        sep = ", "
+    yield "[]" if sep == "[" else "]"
+
+
+def _slices(seq, size):
+    """Consecutive slices of `seq`, `size` items each, the last one maybe shorter."""
+    return (seq[a : a + size] for a in range(0, len(seq), size))
+
+
+def _arrow_rows(tq):
+    """Per slice of JSON_SLICE arrows, its tails and heads interleaved in one list."""
+    tails = tq.arrows.tails()
+    for hs in _slices(tq.heads, JSON_SLICE):
+        row = [0] * (2 * len(hs))
+        row[0::2] = islice(tails, len(hs))
+        row[1::2] = hs
+        yield row
+
+
+def tilting_quiver_json_chunks(tq):
+    """`json.dumps(tilting_quiver_json(tq))` and a newline, in chunks.
+
+    The nodes are formatted straight from `tq.summands` and the arrows from
+    `tq.heads`, JSON_SLICE of them per `%` template, so no summand tuple,
+    arrow pair or whole document is built.
+    """
+    w = len(tq.quiver.vertices)
+    yield '{"quiver": ' + json.dumps(quiver_to_json(tq.quiver)) + ', "nodes": '
+    yield from _json_list(
+        _slices(tq.summands, w * JSON_SLICE), "[" + ", ".join(["%d"] * w) + "]"
+    )
+    yield ', "arrows": '
+    yield from _json_list(_arrow_rows(tq), "[%d, %d]")
+    yield ', "delta": '
+    yield from _json_list(_slices(tq.delta, JSON_SLICE), "%d")
+    yield "}\n"
 
 
 def tilting_quiver_dot_chunks(tq):

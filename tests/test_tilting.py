@@ -11,6 +11,7 @@ from tiltquiver.quiver import d_quiver, path_quiver
 from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.tilting import (
+    JSON_SLICE,
     HasseReport,
     closed_form_counts,
     degree_stats,
@@ -24,6 +25,7 @@ from tiltquiver.tilting import (
     tilting_quiver,
     tilting_quiver_dot,
     tilting_quiver_json,
+    tilting_quiver_json_chunks,
 )
 
 
@@ -304,6 +306,13 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
     monkeypatch.setattr(tilting, "ext_table", lambda _: replace(table, ext=both_ways))
     with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
         tilting_quiver.__wrapped__(q)
+    # With Ext transposed every arrow is reversed and the projective module
+    # becomes the minimum: a walk along arrows from it records no arrow and
+    # would return a 1-node quiver, where A3 has 5 nodes.
+    transposed = tuple(zip(*table.ext))
+    monkeypatch.setattr(tilting, "ext_table", lambda _: replace(table, ext=transposed))
+    with pytest.raises(RuntimeError, match="misses an exchange"):
+        tilting_quiver.__wrapped__(q)
 
 
 def test_hasse_property():
@@ -346,6 +355,16 @@ def test_hasse_check_memory_stays_near_the_walk_peak(d9_walk_memory):
     added, walk_peak = d9_walk_memory["hasse_added"], d9_walk_memory["own_walk_peak"]
     assert d9_walk_memory["hasse_ok"]
     assert added <= 1.5 * walk_peak, (added, walk_peak)
+
+
+def test_walk_peak_stays_near_what_the_quiver_holds(d9_walk_memory):
+    """At D9 the walk may peak at 6.5 times what its quiver holds.
+
+    Recording each exchange pair from both ends, with a list of heads per
+    node and the bitset of pairs already met, peaked at 8.3 times.
+    """
+    peak, held = d9_walk_memory["own_walk_peak"], d9_walk_memory["quiver_held"]
+    assert peak <= 6.5 * held, (peak, held)
 
 
 def test_quiver_holds_at_most_48_bytes_per_arrow(d9_walk_memory):
@@ -561,6 +580,18 @@ def test_json_and_dot_export():
     assert sum(1 for ln in lines if "->" in ln) == 5
     assert sum(1 for ln in lines if "label=" in ln) == 5
     assert 'label="L(2,3)|L(1,3)|L(0,3)"' in dot
+
+
+def test_json_chunks_match_json_dumps():
+    instances = [path_quiver(1)]  # no arrows
+    instances += [q for kind, param in (("A", 4), ("D", 3)) for _, q in all_orientations(kind, param)]
+    instances += [path_quiver(8)]  # nodes and arrows both span several slices
+    big = tilting_quiver(path_quiver(8))
+    assert JSON_SLICE < len(big.nodes) and JSON_SLICE < len(big.arrows)
+    for q in instances:
+        tq = tilting_quiver(q)
+        text = "".join(tilting_quiver_json_chunks(tq))
+        assert text == json.dumps(tilting_quiver_json(tq)) + "\n", q
 
 
 def test_unique_source_and_sink():
