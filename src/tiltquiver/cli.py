@@ -10,16 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
 from contextlib import contextmanager
-from itertools import islice
 
 from .models import FAMILIES, all_orientations, builder_param
 from .tilting import (
-    JSON_SLICE,
     closed_form_counts,
-    ext_table,
-    tilting_quiver,
+    tilting_modules_json_chunks,
     tilting_quiver_dot_chunks,
     tilting_quiver_json_chunks,
     transient_quiver,
@@ -46,66 +42,25 @@ def _build_quiver(kind, rank, orientation, parser):
     return FAMILIES[kind].reference(param, bits)
 
 
-def _json_slices(items):
-    """json.dumps(list(items))[1:-1] in pieces of JSON_SLICE items each."""
-    items = iter(items)
-    sep = ""
-    while chunk := list(islice(items, JSON_SLICE)):
-        yield sep + json.dumps(chunk)[1:-1]
-        sep = ", "
-
-
-def _print_json(data, out):
-    """Write json.dumps(data) and a newline, a dict field by field.
-
-    A list, tuple or iterator field goes out in slices, so its text is never
-    built whole and a generator field is never held in memory.
-    """
-    if not isinstance(data, dict):
-        out.write(json.dumps(data) + "\n")
-        return
-    out.write("{")
-    for n, (key, value) in enumerate(data.items()):
-        out.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-        if isinstance(value, (list, tuple, Iterator)):
-            out.write("[")
-            out.writelines(_json_slices(value))
-            out.write("]")
-        else:
-            out.write(json.dumps(value))
-    out.write("}\n")
-
-
 def _cmd_enumerate(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
-    # uncached, and first, so that the rank guard runs before any table is
-    # built; only the nodes are kept
-    mods = tilting_quiver.__wrapped__(q).nodes
-    table = ext_table(q)
-    labels = [table.label(i) for i in range(len(table))]
+    tq = transient_quiver(q)
     if args.format == "csv":
+        labels = tq.table.labels()
         out.write("index,ids,labels\n")
         out.writelines(
             f"{i},{'|'.join(map(str, t))},{'|'.join([labels[s] for s in t])}\n"
-            for i, t in enumerate(mods)
+            for i, t in enumerate(tq.nodes)
         )
     else:
-        payload = {
-            "type": args.type,
-            "rank": args.rank,
-            "orientation": args.orientation,
-            "count": len(mods),
-            "modules": (
-                {"ids": list(t), "labels": [labels[s] for s in t]} for t in mods
-            ),
-        }
-        _print_json(payload, out)
+        fields = {"type": args.type, "rank": args.rank, "orientation": args.orientation}
+        out.writelines(tilting_modules_json_chunks(tq, fields))
     return 0
 
 
 def _cmd_graph(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
-    tq = tilting_quiver.__wrapped__(q)  # uncached: no quiver outlives the command
+    tq = transient_quiver(q)
     if args.format == "json":
         out.writelines(tilting_quiver_json_chunks(tq))
     else:
@@ -152,13 +107,11 @@ def _cmd_counts(args, parser, out):
             for v, a, src in rows:
                 out.write(f"{args.type},{args.rank},{v},{a},{src}\n")
         elif args.format == "json":
-            _print_json(
-                [
-                    {"type": args.type, "rank": args.rank, "vertices": v, "arrows": a, "source": src}
-                    for v, a, src in rows
-                ],
-                out,
-            )
+            payload = [
+                {"type": args.type, "rank": args.rank, "vertices": v, "arrows": a, "source": src}
+                for v, a, src in rows
+            ]
+            out.write(json.dumps(payload) + "\n")
         else:
             for v, a, src in rows:
                 suffix = "" if len(rows) == 1 else f" source={src}"
@@ -181,7 +134,7 @@ def _cmd_verify(args, parser, out):
         ],
         "failures": sum(1 for r in results if r.status != "pass"),
     }
-    _print_json(payload, out)
+    out.write(json.dumps(payload) + "\n")
     if payload["failures"]:
         failing = [c for c in payload["checks"] if c["status"] != "pass"]
         sys.stderr.write(json.dumps({"failures": failing}) + "\n")
@@ -194,7 +147,7 @@ def _cmd_reflect_scan(args, parser, out):
     pairs = {}
     lines = []
     for bits, q in oriented:
-        tq = transient_quiver(q)  # uncached: no table or quiver outlives its orientation
+        tq = transient_quiver(q)
         key = (len(tq.nodes), len(tq.arrows))
         pairs.setdefault(key, 0)
         pairs[key] += 1

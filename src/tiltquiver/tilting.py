@@ -25,11 +25,8 @@ from operator import and_, eq, mul
 from . import models, rep
 from .quiver import Quiver, classify_tree, quiver_to_json
 
-# Lines per chunk of the streamed DOT export.
-CHUNK_LINES = 4096
-
-# Items per slice of a JSON list written in pieces.
-JSON_SLICE = 1024
+# Items (nodes, arrows, modules or degrees) per slice of a streamed export.
+SLICE = 1024
 
 # The highest rank `closed_form_counts` accepts: its cost grows about
 # quadratically with the rank (A100000 takes about 2 s on a 2-vCPU VM).
@@ -52,11 +49,12 @@ class ExtTable:
     def __len__(self):
         return len(self.dims)
 
-    def label(self, i):
-        model = self.models[i]
-        if model is not None:
-            return model.render()
-        return "(" + ",".join(str(d) for d in self.dims[i]) + ")"
+    def labels(self):
+        """Per id, its model tag rendered, or its dimension vector where it has none."""
+        return [
+            "(" + ",".join(map(str, d)) + ")" if m is None else m.render()
+            for m, d in zip(self.models, self.dims)
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -293,20 +291,27 @@ class Nodes:
 class TiltingQuiver:
     """Tilting modules as nodes, exchange arrows pointing larger -> smaller.
 
-    The nodes are stored once, as one byte string: `summands` holds node 0's
-    sorted summand ids, then node 1's, and so on, #vertices ids per node (an
-    id is below 256 up to the rank guards).  `nodes` views them as the sorted
-    tuple of the modules' summand tuples.  The arrows are stored once, in
-    compressed sparse row form: `heads` holds the heads of node 0's arrows in
-    increasing order, then node 1's, and so on, with `out_deg[u]` the length
-    of node u's run.  `arrows` views them as sorted (tail, head) pairs.
+    `table` is the Ext table the quiver was walked from, and `quiver` is its
+    quiver; the exports and `degree_stats` read labels and dimension vectors
+    from it, so none of them looks a table up again.  The nodes are stored
+    once, as one byte string: `summands` holds node 0's sorted summand ids,
+    then node 1's, and so on, #vertices ids per node (an id is below 256 up
+    to the rank guards).  `nodes` views them as the sorted tuple of the
+    modules' summand tuples.  The arrows are stored once, in compressed
+    sparse row form: `heads` holds the heads of node 0's arrows in increasing
+    order, then node 1's, and so on, with `out_deg[u]` the length of node u's
+    run.  `arrows` views them as sorted (tail, head) pairs.
     """
 
-    quiver: Quiver
+    table: ExtTable
     summands: bytes
     heads: array  # array('I')
     out_deg: tuple
     in_deg: tuple
+
+    @property
+    def quiver(self):
+        return self.table.quiver
 
     @property
     def nodes(self):
@@ -359,9 +364,11 @@ def tilting_quiver(q):
 def transient_quiver(q):
     """`tilting_quiver(q)` built without reading or filling any cache.
 
-    Its roots and Ext table are built for this call alone, so nothing of q
-    outlives the quiver returned: a scan over many orientations holds one
-    orientation's data at a time.
+    Every command builds its quiver here.  Its roots and Ext table are built
+    for this call alone and the table is kept as `tq.table`, so nothing of q
+    outlives the quiver returned: a command leaves every cache as it found
+    it, and a scan over many orientations holds one orientation's data at a
+    time.
     """
     _guard(q)
     return _exchange_walk(_euler_table(q, rep.positive_roots.__wrapped__(q)))
@@ -447,7 +454,7 @@ def _exchange_walk(table):
     for old in order:
         heads.extend(sorted(map(new.__getitem__, arcs[off[old] : off[old + 1]])))
     return TiltingQuiver(
-        q,
+        table,
         nodes,
         heads,
         tuple(map(out_deg.__getitem__, order)),
@@ -547,7 +554,7 @@ class DegreeReport:
 
 
 def degree_stats(tq):
-    table = ext_table(tq.quiver)
+    table = tq.table
     n_vert = len(tq.quiver.vertices)
     mismatches = []
     hist = {}
@@ -583,24 +590,25 @@ def tilting_quiver_json(tq):
     }
 
 
-def _json_list(rows, item):
-    """Yield the text of one JSON list in pieces, one piece per row of `rows`.
+def _format_rows(rows, item, sep):
+    """Yield the text of a run of items joined by `sep`, one piece per row of `rows`.
 
-    Each row is a flat sequence of ints, read `item.count("%d")` at a time
-    into the `%` template `item`.  One template per row length is built, so
-    a full slice is formatted in one `%`.
+    Each row is a flat sequence of values, read `item.count("%")` at a time
+    into the `%` template `item`, one value per cell (`%d` for an int, `%s`
+    for text already written out).  One template per row length is built, so
+    a full slice is formatted in one `%`.  Every JSON list and both halves of
+    the DOT export are written this way.
     """
-    per = item.count("%d")
+    per = item.count("%")
     templates = {}
-    sep = "["
+    glue = ""
     for row in rows:
         n = len(row) // per
         template = templates.get(n)
         if template is None:
-            template = templates[n] = ", ".join([item] * n)
-        yield sep + template % tuple(row)
-        sep = ", "
-    yield "[]" if sep == "[" else "]"
+            template = templates[n] = sep.join([item] * n)
+        yield glue + template % tuple(row)
+        glue = sep
 
 
 def _slices(seq, size):
@@ -608,47 +616,81 @@ def _slices(seq, size):
     return (seq[a : a + size] for a in range(0, len(seq), size))
 
 
+def _interleave(n, columns):
+    """The n-item `columns` as one flat row: item 0 of each column, then item 1 of each, and so on."""
+    k = len(columns)
+    row = [0] * (k * n)
+    for j, col in enumerate(columns):
+        row[j::k] = col
+    return row
+
+
 def _arrow_rows(tq):
-    """Per slice of JSON_SLICE arrows, its tails and heads interleaved in one list."""
+    """Per slice of SLICE arrows, its tails and heads interleaved in one list."""
     tails = tq.arrows.tails()
-    for hs in _slices(tq.heads, JSON_SLICE):
-        row = [0] * (2 * len(hs))
-        row[0::2] = islice(tails, len(hs))
-        row[1::2] = hs
-        yield row
+    for hs in _slices(tq.heads, SLICE):
+        yield _interleave(len(hs), [islice(tails, len(hs)), hs])
+
+
+def _node_columns(tq):
+    """Per slice of SLICE nodes, the range of their indices and a column of summand ids per position."""
+    w = len(tq.quiver.vertices)
+    for a, s in zip(range(0, len(tq.nodes), SLICE), _slices(tq.summands, w * SLICE)):
+        yield range(a, a + len(s) // w), [s[j::w] for j in range(w)]
 
 
 def tilting_quiver_json_chunks(tq):
     """`json.dumps(tilting_quiver_json(tq))` and a newline, in chunks.
 
     The nodes are formatted straight from `tq.summands` and the arrows from
-    `tq.heads`, JSON_SLICE of them per `%` template, so no summand tuple,
-    arrow pair or whole document is built.
+    `tq.heads`, SLICE of them per `%` template, so no summand tuple, arrow
+    pair or whole document is built.
     """
     w = len(tq.quiver.vertices)
-    yield '{"quiver": ' + json.dumps(quiver_to_json(tq.quiver)) + ', "nodes": '
-    yield from _json_list(
-        _slices(tq.summands, w * JSON_SLICE), "[" + ", ".join(["%d"] * w) + "]"
+    yield '{"quiver": ' + json.dumps(quiver_to_json(tq.quiver)) + ', "nodes": ['
+    yield from _format_rows(
+        _slices(tq.summands, w * SLICE), "[" + ", ".join(["%d"] * w) + "]", ", "
     )
-    yield ', "arrows": '
-    yield from _json_list(_arrow_rows(tq), "[%d, %d]")
-    yield ', "delta": '
-    yield from _json_list(_slices(tq.delta, JSON_SLICE), "%d")
-    yield "}\n"
+    yield '], "arrows": ['
+    yield from _format_rows(_arrow_rows(tq), "[%d, %d]", ", ")
+    yield '], "delta": ['
+    yield from _format_rows(_slices(tq.delta, SLICE), "%d", ", ")
+    yield "]}\n"
+
+
+def tilting_modules_json_chunks(tq, fields):
+    """`json.dumps(fields | {"count": ..., "modules": [...]})` and a newline, in chunks.
+
+    Each module is `{"ids": [...], "labels": [...]}`, formatted straight
+    from `tq.summands`, SLICE modules per `%` template, with each id's label
+    JSON-quoted once.
+    """
+    w = len(tq.quiver.vertices)
+    quoted = [json.dumps(label) for label in tq.table.labels()]
+    item = '{"ids": [' + ", ".join(["%d"] * w) + '], "labels": [' + ", ".join(["%s"] * w) + "]}"
+    rows = (
+        _interleave(len(at), [*cols, *(map(quoted.__getitem__, c) for c in cols)])
+        for at, cols in _node_columns(tq)
+    )
+    head = json.dumps(fields | {"count": len(tq.nodes)})
+    yield head[:-1] + ', "modules": ['
+    yield from _format_rows(rows, item, ", ")
+    yield "]}\n"
 
 
 def tilting_quiver_dot_chunks(tq):
-    """Graphviz digraph in chunks of CHUNK_LINES lines, one node or edge statement per line."""
-    table = ext_table(tq.quiver)
-    labels = [table.label(i) for i in range(len(table))]
-    nodes = (
-        f'  t{i} [label="{"|".join([labels[s] for s in t])}", delta={d}];\n'
-        for i, (t, d) in enumerate(zip(tq.nodes, tq.delta))
+    """Graphviz digraph in chunks of SLICE node or edge statements, one statement per line."""
+    labels = tq.table.labels()
+    delta = tq.delta
+    rows = (
+        _interleave(len(at), [at, *(map(labels.__getitem__, c) for c in cols), delta[at.start : at.stop]])
+        for at, cols in _node_columns(tq)
     )
-    edges = (f"  t{a} -> t{b};\n" for a, b in tq.arrows)
-    lines = chain(["digraph tilting {\n"], nodes, edges, ["}\n"])
-    while chunk := "".join(islice(lines, CHUNK_LINES)):
-        yield chunk
+    label = "|".join(["%s"] * len(tq.quiver.vertices))
+    yield "digraph tilting {\n"
+    yield from _format_rows(rows, '  t%d [label="' + label + '", delta=%d];\n', "")
+    yield from _format_rows(_arrow_rows(tq), "  t%d -> t%d;\n", "")
+    yield "}\n"
 
 
 def tilting_quiver_dot(tq):

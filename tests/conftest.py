@@ -21,6 +21,8 @@ def d9_walk_memory():
     * ``hasse_ok`` and ``hasse_added``: the report's ``ok`` and what
       `hasse_check` adds on top of what the walk holds.
     * ``export_peak``: the peak of `graph` per format, ``"dot"`` and ``"json"``.
+      `graph` walks on an Ext table of its own, built for the command alone,
+      so this peak includes that table's build as well as the export.
     """
     from tiltquiver import models, rep, tilting
     from tiltquiver.cli import main
@@ -39,8 +41,9 @@ def d9_walk_memory():
         tracemalloc.reset_peak()
         report = tilting.hasse_check(table, tq)
         hasse_added = tracemalloc.get_traced_memory()[1] - held
-        # Each command gets this quiver from its walk, traced and held as it
-        # would hold its own, so only the export is run again.
+        # Each command builds its own roots and Ext table, then gets this
+        # quiver from its walk, traced and held as it would hold its own, so
+        # the walk itself is not run again.
         with pytest.MonkeyPatch.context() as mp, open(os.devnull, "w") as null:
             mp.setattr(tilting, "_exchange_walk", lambda table: tq)
             mp.setattr(sys, "stdout", null)

@@ -169,29 +169,10 @@ def test_streamed_output_bytes_are_pinned(capsys, argv):
 
 
 def test_streamed_output_spans_several_chunks():
-    from tiltquiver.cli import JSON_SLICE
-    from tiltquiver.tilting import CHUNK_LINES, closed_form_counts
+    from tiltquiver.tilting import SLICE, closed_form_counts
 
-    assert 2 * CHUNK_LINES < sum(closed_form_counts("D", 8))
-    assert 2 * JSON_SLICE < closed_form_counts("A", 9)[0]
-
-
-def test_print_json_matches_json_dumps():
-    from tiltquiver.cli import JSON_SLICE, _print_json
-
-    big = list(range(2 * JSON_SLICE + 3))
-    for data in (
-        {},
-        [1, [2, 3]],
-        {"a": [], "b": "text", "c": {"d": [1]}, "e": (), "f": None},
-        {"rows": tuple((i, -i) for i in big), "ids": big, "n": len(big)},
-    ):
-        buf = io.StringIO()
-        _print_json(data, buf)
-        assert buf.getvalue() == json.dumps(data) + "\n"
-    buf = io.StringIO()
-    _print_json({"lazy": (i for i in big), "empty": iter(())}, buf)
-    assert buf.getvalue() == json.dumps({"lazy": big, "empty": []}) + "\n"
+    assert 2 * SLICE < closed_form_counts("D", 8)[0]
+    assert 2 * SLICE < closed_form_counts("A", 9)[0]
 
 
 @pytest.mark.parametrize(
@@ -202,15 +183,22 @@ def test_print_json_matches_json_dumps():
         ("enumerate", "--type", "A", "--rank", "5"),
         ("enumerate", "--type", "D", "--rank", "5", "--format", "csv"),
         ("counts", "--type", "D", "--rank", "5", "--source", "enumeration"),
+        ("graph", "--type", "A", "--rank", "4", "--orientation", "101", "--format", "dot"),
+        ("enumerate", "--type", "D", "--rank", "5", "--orientation", "0110", "--format", "json"),
+        ("enumerate", "--type", "A", "--rank", "5", "--format", "csv"),
+        ("reflect-scan", "--type", "D", "--rank", "5"),
     ],
 )
 def test_commands_keep_no_quiver(capsys, argv):
-    from tiltquiver.tilting import enumerate_tilting, tilting_quiver
+    """No command reads or fills a cache: each walks on a table of its own."""
+    from tiltquiver.rep import positive_roots
+    from tiltquiver.tilting import enumerate_tilting, ext_table, tilting_quiver
 
-    before = [f.cache_info() for f in (tilting_quiver, enumerate_tilting)]
+    caches = (tilting_quiver, enumerate_tilting, ext_table, positive_roots)
+    before = [f.cache_info() for f in caches]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert [f.cache_info() for f in (tilting_quiver, enumerate_tilting)] == before
+    assert [f.cache_info() for f in caches] == before
 
 
 def test_graph_export_stays_near_the_walk_peak(d9_walk_memory):

@@ -10,8 +10,9 @@ from tiltquiver.models import FAMILIES, AInterval, all_orientations, builder_par
 from tiltquiver.quiver import d_quiver, path_quiver
 from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
+from tiltquiver.cli import main
 from tiltquiver.tilting import (
-    JSON_SLICE,
+    SLICE,
     HasseReport,
     closed_form_counts,
     degree_stats,
@@ -24,6 +25,7 @@ from tiltquiver.tilting import (
     order_bitsets,
     tilting_quiver,
     tilting_quiver_dot,
+    tilting_quiver_dot_chunks,
     tilting_quiver_json,
     tilting_quiver_json_chunks,
 )
@@ -582,16 +584,56 @@ def test_json_and_dot_export():
     assert 'label="L(2,3)|L(1,3)|L(0,3)"' in dot
 
 
+# (type, --orientation, quiver) for the writer checks: A1 (no arrows), every
+# orientation of A4 and of the D quiver of fork parameter 3, and A8, whose
+# nodes and arrows both span several slices.
+EXPORT_INSTANCES = [("A", "reference", path_quiver(1))]
+EXPORT_INSTANCES += [
+    (kind, "".join("1" if b else "0" for b in bits), q)
+    for kind, param in (("A", 4), ("D", 3))
+    for bits, q in all_orientations(kind, param)
+]
+EXPORT_INSTANCES += [("A", "reference", path_quiver(8))]
+
+
 def test_json_chunks_match_json_dumps():
-    instances = [path_quiver(1)]  # no arrows
-    instances += [q for kind, param in (("A", 4), ("D", 3)) for _, q in all_orientations(kind, param)]
-    instances += [path_quiver(8)]  # nodes and arrows both span several slices
-    big = tilting_quiver(path_quiver(8))
-    assert JSON_SLICE < len(big.nodes) and JSON_SLICE < len(big.arrows)
-    for q in instances:
+    big = tilting_quiver(EXPORT_INSTANCES[-1][2])
+    assert SLICE < len(big.nodes) and SLICE < len(big.arrows)
+    for _, _, q in EXPORT_INSTANCES:
         tq = tilting_quiver(q)
         text = "".join(tilting_quiver_json_chunks(tq))
         assert text == json.dumps(tilting_quiver_json(tq)) + "\n", q
+
+
+def test_enumerate_json_matches_json_dumps(capsys):
+    for kind, orientation, q in EXPORT_INSTANCES:
+        rank = len(q.vertices)
+        assert main(["enumerate", "--type", kind, "--rank", str(rank), "--orientation", orientation]) == 0
+        labels = ext_table(q).labels()
+        payload = {
+            "type": kind,
+            "rank": rank,
+            "orientation": orientation,
+            "count": len(enumerate_tilting(q)),
+            "modules": [
+                {"ids": list(t), "labels": [labels[s] for s in t]} for t in enumerate_tilting(q)
+            ],
+        }
+        assert capsys.readouterr().out == json.dumps(payload) + "\n", q
+
+
+def test_dot_chunks_match_line_rendering():
+    for _, _, q in EXPORT_INSTANCES:
+        tq = tilting_quiver(q)
+        labels = ext_table(q).labels()
+        lines = ["digraph tilting {\n"]
+        lines += [
+            f'  t{i} [label="{"|".join([labels[s] for s in t])}", delta={d}];\n'
+            for i, (t, d) in enumerate(zip(tq.nodes, tq.delta))
+        ]
+        lines += [f"  t{a} -> t{b};\n" for a, b in tq.arrows]
+        lines += ["}\n"]
+        assert "".join(tilting_quiver_dot_chunks(tq)) == "".join(lines), q
 
 
 def test_unique_source_and_sink():
