@@ -2,7 +2,9 @@
 
 All outputs are byte-deterministic for fixed inputs: nodes, arrows and JSON
 fields are emitted in fixed order.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, and, from `python -m tiltquiver` only, 141
+(EXIT_CLOSED_STDOUT, 128 + SIGPIPE, as a shell reports a writer killed by a
+closed pipe) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .tilting import (
     transient_quiver,
 )
 from .verify import run_suite
+
+EXIT_CLOSED_STDOUT = 141
 
 
 def _parse_bits(text, needed, parser):

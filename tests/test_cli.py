@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from tiltquiver.cli import main
+import tiltquiver
+from tiltquiver.cli import EXIT_CLOSED_STDOUT, main
 from tiltquiver.tilting import closed_form_counts
 
 # sha256 of `verify --suite all --max-rank 4` stdout: 248 passing checks.
@@ -403,6 +407,25 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_closed_stdout_exits_quietly():
+    # `python -m tiltquiver graph --type A --rank 9 | head -1`: the A9 DOT
+    # export is far larger than a pipe buffer, so closing the pipe after the
+    # first line breaks a write that is still to come
+    env = dict(os.environ, PYTHONPATH=str(Path(tiltquiver.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "tiltquiver", "graph", "--type", "A", "--rank", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == b"digraph tilting {\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    assert EXIT_CLOSED_STDOUT not in (0, 1, 2)
+    assert err == b""
 
 
 def test_rank_guard_reported_as_usage_error(capsys):

@@ -2,7 +2,8 @@ import hashlib
 import json
 import tracemalloc
 from array import array
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import mul
 
 import pytest
 
@@ -13,6 +14,7 @@ from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.cli import main
 from tiltquiver.tilting import (
     SLICE,
+    ExtTable,
     HasseReport,
     closed_form_counts,
     degree_stats,
@@ -74,6 +76,90 @@ def test_ext_table_raises_on_a_non_exceptional_root(monkeypatch):
     monkeypatch.setattr(rep, "positive_roots", lambda q: frozenset({(1, 0, 0), (1, 0, 1)}))
     with pytest.raises(RuntimeError, match="not exceptional"):
         ext_table.__wrapped__(path_quiver(3))
+
+
+def test_ext_table_raises_when_a_value_may_leave_its_byte(monkeypatch):
+    # the roots of A3 scaled by 12: <d, d> = 144 for d = (12, 0, 0) is past
+    # the byte, and the field guard fires before the "not exceptional" check
+    scaled = frozenset(tuple(12 * x for x in d) for d in rep.positive_roots(path_quiver(3)))
+    monkeypatch.setattr(rep, "positive_roots", lambda q: scaled)
+    with pytest.raises(RuntimeError, match="may not fit its byte"):
+        ext_table.__wrapped__(path_quiver(3))
+
+
+def _per_pair_table(kind, param, q, roots):
+    """The ExtTable fields of q built pair by pair: one Euler-form sum per pair."""
+    dims = tuple(sorted(roots))
+    k = len(dims)
+    # <d_i, d_j> = d_i . w_j with w_j[v] = d_j[v] - sum over arrows v->b of d_j[b]
+    index = {v: p for p, v in enumerate(q.vertices)}
+    layout = [(index[a], index[b]) for a, b in q.arrows]
+    weights = []
+    for d in dims:
+        w = list(d)
+        for a, b in layout:
+            w[a] -= d[b]
+        weights.append(w)
+    euler_rows = [[sum(map(mul, d, w)) for w in weights] for d in dims]
+    hom = tuple(tuple(max(x, 0) for x in row) for row in euler_rows)
+    ext = tuple(tuple(max(-x, 0) for x in row) for row in euler_rows)
+    compat = tuple(
+        sum(1 << j for j in range(k) if j != i and ext[i][j] == 0 and ext[j][i] == 0)
+        for i in range(k)
+    )
+    ext_zero = tuple(sum(1 << j for j in range(k) if ext[i][j] == 0) for i in range(k))
+    fam = FAMILIES[kind]
+    if q == fam.reference(param):
+        by_dim = {tuple(fam.dim(x, param)[v] for v in q.vertices): x for x in fam.indecs(param)}
+        tags = tuple(by_dim[d] for d in dims)
+    else:
+        tags = (None,) * k
+    return {
+        "quiver": q,
+        "dims": dims,
+        "models": tags,
+        "hom": hom,
+        "ext": ext,
+        "compat": compat,
+        "ext_zero": ext_zero,
+        "id_by_dim": {d: i for i, d in enumerate(dims)},
+    }
+
+
+def _oracle_instances():
+    for kind, ranks in (("A", range(1, 9)), ("D", range(4, 9))):
+        for rank in ranks:
+            param = builder_param(kind, rank)
+            for bits, q in all_orientations(kind, param):
+                yield kind, param, q
+    # reference A12 and D9, then the bench's base orientations and its seed-1 D9 pick
+    for kind, rank, text in (
+        ("A", 12, None),
+        ("D", 9, None),
+        ("A", 11, "1101001011"),
+        ("D", 9, "10110110"),
+        ("D", 9, "01001001"),
+    ):
+        param = builder_param(kind, rank)
+        bits = None if text is None else [c == "1" for c in text]
+        yield kind, param, FAMILIES[kind].reference(param, bits)
+
+
+def test_packed_table_matches_per_pair_oracle():
+    # every field of the packed build against the pair-by-pair construction,
+    # at every orientation of A1-A8 and D4-D8, at reference A12 and D9, and at
+    # the bench orientations of A11 and D9
+    names = {f.name for f in fields(ExtTable)}
+    seen = 0
+    for kind, param, q in _oracle_instances():
+        roots = rep.positive_roots.__wrapped__(q)
+        table = ext_table.__wrapped__(q)
+        want = _per_pair_table(kind, param, q, roots)
+        assert want.keys() == names
+        for name, value in want.items():
+            assert getattr(table, name) == value, (kind, q, name)
+        seen += 1
+    assert seen == 255 + 248 + 5
 
 
 def test_euler_table_matches_rep_oracle():
