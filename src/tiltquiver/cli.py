@@ -2,15 +2,18 @@
 
 All outputs are byte-deterministic for fixed inputs: nodes, arrows and JSON
 fields are emitted in fixed order.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, and, from `python -m tiltquiver` only, 141
-(EXIT_CLOSED_STDOUT, 128 + SIGPIPE, as a shell reports a writer killed by a
-closed pipe) when the reader closes stdout before the output ends.
+failure, 2 usage error, and 141 (EXIT_CLOSED_STDOUT, 128 + SIGPIPE, as a
+shell reports a writer killed by a closed pipe) when the reader closes stdout
+before the output ends.  The last is `run`'s: every entry point (`python -m
+tiltquiver`, `python -m tiltquiver.cli` and the `tiltquiver` script) goes
+through it, while `main` leaves a closed stdout to its caller.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -227,5 +230,21 @@ def main(argv=None):
         return 2
 
 
+def run(argv=None):
+    """Run `main` as a process and return its exit status.
+
+    A reader that closes stdout early (`... | head`) ends the run with
+    EXIT_CLOSED_STDOUT and nothing on stderr.
+    """
+    try:
+        status = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at /dev/null so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_CLOSED_STDOUT
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

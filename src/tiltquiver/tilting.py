@@ -178,14 +178,6 @@ def enumerate_tilting(q):
     return tilting_quiver(q).nodes
 
 
-def leq(table, t, u):
-    """t <= u iff Ext^1 from every summand of u to every summand of t vanishes."""
-    z = -1  # Z(u): ids j with Ext^1(i, j) = 0 for every summand i of u
-    for i in u:
-        z &= table.ext_zero[i]
-    return all(z >> j & 1 for j in t)
-
-
 def _has(nodes, n_ids):
     """Per id j, the bitset of nodes with summand j; bit v stands for nodes[v]."""
     # set bit by bit in bytes, since or-ing 1 << v into a #nodes-bit int per

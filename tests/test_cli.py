@@ -409,13 +409,15 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
 
 
-def test_closed_stdout_exits_quietly():
-    # `python -m tiltquiver graph --type A --rank 9 | head -1`: the A9 DOT
-    # export is far larger than a pipe buffer, so closing the pipe after the
-    # first line breaks a write that is still to come
+def closed_stdout_run(entry):
+    """Run `entry graph --type A --rank 9 | head -1`; return the exit status and stderr.
+
+    The A9 DOT export is far larger than a pipe buffer, so closing the pipe
+    after the first line breaks a write that is still to come.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(tiltquiver.__file__).parents[1]))
     child = subprocess.Popen(
-        [sys.executable, "-m", "tiltquiver", "graph", "--type", "A", "--rank", "9"],
+        [sys.executable, *entry, "graph", "--type", "A", "--rank", "9"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -423,9 +425,27 @@ def test_closed_stdout_exits_quietly():
     assert child.stdout.readline() == b"digraph tilting {\n"
     child.stdout.close()
     err = child.stderr.read()
-    assert child.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    child.stderr.close()
+    return child.wait(timeout=60), err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["-m", "tiltquiver.cli"],
+        # what the `tiltquiver` console script runs
+        ["-c", "import sys; from tiltquiver.cli import run; sys.exit(run())"],
+    ],
+    ids=["cli-module", "console-script"],
+)
+def test_closed_stdout_exits_quietly_from_every_entry_point(entry):
+    assert closed_stdout_run(entry) == (EXIT_CLOSED_STDOUT, b"")
+
+
+def test_closed_stdout_exits_quietly():
+    # `python -m tiltquiver graph --type A --rank 9 | head -1`
+    assert closed_stdout_run(["-m", "tiltquiver"]) == (EXIT_CLOSED_STDOUT, b"")
     assert EXIT_CLOSED_STDOUT not in (0, 1, 2)
-    assert err == b""
 
 
 def test_rank_guard_reported_as_usage_error(capsys):

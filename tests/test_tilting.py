@@ -22,7 +22,6 @@ from tiltquiver.tilting import (
     ext_table,
     hasse_check,
     is_tilting,
-    leq,
     module_dim,
     order_bitsets,
     tilting_quiver,
@@ -31,6 +30,17 @@ from tiltquiver.tilting import (
     tilting_quiver_json,
     tilting_quiver_json_chunks,
 )
+
+
+def leq(table, t, u):
+    """t <= u iff Ext^1 from every summand of u to every summand of t vanishes.
+
+    The per-pair definition of the order, the oracle of `order_bitsets`.
+    """
+    z = -1  # Z(u): ids j with Ext^1(i, j) = 0 for every summand i of u
+    for i in u:
+        z &= table.ext_zero[i]
+    return all(z >> j & 1 for j in t)
 
 
 def ids_for(table, *intervals):
