@@ -8,6 +8,12 @@ The bijections below realize the count identities: B-classes match path
 tilting modules filtered by an interval-end statistic, C-classes match the
 one-smaller fork quiver, and the dimension-one position splits the middle
 class into products.
+
+`classify` is the one place that works out a module's class: it reads the
+fork parameter from the vertex count and the family from the summand models,
+and its result carries what the bijections need (the fork parameter, the
+summand models, the dimension-one vertex and the j of M(0,j)).  Each
+bijection takes that classification, so a module is classified once.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .models import FAMILIES, AInterval, DIndec
-from .quiver import classify_tree, d_quiver, path_quiver
 from .tilting import enumerate_tilting, ext_table, module_dim
 
 
@@ -45,44 +50,52 @@ def tilting_model_sets(q):
 
 @dataclass
 class DClassification:
+    n: int  # the fork parameter: the quiver has n + 1 vertices
+    models: frozenset  # the summands' model tags
     bucket: str  # "T0" | "T1" | "T2" (or "T?<delta>" if the bound ever failed)
     tags: tuple  # refined tags among "A+", "A-", "B+(j)", "B-(j)", "C(j)"
     problems: tuple
     dim_one_vertex: object = None  # the unique dimension-one vertex in the middle class
+    m0: object = None  # j of the only M(0,j) summand; None if there is none or several
 
 
 def classify(table, t):
-    """Class of a tilting module over the reference Q_n by its degree."""
-    kind, n = classify_tree(table.quiver)
-    if kind != "D":
-        raise ValueError("classification applies to D-type quivers")
+    """Class of a tilting module over the reference Q_n by its degree.
+
+    Raises ValueError away from the reference orientation, where the
+    summands have no models, and for a family other than D, whose models are
+    not `DIndec`s.
+    """
     mods = summand_models(table, t)
+    if not all(isinstance(m, DIndec) for m in mods):
+        raise ValueError("classification applies to D-type quivers")
+    n = len(table.quiver.vertices) - 1
     dims = module_dim(table, t)
     ones = [v for v, d in dims.items() if d == 1]
     delta = (n + 1) - len(ones)
     buckets = {n + 1: "T0", n: "T1", n - 1: "T2"}
     bucket = buckets.get(delta, f"T?{delta}")
+    m0 = sorted(m.b for m in mods if m.kind == "M" and m.a == 0)
+    j = m0[0] if len(m0) == 1 else None
+    dim_one_vertex = ones[0] if bucket == "T1" else None
     tags = []
     problems = []
-    dim_one_vertex = None
-    if bucket == "T1":
-        dim_one_vertex = ones[0]
-        m0 = sorted(m.b for m in mods if m.kind == "M" and m.a == 0)
-        all_insincere = all(0 in table.dims[s] for s in t)
-        for sign in ("+", "-"):
-            if dims[f"{n}{sign}"] == 1:
-                if all_insincere:
-                    tags.append(f"A{sign}")
-                if len(m0) == 1:
-                    tags.append(f"B{sign}({m0[0]})")
-                elif m0:
-                    problems.append("several M(0,j) summands at a dim-one fork tip")
-        if dims["1"] == 1:
-            if len(m0) == 1:
-                tags.append(f"C({m0[0]})")
-            else:
-                problems.append("dim-one at vertex 1 without a unique M(0,j) summand")
-    return DClassification(bucket, tuple(tags), tuple(problems), dim_one_vertex)
+    if dim_one_vertex in (f"{n}+", f"{n}-"):
+        sign = dim_one_vertex[-1]
+        if all(0 in table.dims[s] for s in t):
+            tags.append(f"A{sign}")
+        if j is not None:
+            tags.append(f"B{sign}({j})")
+        elif m0:
+            problems.append("several M(0,j) summands at a dim-one fork tip")
+    elif dim_one_vertex == "1":
+        if j is not None:
+            tags.append(f"C({j})")
+        else:
+            problems.append("dim-one at vertex 1 without a unique M(0,j) summand")
+    return DClassification(
+        n, frozenset(mods), bucket, tuple(tags), tuple(problems), dim_one_vertex, j
+    )
 
 
 def class_count_formulas(n):
@@ -95,39 +108,29 @@ def class_count_formulas(n):
 
 # ------------------------------------------------- fork tip <-> path bijection
 
-def _b_tag(cls):
-    for tag in cls.tags:
-        if tag.startswith("B"):
-            sign = tag[1]
-            j = int(tag[3:-1])
-            return sign, j
-    return None
-
-
-def to_path_tilting(table, t):
+def to_path_tilting(c):
     """Map a B+/-(j) module to a tilting set of intervals over the n-vertex path.
 
-    Drops M(0,j); interval summands stay intervals and the opposite-tip
-    summands become the intervals reaching the last path vertex.
+    Takes the module's classification.  Drops M(0,j); interval summands
+    stay intervals and the opposite-tip summands become the intervals
+    reaching the last path vertex.
     """
-    _, n = classify_tree(table.quiver)
-    cls = classify(table, t)
-    tagged = _b_tag(cls)
-    if tagged is None:
+    if c.m0 is None or c.dim_one_vertex not in (f"{c.n}+", f"{c.n}-"):
         raise ValueError("module is not in a fork-tip class")
-    sign, j = tagged
+    sign = c.dim_one_vertex[-1]
     other = "L-" if sign == "+" else "L+"
+    m0 = DIndec("M", 0, c.m0)
     out = set()
-    for m in summand_models(table, t):
-        if m.kind == "M" and m.a == 0 and m.b == j:
+    for m in c.models:
+        if m == m0:
             continue
         if m.kind == "L":
             out.add(AInterval(m.a, m.b))
         elif m.kind == other:
-            out.add(AInterval(m.a, n))
+            out.add(AInterval(m.a, c.n))
         else:
             raise RuntimeError(f"unexpected summand {m.render()} in a fork-tip class")
-    return j, sign, frozenset(out)
+    return c.m0, sign, frozenset(out)
 
 
 def from_path_tilting(n, j, sign, intervals):
@@ -159,46 +162,25 @@ def b_count_formula(n):
 
 # --------------------------------------------- vertex-one <-> smaller fork
 
-def _c_tag(cls):
-    for tag in cls.tags:
-        if tag.startswith("C"):
-            return int(tag[2:-1])
-    return None
-
-
-def to_smaller_fork(table, t):
-    """Map a C(j) module over Q_n to a tilting model set over Q_{n-1}."""
-    _, n = classify_tree(table.quiver)
-    if n < 3:
+def to_smaller_fork(c):
+    """Map a C(j) module over Q_n, by its classification, to a model set over Q_{n-1}."""
+    if c.n < 3:
         raise ValueError("shrinking needs fork parameter >= 3")
-    cls = classify(table, t)
-    j = _c_tag(cls)
-    if j is None:
+    if c.m0 is None or c.dim_one_vertex != "1":
         raise ValueError("module is not in a vertex-one class")
-    out = set()
-    for m in summand_models(table, t):
-        if m.kind == "M" and m.a == 0 and m.b == j:
-            continue
-        out.add(_shift_down(m, n, 1))
-    return j, frozenset(out)
+    m0 = DIndec("M", 0, c.m0)
+    return c.m0, frozenset(_shift(m, -1) for m in c.models if m != m0)
 
 
-def from_smaller_fork(n, j, mods):
+def from_smaller_fork(j, mods):
     out = {DIndec("M", 0, j)}
     for m in mods:
-        out.add(_shift_up(m, n - 1, 1))
+        out.add(_shift(m, 1))
     return frozenset(out)
 
 
-def _shift_down(m, n, k):
-    if m.kind in ("L+", "L-"):
-        return DIndec(m.kind, m.a - k, n - k)
-    return DIndec(m.kind, m.a - k, m.b - k)
-
-
-def _shift_up(m, n, k):
-    if m.kind in ("L+", "L-"):
-        return DIndec(m.kind, m.a + k, n + k)
+def _shift(m, k):
+    """m moved k places along the stem; the b of L+/- is the fork parameter, which moves too."""
     return DIndec(m.kind, m.a + k, m.b + k)
 
 
@@ -216,35 +198,32 @@ def c_count_formula(n):
 
 # --------------------------------------------------- product decomposition
 
-def split_product(table, t):
+def split_product(c):
     """Split a middle-class module with dimension one at stem vertex i.
 
-    Returns (i, intervals over the path with i-1 vertices, model set over
-    Q_{n-i+1} with dimension one at its vertex 1).
+    Takes the module's classification.  Returns (i, intervals over the path
+    with i-1 vertices, model set over Q_{n-i+1} with dimension one at its
+    vertex 1).
     """
-    _, n = classify_tree(table.quiver)
-    cls = classify(table, t)
-    if cls.bucket != "T1" or cls.dim_one_vertex is None or cls.dim_one_vertex.endswith(("+", "-")):
+    if c.dim_one_vertex is None or c.dim_one_vertex.endswith(("+", "-")):
         raise ValueError("module has no stem vertex of dimension one")
-    i = int(cls.dim_one_vertex)
-    mods = summand_models(table, t)
-    m0 = [m for m in mods if m.kind == "M" and m.a == 0]
-    if len(m0) != 1:
+    if c.m0 is None:
         raise RuntimeError("expected a unique M(0,j) summand")
-    j = m0[0].b
+    i = int(c.dim_one_vertex)
+    m0 = DIndec("M", 0, c.m0)
     left = frozenset(
-        AInterval(m.a, m.b) for m in mods if m.kind == "L" and m.b < i
+        AInterval(m.a, m.b) for m in c.models if m.kind == "L" and m.b < i
     )
-    right = {DIndec("M", 0, j - i + 1)}
-    for m in mods:
-        if m in m0 or (m.kind == "L" and m.b < i):
+    right = {DIndec("M", 0, c.m0 - i + 1)}
+    for m in c.models:
+        if m == m0 or (m.kind == "L" and m.b < i):
             continue
-        right.add(_shift_down(m, n, i - 1))
+        right.add(_shift(m, 1 - i))
     return i, left, frozenset(right)
 
 
-def unsplit_product(n, i, left, right):
-    """Inverse of the product split over Q_n."""
+def unsplit_product(i, left, right):
+    """Inverse of the product split."""
     right_m0 = [m for m in right if m.kind == "M" and m.a == 0]
     if len(right_m0) != 1:
         raise ValueError("right factor must contain a unique M(0,j)")
@@ -252,7 +231,7 @@ def unsplit_product(n, i, left, right):
     for m in right:
         if m == right_m0[0]:
             continue
-        out.add(_shift_up(m, n - i + 1, i - 1))
+        out.add(_shift(m, i - 1))
     for iv in left:
         out.add(DIndec("L", iv.lo, iv.hi))
     return frozenset(out)
@@ -260,10 +239,9 @@ def unsplit_product(n, i, left, right):
 
 def sincere_stem_summand(table, t):
     """A summand covering the whole stem 1..n-1 exists in every tilting module."""
-    _, n = classify_tree(table.quiver)
-    verts = [str(v) for v in range(1, n)]
+    n = len(table.quiver.vertices) - 1
+    # the stem vertices come first in the vertex order, the fork tips last
     for s in t:
-        dims = dict(zip(table.quiver.vertices, table.dims[s]))
-        if all(dims[v] >= 1 for v in verts):
+        if all(table.dims[s][: n - 1]):
             return s
     return None

@@ -315,14 +315,16 @@ class TiltingQuiver:
     modules' summand tuples.  The arrows are stored once, in compressed
     sparse row form: `heads` holds the heads of node 0's arrows in increasing
     order, then node 1's, and so on, with `out_deg[u]` the length of node u's
-    run.  `arrows` views them as sorted (tail, head) pairs.
+    run.  `arrows` views them as sorted (tail, head) pairs.  `delta[u]` is
+    node u's degree, its arrows in and out, as the walk counted it; node u
+    is a source exactly when `delta[u] == out_deg[u]`.
     """
 
     table: ExtTable
     summands: bytes
     heads: array  # array('I')
     out_deg: tuple
-    in_deg: tuple
+    delta: tuple
 
     @property
     def quiver(self):
@@ -335,10 +337,6 @@ class TiltingQuiver:
     @property
     def arrows(self):
         return Arrows(self.heads, self.out_deg)
-
-    @property
-    def delta(self):
-        return tuple(s + e for s, e in zip(self.out_deg, self.in_deg))
 
 
 @lru_cache(maxsize=None)
@@ -473,7 +471,7 @@ def _exchange_walk(table):
         nodes,
         heads,
         tuple(map(out_deg.__getitem__, order)),
-        tuple(deg[old] - out_deg[old] for old in order),
+        tuple(map(deg.__getitem__, order)),
     )
 
 

@@ -108,12 +108,12 @@ def _glue_instances(max_rank):
 
 
 def _glue_points(max_rank):
-    """(q, x) at every leaf x of a glue instance that is a source or a sink."""
+    """(q, x) at every leaf x of a glue instance, each a source or a sink."""
     return [
         (f"{name}:x={x}", (q, x))
         for name, q in _glue_instances(max_rank)
         for x in q.vertices
-        if q.is_leaf(x) and (q.is_source(x) or q.is_sink(x))
+        if q.is_leaf(x)
     ]
 
 
@@ -207,7 +207,7 @@ def _poset_axioms(q):
 def _unique_extremes(q):
     table = ext_table(q)
     tq = tilting_quiver(q)
-    sources = [i for i in range(len(tq.nodes)) if tq.in_deg[i] == 0]
+    sources = [i for i in range(len(tq.nodes)) if tq.delta[i] == tq.out_deg[i]]
     sinks = [i for i in range(len(tq.nodes)) if tq.out_deg[i] == 0]
     proj_dims = rep.projective_dim_vectors(q)
     proj_ids = tuple(
@@ -467,12 +467,13 @@ def _bijection_path(q):
     path_sets = set(cl.tilting_model_sets(path_quiver(n)))
     images = {"+": [], "-": []}
     for t in enumerate_tilting(q):
-        if not any(tag.startswith("B") for tag in cl.classify(table, t).tags):
+        c = cl.classify(table, t)
+        if not any(tag.startswith("B") for tag in c.tags):
             continue
-        j, sign, ivs = cl.to_path_tilting(table, t)
+        j, sign, ivs = cl.to_path_tilting(c)
         if ivs not in path_sets or cl.min_end_statistic(ivs, n) != j:
             return f"image of {t} off"
-        if cl.from_path_tilting(n, j, sign, ivs) != frozenset(cl.summand_models(table, t)):
+        if cl.from_path_tilting(n, j, sign, ivs) != c.models:
             return f"round trip failed on {t}"
         images[sign].append(ivs)
     want_total = {s for s in path_sets if cl.min_end_statistic(s, n) >= 1}
@@ -490,12 +491,13 @@ def _bijection_shrink(q):
     small_sets = set(cl.tilting_model_sets(d_quiver(n - 1)))
     images = []
     for t in enumerate_tilting(q):
-        if not any(tag.startswith("C") for tag in cl.classify(table, t).tags):
+        c = cl.classify(table, t)
+        if not any(tag.startswith("C") for tag in c.tags):
             continue
-        j, ms = cl.to_smaller_fork(table, t)
+        j, ms = cl.to_smaller_fork(c)
         if ms not in small_sets or cl.fork_reach_statistic(ms) != j - 1:
             return f"image of {t} off"
-        if cl.from_smaller_fork(n, j, ms) != frozenset(cl.summand_models(table, t)):
+        if cl.from_smaller_fork(j, ms) != c.models:
             return f"round trip failed on {t}"
         images.append(ms)
     if len(images) != len(set(images)) or set(images) != small_sets:
@@ -505,34 +507,38 @@ def _bijection_shrink(q):
     return None
 
 
+def _vertex_one_count(q):
+    """Size of the middle class with dimension one at vertex 1 over the reference q."""
+    table = ext_table(q)
+    classes = (cl.classify(table, t) for t in enumerate_tilting(q))
+    return sum(c.bucket == "T1" and c.dim_one_vertex == "1" for c in classes)
+
+
 def _product_split(q):
     n = len(q.vertices) - 1
     table = ext_table(q)
     fibers = Counter()
     t1_total = 0
     b_total = 0
+    vertex_one = 0
     for t in enumerate_tilting(q):
         c = cl.classify(table, t)
         if c.bucket != "T1":
             continue
         t1_total += 1
+        vertex_one += c.dim_one_vertex == "1"
         if any(tag.startswith("B") for tag in c.tags):
             b_total += 1
             continue
-        i, left, right = cl.split_product(table, t)
+        i, left, right = cl.split_product(c)
         fibers[i] += 1
-        if cl.unsplit_product(n, i, left, right) != frozenset(cl.summand_models(table, t)):
+        if cl.unsplit_product(i, left, right) != c.models:
             return f"round trip failed on {t}"
     for i, size in sorted(fibers.items()):
-        small = d_quiver(n - i + 1)
-        table_small = ext_table(small)
-        right_family = [
-            t
-            for t in enumerate_tilting(small)
-            if module_dim(table_small, t)["1"] == 1
-            and cl.classify(table_small, t).bucket == "T1"
-        ]
-        want = cl.catalan(i - 1) * len(right_family)
+        # the right factors of fiber i are the vertex-one class over Q_{n-i+1},
+        # counted above for q itself (i = 1)
+        right_family = vertex_one if i == 1 else _vertex_one_count(d_quiver(n - i + 1))
+        want = cl.catalan(i - 1) * right_family
         if size != want:
             return f"fiber {i}: {size} vs {want}"
     if sum(fibers.values()) + b_total != t1_total:

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from tiltquiver import classify as cl
+from tiltquiver import quiver, verify
 from tiltquiver.models import AInterval, DIndec
 from tiltquiver.quiver import d_quiver, path_quiver
 from tiltquiver.tilting import enumerate_tilting, ext_table
@@ -103,10 +104,10 @@ def test_path_bijection_q3():
         c = cl.classify(table, t)
         if not any(tag.startswith("B") for tag in c.tags):
             continue
-        j, sign, ivs = cl.to_path_tilting(table, t)
+        j, sign, ivs = cl.to_path_tilting(c)
         assert ivs in path_sets
         assert cl.min_end_statistic(ivs, 3) == j
-        assert cl.from_path_tilting(3, j, sign, ivs) == model_set(table, t)
+        assert cl.from_path_tilting(3, j, sign, ivs) == model_set(table, t) == c.models
         images[sign].add(ivs)
     expected = {s for s in path_sets if cl.min_end_statistic(s, 3) >= 1}
     assert images["+"] == images["-"] == expected
@@ -128,10 +129,10 @@ def test_shrink_bijection_q3():
         c = cl.classify(table, t)
         if not any(tag.startswith("C") for tag in c.tags):
             continue
-        j, ms = cl.to_smaller_fork(table, t)
+        j, ms = cl.to_smaller_fork(c)
         assert ms in small_sets
         assert cl.fork_reach_statistic(ms) == j - 1
-        assert cl.from_smaller_fork(3, j, ms) == model_set(table, t)
+        assert cl.from_smaller_fork(j, ms) == model_set(table, t) == c.models
         images.append(ms)
     assert len(images) == len(set(images)) == len(small_sets) == cl.c_count_formula(3) == 5
 
@@ -142,21 +143,43 @@ def test_shrink_rejected_on_smallest_fork():
     for t in enumerate_tilting(q):
         c = cl.classify(table, t)
         if any(tag.startswith("C") for tag in c.tags):
-            with pytest.raises(ValueError):
-                cl.to_smaller_fork(table, t)
+            with pytest.raises(ValueError, match="fork parameter >= 3"):
+                cl.to_smaller_fork(c)
+
+
+def has_tag(c, letter):
+    return any(tag.startswith(letter) for tag in c.tags)
+
+
+# each bijection, its message outside its domain, and its domain
+DOMAINS = [
+    (cl.to_path_tilting, "not in a fork-tip class", lambda c: has_tag(c, "B")),
+    (cl.to_smaller_fork, "not in a vertex-one class", lambda c: has_tag(c, "C")),
+    (
+        cl.split_product,
+        "no stem vertex of dimension one",
+        lambda c: c.bucket == "T1" and not c.dim_one_vertex.endswith(("+", "-")),
+    ),
+]
 
 
 def test_bijection_rejects_wrong_class():
-    q = d_quiver(3)
-    table = ext_table(q)
-    for t in enumerate_tilting(q):
-        c = cl.classify(table, t)
-        if c.bucket != "T1":
-            with pytest.raises(ValueError):
-                cl.to_path_tilting(table, t)
-            with pytest.raises(ValueError):
-                cl.to_smaller_fork(table, t)
-            break
+    """At Q3 and Q4 each bijection raises on every module outside its domain,
+    middle class included."""
+    for n in (3, 4):
+        table = ext_table(d_quiver(n))
+        outside = Counter()
+        for t in enumerate_tilting(d_quiver(n)):
+            c = cl.classify(table, t)
+            for bijection, message, domain in DOMAINS:
+                if domain(c):
+                    bijection(c)
+                else:
+                    with pytest.raises(ValueError, match=message):
+                        bijection(c)
+                    outside[bijection, c.bucket] += 1
+        for bijection, _, _ in DOMAINS:
+            assert all(outside[bijection, b] for b in ("T0", "T1", "T2")), (n, bijection)
 
 
 def test_product_split_q3():
@@ -169,9 +192,9 @@ def test_product_split_q3():
             continue
         if c.dim_one_vertex.endswith(("+", "-")):
             continue
-        i, left, right = cl.split_product(table, t)
+        i, left, right = cl.split_product(c)
         fibers[i] += 1
-        assert cl.unsplit_product(3, i, left, right) == model_set(table, t)
+        assert cl.unsplit_product(i, left, right) == model_set(table, t)
         if i == 1:
             assert left == frozenset()
     assert fibers == {1: 5, 2: 1}
@@ -224,3 +247,85 @@ def test_count_formula_helpers():
     assert cl.b_count_formula(4) == 14 - 5
     assert cl.c_count_formula(4) == 20
     assert cl.class_count_formulas(4) == (5, 45, 27)
+
+
+def tag_counts(pairs):
+    """{(tag,): count} from (j, count) pairs for each of B+, B-, C."""
+    return {(f"{kind}({j})",): k for kind in ("B+", "B-", "C") for j, k in pairs[kind]}
+
+
+# The per-module classification at the reference Q4 and Q5 (buckets, tag
+# tuples, dimension-one vertices) as computed before the bijections took
+# their parameters from it; `classify` must keep reproducing it.
+PINNED_CLASSES = {
+    4: (
+        {"T0": 27, "T1": 45, "T2": 5},
+        {(): 39} | tag_counts({
+            "B+": [(1, 2), (2, 2), (3, 5)],
+            "B-": [(1, 2), (2, 2), (3, 5)],
+            "C": [(1, 2), (2, 4), (3, 14)],
+        }),
+        {None: 32, "1": 20, "2": 5, "3": 2, "4+": 9, "4-": 9},
+    ),
+    5: (
+        {"T0": 112, "T1": 168, "T2": 14},
+        {(): 161} | tag_counts({
+            "B+": [(1, 5), (2, 4), (3, 5), (4, 14)],
+            "B-": [(1, 5), (2, 4), (3, 5), (4, 14)],
+            "C": [(1, 5), (2, 8), (3, 14), (4, 50)],
+        }),
+        {None: 126, "1": 77, "2": 20, "3": 10, "4": 5, "5+": 28, "5-": 28},
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CLASSES))
+def test_classification_is_pinned(n):
+    q = d_quiver(n)
+    table = ext_table(q)
+    classes = [cl.classify(table, t) for t in enumerate_tilting(q)]
+    assert not any(c.problems for c in classes)
+    buckets, tags, dim_one = PINNED_CLASSES[n]
+    assert Counter(c.bucket for c in classes) == buckets
+    assert Counter(c.tags for c in classes) == tags
+    assert Counter(c.dim_one_vertex for c in classes) == dim_one
+    for t, c in zip(enumerate_tilting(q), classes):
+        assert c.n == n and c.models == model_set(table, t)
+        m0 = [m.b for m in c.models if m.kind == "M" and m.a == 0]
+        assert c.m0 == (m0[0] if len(m0) == 1 else None)
+
+
+def test_taxonomy_classifies_each_module_once_and_no_tree_per_module(monkeypatch):
+    """Each taxonomy check classifies each module at most once per instance,
+    and classifying a module classifies no tree."""
+    trees = 0
+    classified = Counter()
+    canonical_positions, classify = quiver._canonical_positions, cl.classify
+
+    def count_tree(q):
+        nonlocal trees
+        trees += 1
+        return canonical_positions(q)
+
+    def count_module(table, t):
+        classified[table.quiver, t] += 1
+        return classify(table, t)
+
+    monkeypatch.setattr(quiver, "_canonical_positions", count_tree)
+    monkeypatch.setattr(cl, "classify", count_module)
+    calls = 0
+    for check in verify.SUITES["taxonomy"]:
+        for label, q in check.instances(5):
+            classified.clear()
+            assert check.find(q) is None, (check.name, label)
+            assert max(classified.values(), default=1) == 1, (check.name, label)
+            calls += classified.total()
+    assert calls > 0 and trees < calls
+
+
+def test_bijection_checks_pass_at_q5():
+    """verify caps the three bijection checks at Q4; the same finds hold at Q5."""
+    q = d_quiver(5)
+    assert len(enumerate_tilting(q)) == 294
+    for find in (verify._bijection_path, verify._bijection_shrink, verify._product_split):
+        assert find(q) is None, find.__name__

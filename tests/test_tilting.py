@@ -735,5 +735,6 @@ def test_dot_chunks_match_line_rendering():
 def test_unique_source_and_sink():
     for q in (path_quiver(4), d_quiver(3)):
         tq = tilting_quiver(q)
-        assert sum(1 for d in tq.in_deg if d == 0) == 1
+        in_deg = [d - o for d, o in zip(tq.delta, tq.out_deg)]
+        assert sum(1 for d in in_deg if d == 0) == 1
         assert sum(1 for d in tq.out_deg if d == 0) == 1
