@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 
 from .models import FAMILIES, all_orientations, builder_param
+from .quiver import opposite
 from .tilting import (
     closed_form_counts,
     tilting_modules_json_chunks,
@@ -151,13 +152,16 @@ def _cmd_verify(args, parser, out):
 
 def _cmd_reflect_scan(args, parser, out):
     oriented = all_orientations(args.type, _param(args.type, args.rank, parser))
-    pairs = {}
+    counts = {}  # quiver -> (vertices, arrows)
     lines = []
     for bits, q in oriented:
-        tq = transient_quiver(q)
-        key = (len(tq.nodes), len(tq.arrows))
-        pairs.setdefault(key, 0)
-        pairs[key] += 1
+        # Tilt(Q^op) is Tilt(Q) with every arrow reversed, so each opposite
+        # pair is walked once
+        key = counts.get(opposite(q))
+        if key is None:
+            tq = transient_quiver(q)
+            key = (len(tq.nodes), len(tq.arrows))
+        counts[q] = key
         text = "".join("1" if b else "0" for b in bits)
         lines.append((text, key))
     if args.format == "csv":
@@ -167,7 +171,7 @@ def _cmd_reflect_scan(args, parser, out):
     else:
         for text, (v, a) in sorted(lines):
             out.write(f"orientation={text} vertices={v} arrows={a}\n")
-        out.write(f"distinct={len(pairs)}\n")
+        out.write(f"distinct={len(set(counts.values()))}\n")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Tree-shaped quivers: construction, reflection, leaf deletion, classification.
+"""Tree-shaped quivers: construction, reflection, opposite, leaf deletion, classification.
 
 Vertex labels are strings.  The canonical families use "1", "2", ... for path
 vertices and "n+"/"n-" for the two fork tips of the D-type quiver.  A quiver is
@@ -125,6 +125,11 @@ def reflect(q, x):
         raise ValueError(f"unknown vertex {x!r}")
     arrows = tuple((b, a) if x in (a, b) else (a, b) for a, b in q.arrows)
     return Quiver(q.vertices, arrows)
+
+
+def opposite(q):
+    """Reverse every arrow: the quiver Q^op."""
+    return Quiver(q.vertices, tuple((b, a) for a, b in q.arrows))
 
 
 def delete_vertex(q, x):

@@ -10,20 +10,22 @@ quiver come from the exchange of a summand, and the whole graph is checked
 to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
 The projective module is the maximum of that order, so one walk along the
 arrows from it finds the tilting modules and the arrows together
-(`tilting_quiver`).
+(`tilting_quiver`), and those of the opposite quiver are the same modules
+with every arrow reversed.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, eq, getitem, mul
+from operator import and_, eq, getitem, mul, sub
 
 from . import models, rep
-from .quiver import Quiver, classify_tree, quiver_to_json
+from .quiver import Quiver, classify_tree, opposite, quiver_to_json
 
 # Items (nodes, arrows, modules or degrees) per slice of a streamed export.
 SLICE = 1024
@@ -369,9 +371,62 @@ def tilting_quiver(q):
     nodes are then sorted by them and joined into one byte string
     (`TiltingQuiver.summands`), and each node's run of heads is renumbered,
     sorted and appended to one flat array (`TiltingQuiver.heads`).
+
+    A quiver and its opposite share one walk.  The duality D = Hom_k(-, k)
+    takes mod kQ to mod kQ^op, keeps dimension vectors and gives
+    Ext^1_Q(U, T) = Ext^1_{Q^op}(DT, DU).  Both quivers have the same
+    underlying tree, so the same positive roots, and ids are the sorted
+    roots: D maps each indecomposable to the one with its id, and each
+    tilting module to the one with the same summand ids.  So Tilt(Q^op) has
+    the nodes and degrees of Tilt(Q), with the order, and so every arrow,
+    reversed.  So a miss whose opposite's quiver is still held (returned
+    here and not yet freed, nor dropped by `cache_clear`) is derived from it
+    with no walk (`_reversed`).  The one fact a walk over q's own table
+    would check beyond the twin's walk is that the table is the transpose
+    of the twin's, and the derivation raises unless it is.
     """
     _guard(q)
-    return _exchange_walk(ext_table(q))
+    table = ext_table(q)
+    twin = _held.get(opposite(q))
+    tq = _exchange_walk(table) if twin is None else _reversed(table, twin)
+    _held[q] = tq
+    return tq
+
+
+# Every quiver `tilting_quiver` returned that is still held somewhere, by its
+# quiver; `cache_clear` empties it with the cache.
+_held = weakref.WeakValueDictionary()
+_clear_cache = tilting_quiver.cache_clear
+
+
+def _clear():
+    """Clear the cache and cache statistics, and forget every twin."""
+    _clear_cache()
+    _held.clear()
+
+
+tilting_quiver.cache_clear = _clear
+
+
+def _reversed(table, twin):
+    """The quiver of `table` from `twin`, the quiver of the opposite orientation.
+
+    The nodes and degrees are the twin's own objects.  Each node's out-degree
+    is its in-degree in the twin, and the heads are the twin's arrows
+    transposed: one pass over them in tail order fills each head's row in
+    increasing order, so nothing is sorted.
+    """
+    if table.ext != tuple(zip(*twin.table.ext)):
+        raise RuntimeError(
+            "Ext table is not the transpose of the opposite quiver's: invariant violation"
+        )
+    out_deg = tuple(map(sub, twin.delta, twin.out_deg))
+    at = array("I", accumulate(out_deg, initial=0))  # next free slot per row
+    heads = array("I", bytes(4 * len(twin.heads)))
+    for t, h in twin.arrows:
+        heads[at[h]] = t
+        at[h] += 1
+    return TiltingQuiver(table, twin.summands, heads, out_deg, twin.delta)
 
 
 def transient_quiver(q):
@@ -381,7 +436,9 @@ def transient_quiver(q):
     for this call alone and the table is kept as `tq.table`, so nothing of q
     outlives the quiver returned: a command leaves every cache as it found
     it, and a scan over many orientations holds one orientation's data at a
-    time.
+    time.  It never derives a quiver from its opposite, so each call walks
+    once; `reflect-scan` walks one orientation of each opposite pair and
+    reads the other's counts off it.
     """
     _guard(q)
     return _exchange_walk(_euler_table(q, rep.positive_roots.__wrapped__(q)))

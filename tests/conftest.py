@@ -62,3 +62,19 @@ def d9_walk_memory():
         "hasse_added": hasse_added,
         "export_peak": export_peak,
     }
+
+
+@pytest.fixture
+def exchange_walks(monkeypatch):
+    """The Ext table of every exchange walk run while the test runs, in call order."""
+    from tiltquiver import tilting
+
+    walks = []
+    walk = tilting._exchange_walk
+
+    def spy(table):
+        walks.append(table)
+        return walk(table)
+
+    monkeypatch.setattr(tilting, "_exchange_walk", spy)
+    return walks

@@ -293,6 +293,13 @@ def test_reflect_scan_caches_no_quiver(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_SCAN_D5_SHA256
 
 
+def test_reflect_scan_walks_each_opposite_pair_once(capsys, exchange_walks):
+    code, out, _ = run_cli(capsys, "reflect-scan", "--type", "D", "--rank", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_SCAN_D5_SHA256
+    assert len(exchange_walks) == 8  # of 16 orientations
+
+
 def test_reflect_scan_keeps_no_table(capsys):
     from tiltquiver.rep import positive_roots
     from tiltquiver.tilting import ext_table

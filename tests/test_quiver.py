@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from tiltquiver.models import all_orientations
+from tiltquiver.models import FAMILIES, all_orientations
 from tiltquiver.quiver import (
     Quiver,
     admissible_sink_order,
@@ -11,10 +11,12 @@ from tiltquiver.quiver import (
     classify_tree,
     d_quiver,
     delete_vertex,
+    opposite,
     path_quiver,
     quiver_to_json,
     reflect,
     sink_reflection_sequence,
+    tree_edges,
     vertex_key,
 )
 
@@ -69,6 +71,17 @@ def test_reflect_is_an_involution_everywhere():
     for _, q in all_orientations("D", 3):
         for x in q.vertices:
             assert reflect(reflect(q, x), x) == q
+
+
+def test_opposite_is_an_involution_that_flips_every_orientation_bit():
+    for kind, n in (("A", 1), ("A", 4), ("D", 3), ("D", 4)):
+        build = FAMILIES[kind].reference
+        for bits, q in all_orientations(kind, n):
+            op = opposite(q)
+            assert opposite(op) == q, (kind, bits)
+            assert tree_edges(op) == tree_edges(q), (kind, bits)
+            assert op == build(n, [not b for b in bits]), (kind, bits)
+            assert (op == q) == ((kind, n) == ("A", 1)), (kind, bits)
 
 
 def test_delete_vertex_examples():

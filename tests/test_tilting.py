@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from tiltquiver.models import FAMILIES, AInterval, all_orientations, builder_param
-from tiltquiver.quiver import d_quiver, path_quiver
+from tiltquiver.quiver import d_quiver, opposite, path_quiver
 from tiltquiver import rep
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.cli import main
@@ -29,6 +29,7 @@ from tiltquiver.tilting import (
     tilting_quiver_dot_chunks,
     tilting_quiver_json,
     tilting_quiver_json_chunks,
+    transient_quiver,
 )
 
 
@@ -301,6 +302,84 @@ def test_exchange_walk_at_every_rank_7_orientation():
             assert (len(tq.nodes), len(tq.arrows)) == want, (kind, bits)
 
 
+def stored(tq):
+    return tq.summands, bytes(tq.heads), tq.out_deg, tq.delta
+
+
+def test_quiver_derived_from_its_cached_opposite_is_the_walked_one(exchange_walks):
+    """Tilt(Q^op) is Tilt(Q) with every arrow reversed: at every orientation
+    of A1-A7 and D4-D7 a cached sweep walks one quiver of each opposite pair,
+    derives the other from it, and each equals the quiver walked on its own."""
+    for kind, ranks in (("A", range(1, 8)), ("D", range(4, 8))):
+        for rank in ranks:
+            tilting_quiver.cache_clear()
+            exchange_walks.clear()
+            oriented = list(all_orientations(kind, builder_param(kind, rank)))
+            cached = {q: tilting_quiver(q) for _, q in oriented}
+            assert len(exchange_walks) == (len(oriented) + 1) // 2, (kind, rank)
+            for bits, q in oriented:
+                tq = cached[q]
+                # one of each pair holds the other's nodes and degrees
+                twin = cached[opposite(q)]
+                assert tq.summands is twin.summands and tq.delta is twin.delta, (kind, bits)
+                assert stored(tq) == stored(transient_quiver(q)), (kind, bits)
+                if rank <= (6 if kind == "A" else 5):
+                    assert hasse_check(ext_table(q), tq).ok, (kind, bits)
+
+
+def test_a_cached_sweep_walks_each_opposite_pair_once(exchange_walks):
+    tilting_quiver.cache_clear()
+    for _, q in all_orientations("D", 4):
+        tilting_quiver(q)
+    assert len(exchange_walks) == 8  # of 16 orientations
+    info = tilting_quiver.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 16, 16)
+
+
+def test_a_lone_call_walks_once_and_caches_one_quiver(exchange_walks):
+    import tiltquiver.tilting as tilting
+
+    tilting_quiver.cache_clear()
+    q = d_quiver(4, [True, False, True, False])
+    # a quiver built without the caches is not a twin to derive from
+    transient_quiver(opposite(q))
+    assert len(tilting._held) == 0
+    tilting_quiver(q)
+    assert len(exchange_walks) == 2
+    assert tilting_quiver.cache_info().currsize == 1
+    assert list(tilting._held) == [q]
+
+
+def test_cache_clear_forgets_every_twin(exchange_walks):
+    import tiltquiver.tilting as tilting
+
+    tilting_quiver.cache_clear()
+    q = path_quiver(5, [True, False, False, True])
+    tq = tilting_quiver(q)  # still held here after the clear
+    tilting_quiver.cache_clear()
+    assert len(tilting._held) == 0
+    tilting_quiver(opposite(q))
+    assert len(exchange_walks) == 2
+    assert tq.summands is not tilting_quiver(opposite(q)).summands
+
+
+def test_derive_rejects_a_table_that_is_not_the_transpose(monkeypatch):
+    import tiltquiver.tilting as tilting
+
+    tilting_quiver.cache_clear()
+    q = d_quiver(4, [True, False, True, False])
+    twin = tilting_quiver(opposite(q))
+    third = ext_table(d_quiver(4, [True, True, False, False]))
+    with pytest.raises(RuntimeError, match="not the transpose"):
+        tilting._reversed(third, twin)
+    # the same on a miss of q while its twin is held: nothing is cached
+    monkeypatch.setattr(tilting, "ext_table", lambda _: third)
+    with pytest.raises(RuntimeError, match="not the transpose"):
+        tilting_quiver(q)
+    assert tilting_quiver.cache_info().currsize == 1
+    assert list(tilting._held) == [opposite(q)]
+
+
 def test_leq_examples():
     q = path_quiver(2)
     table = ext_table(q)
@@ -365,6 +444,10 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
     q = path_quiver(3)
     table = ext_table(q)
     k = len(table)
+    # with the opposite's quiver held the table's Ext transpose is all that
+    # is checked (test_derive_rejects_a_table_that_is_not_the_transpose), so
+    # drop it: each call below walks
+    tilting_quiver.cache_clear()
 
     def flipped(*pairs):
         compat = list(table.compat)
