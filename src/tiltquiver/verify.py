@@ -2,8 +2,9 @@
 
 Every identity the package is built around is a named check producing one
 pass/fail result per instance.  Each check is declared once, as data: a name,
-the instances it runs on and a search for a counterexample.  The CLI groups
-the checks into suites; the acceptance tests run the same code at fixed ranks.
+rows declaring the instances it runs on and a search for a counterexample.
+The CLI groups the checks into suites; the acceptance tests run the same code
+at fixed ranks.
 
 The glue checks hold the identities of the maps in `glue` (section and
 closure of project and lift, the glued order, the transport of the
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from . import classify as cl
@@ -48,17 +49,17 @@ class CheckResult:
 class Check:
     """One named identity, checked instance by instance.
 
-    `instances(max_rank)` returns the ordered (label, arg) pairs to check;
-    `find(arg)` returns a counterexample string, or None when the identity holds.
+    `rows` declares the instances (see `_instances`); `find(arg)` returns a
+    counterexample string, or None when the identity holds.
     """
 
     name: str
-    instances: Callable
+    rows: tuple
     find: Callable
 
     def __call__(self, max_rank):
         out = []
-        for label, arg in self.instances(max_rank):
+        for label, arg in _instances(self.rows, max_rank):
             found = self.find(arg)
             if found is None:
                 out.append(CheckResult(self.name, label, "pass"))
@@ -68,70 +69,45 @@ class Check:
 
 
 # ------------------------------------------------------------------ instances
+#
+# A check declares its instances as (form, kind, first, last) rows over the
+# Dynkin ranks first..last; `--max-rank` keeps the ranks up to it.  The forms:
+#   reference     the reference quiver, labelled A<n> or Q<n>
+#   orientations  every orientation of it, labelled such as A4[101]
+#   leaves        (q, x) at every leaf x of the reference quiver, such as A4:x=1
+#   type          (kind, rank), labelled such as D4
 
-def _a_quivers(max_rank, cap):
-    return [(f"A{n}", path_quiver(n)) for n in range(1, min(max_rank, cap) + 1)]
-
-
-def _d_quivers(max_rank, cap_fork, lo=2):
-    top = min(max_rank - 1, cap_fork)
-    return [(f"Q{n}", d_quiver(n)) for n in range(lo, top + 1)]
-
-
-def _oriented_instances(max_rank):
-    out = []
-    if max_rank >= 4:
-        for bits, q in all_orientations("A", 4):
-            out.append(("A4[" + "".join("1" if b else "0" for b in bits) + "]", q))
-        for bits, q in all_orientations("D", 3):
-            out.append(("Q3[" + "".join("1" if b else "0" for b in bits) + "]", q))
-    return out
-
-
-def _hasse_instances(max_rank):
-    return _a_quivers(max_rank, 6) + _d_quivers(max_rank, 4) + _oriented_instances(max_rank)
-
-
-def _oracle_instances(max_rank):
-    return _a_quivers(max_rank, 6) + _d_quivers(max_rank, 5)
+_HASSE = (
+    ("reference", "A", 1, 6),
+    ("reference", "D", 3, 5),
+    ("orientations", "A", 4, 4),
+    ("orientations", "D", 4, 4),
+)
+_A1_A6 = (("reference", "A", 1, 6),)
+_Q2_Q5 = (("reference", "D", 3, 6),)
+_Q3_Q5 = (("reference", "D", 4, 6),)
+_Q3_Q4 = (("reference", "D", 4, 5),)
+_ORACLE = _A1_A6 + _Q2_Q5
+_GLUE = (("reference", "A", 4, 5), ("reference", "D", 4, 4))
+_LEAVES = (("leaves", "A", 4, 5), ("leaves", "D", 4, 4))
 
 
-def _glue_instances(max_rank):
-    out = []
-    if max_rank >= 4:
-        out.append(("A4", path_quiver(4)))
-    if max_rank >= 5:
-        out.append(("A5", path_quiver(5)))
-    if max_rank >= 4:
-        out.append(("Q3", d_quiver(3)))
-    return out
-
-
-def _glue_points(max_rank):
-    """(q, x) at every leaf x of a glue instance, each a source or a sink."""
-    return [
-        (f"{name}:x={x}", (q, x))
-        for name, q in _glue_instances(max_rank)
-        for x in q.vertices
-        if q.is_leaf(x)
-    ]
-
-
-def _orientation_targets(max_rank):
-    """(kind, Dynkin rank), checked over all orientations."""
-    targets = [("A", n) for n in range(2, min(max_rank, 5) + 1)]
-    targets += [("D", n) for n in range(4, min(max_rank, 5) + 1)]
-    return [(f"{kind}{rank}", (kind, rank)) for kind, rank in targets]
-
-
-def _reflection_targets(max_rank):
-    """(kind, quiver parameter), checked over all orientations."""
-    out = []
-    if max_rank >= 4:
-        out += [("A4", ("A", 4)), ("Q3", ("D", 3))]
-    if max_rank >= 5:
-        out.append(("A5", ("A", 5)))
-    return out
+def _instances(rows, max_rank):
+    """Yield the ordered (label, arg) pairs of rows at the ranks <= max_rank."""
+    for form, kind, first, last in rows:
+        for rank in range(first, min(last, max_rank) + 1):
+            n = builder_param(kind, rank)
+            name = ("Q" if kind == "D" else "A") + str(n)
+            if form == "type":
+                yield f"{kind}{rank}", (kind, rank)
+            elif form == "orientations":
+                for bits, q in all_orientations(kind, n):
+                    yield name + "[" + "".join("01"[b] for b in bits) + "]", q
+            elif form == "reference":
+                yield name, models.family(kind).reference(n)
+            else:  # leaves
+                q = models.family(kind).reference(n)
+                yield from ((f"{name}:x={x}", (q, x)) for x in q.vertices if q.is_leaf(x))
 
 
 def _mismatch(got, want):
@@ -158,8 +134,8 @@ def _orientation_invariant(target):
     return f"distinct counts {sorted(pairs)}, want {{{reference}}}"
 
 
-def _reflection_invariant(target):
-    for bits, q in all_orientations(*target):
+def _reflection_invariant(ref):
+    for bits, q in all_orientations(*classify_tree(ref)):
         total = len(tilting_quiver(q).arrows)
         for x in q.vertices:
             if q.is_source(x) or q.is_sink(x):
@@ -301,10 +277,13 @@ def _positive_roots(q):
 
 
 def _rigidity(q):
-    table = ext_table(q)
-    for i in range(len(table)):
-        if table.hom[i][i] != 1 or table.ext[i][i] != 0:
-            return f"id {i}: hom {table.hom[i][i]}, ext {table.ext[i][i]}"
+    # End(M) = k and Ext^1(M, M) = 0, from the intertwiner ranks rather than
+    # the Euler-form table (which raises on the same test before any check)
+    for ind in rep.indecomposables(q):
+        h = rep.hom_dim(ind.rep, ind.rep)
+        e = h - rep.euler_form(q, ind.dim, ind.dim)
+        if h != 1 or e != 0:
+            return f"id {ind.id}: hom {h}, ext {e}"
     return None
 
 
@@ -434,40 +413,37 @@ def _simple_membership(q):
 
 # ------------------------------------------------------------------ taxonomy
 
-def _class_partition(q):
+@lru_cache(maxsize=None)
+def _classes(q):
+    """(t, classification of t) for each tilting module t over the reference Q_n."""
     table = ext_table(q)
-    for t in enumerate_tilting(q):
-        c = cl.classify(table, t)
+    return tuple((t, cl.classify(table, t)) for t in enumerate_tilting(q))
+
+
+def _class_partition(q):
+    for t, c in _classes(q):
         if c.bucket not in ("T0", "T1", "T2") or c.problems:
             return f"module {t}: {c.bucket} {c.problems}"
     return None
 
 
 def _class_a_empty(q):
-    table = ext_table(q)
-    bad = [
-        t
-        for t in enumerate_tilting(q)
-        if any(tag.startswith("A") for tag in cl.classify(table, t).tags)
-    ]
+    bad = [t for t, c in _classes(q) if any(tag.startswith("A") for tag in c.tags)]
     return f"members {bad[:3]}" if bad else None
 
 
 def _class_counts(q):
     n = len(q.vertices) - 1
-    table = ext_table(q)
-    buckets = Counter(cl.classify(table, t).bucket for t in enumerate_tilting(q))
+    buckets = Counter(c.bucket for _, c in _classes(q))
     t2, t1, t0 = cl.class_count_formulas(n)
     return _mismatch(dict(buckets), {"T2": t2, "T1": t1, "T0": t0})
 
 
 def _bijection_path(q):
     n = len(q.vertices) - 1
-    table = ext_table(q)
     path_sets = set(cl.tilting_model_sets(path_quiver(n)))
     images = {"+": [], "-": []}
-    for t in enumerate_tilting(q):
-        c = cl.classify(table, t)
+    for t, c in _classes(q):
         if not any(tag.startswith("B") for tag in c.tags):
             continue
         j, sign, ivs = cl.to_path_tilting(c)
@@ -487,11 +463,9 @@ def _bijection_path(q):
 
 def _bijection_shrink(q):
     n = len(q.vertices) - 1
-    table = ext_table(q)
     small_sets = set(cl.tilting_model_sets(d_quiver(n - 1)))
     images = []
-    for t in enumerate_tilting(q):
-        c = cl.classify(table, t)
+    for t, c in _classes(q):
         if not any(tag.startswith("C") for tag in c.tags):
             continue
         j, ms = cl.to_smaller_fork(c)
@@ -507,26 +481,15 @@ def _bijection_shrink(q):
     return None
 
 
-def _vertex_one_count(q):
-    """Size of the middle class with dimension one at vertex 1 over the reference q."""
-    table = ext_table(q)
-    classes = (cl.classify(table, t) for t in enumerate_tilting(q))
-    return sum(c.bucket == "T1" and c.dim_one_vertex == "1" for c in classes)
-
-
 def _product_split(q):
     n = len(q.vertices) - 1
-    table = ext_table(q)
     fibers = Counter()
     t1_total = 0
     b_total = 0
-    vertex_one = 0
-    for t in enumerate_tilting(q):
-        c = cl.classify(table, t)
+    for t, c in _classes(q):
         if c.bucket != "T1":
             continue
         t1_total += 1
-        vertex_one += c.dim_one_vertex == "1"
         if any(tag.startswith("B") for tag in c.tags):
             b_total += 1
             continue
@@ -535,9 +498,13 @@ def _product_split(q):
         if cl.unsplit_product(i, left, right) != c.models:
             return f"round trip failed on {t}"
     for i, size in sorted(fibers.items()):
-        # the right factors of fiber i are the vertex-one class over Q_{n-i+1},
-        # counted above for q itself (i = 1)
-        right_family = vertex_one if i == 1 else _vertex_one_count(d_quiver(n - i + 1))
+        # the right factors of fiber i are the vertex-one class over Q_{n-i+1};
+        # over q itself (i = 1) that class is counted by the closed form of |C|
+        if i == 1:
+            right_family = cl.c_count_formula(n)
+        else:
+            classes = _classes(d_quiver(n - i + 1))
+            right_family = sum(c.bucket == "T1" and c.dim_one_vertex == "1" for _, c in classes)
         want = cl.catalan(i - 1) * right_family
         if size != want:
             return f"fiber {i}: {size} vs {want}"
@@ -554,62 +521,68 @@ def _sincere_cover(q):
 
 def _fork_pair(q):
     n = len(q.vertices) - 1
-    table = ext_table(q)
     tips = {models.DIndec("L+", 0, n), models.DIndec("L-", 0, n)}
-    for t in enumerate_tilting(q):
-        mods = set(cl.summand_models(table, t))
-        if models.DIndec("L", 0, n - 1) in mods and not tips <= mods:
+    for t, c in _classes(q):
+        if models.DIndec("L", 0, n - 1) in c.models and not tips <= c.models:
             return f"module {t}"
     return None
 
 
 SUITES = {
     "counts": [
-        Check("closed-form-counts-A", lambda r: _a_quivers(r, 9), _closed_form("A")),
-        Check("closed-form-counts-D", lambda r: _d_quivers(r, 7), _closed_form("D")),
-        Check("orientation-invariance", _orientation_targets, _orientation_invariant),
+        Check("closed-form-counts-A", (("reference", "A", 1, 9),), _closed_form("A")),
+        Check("closed-form-counts-D", (("reference", "D", 3, 8),), _closed_form("D")),
+        Check(
+            "orientation-invariance",
+            (("type", "A", 2, 5), ("type", "D", 4, 5)),
+            _orientation_invariant,
+        ),
     ],
     "hasse": [
-        Check("hasse-property", _hasse_instances, _hasse),
-        Check("poset-axioms", _hasse_instances, _poset_axioms),
-        Check("unique-extremes", _hasse_instances, _unique_extremes),
-        Check("half-degree-sum", _hasse_instances, _half_degree_sum),
+        Check("hasse-property", _HASSE, _hasse),
+        Check("poset-axioms", _HASSE, _poset_axioms),
+        Check("unique-extremes", _HASSE, _unique_extremes),
+        Check("half-degree-sum", _HASSE, _half_degree_sum),
     ],
     "degrees": [
-        Check("degree-formula", _hasse_instances, _degree_formula),
-        Check("degree-constant-A", lambda r: _a_quivers(r, 6), _degree_constant_a),
-        Check("degree-histogram-D", lambda r: _d_quivers(r, 5, lo=3), _degree_histogram_d),
+        Check("degree-formula", _HASSE, _degree_formula),
+        Check("degree-constant-A", _A1_A6, _degree_constant_a),
+        Check("degree-histogram-D", _Q3_Q5, _degree_histogram_d),
     ],
     "oracle": [
-        Check("ext-oracle-agreement", _oracle_instances, _ext_predicate),
-        Check("ar-duality", _oracle_instances, _ar_duality),
-        Check("hom-criterion-A", lambda r: _a_quivers(r, 6), _hom_criterion_a),
-        Check("positive-roots", _hasse_instances, _positive_roots),
-        Check("rigidity", _hasse_instances, _rigidity),
-        Check("euler-root-norm", _hasse_instances, _euler_root_norm),
+        Check("ext-oracle-agreement", _ORACLE, _ext_predicate),
+        Check("ar-duality", _ORACLE, _ar_duality),
+        Check("hom-criterion-A", _A1_A6, _hom_criterion_a),
+        Check("positive-roots", _HASSE, _positive_roots),
+        Check("rigidity", _HASSE, _rigidity),
+        Check("euler-root-norm", _HASSE, _euler_root_norm),
     ],
     "glue": [
-        Check("leaf-projection-closure", _glue_points, _leaf_closure),
-        Check("glued-order", _glue_points, _glued_order),
-        Check("complement-transport", _glue_points, _complement_transport),
-        Check("crossing-arrow-bijection", _glue_points, _crossing_arrows),
-        Check("arrow-decomposition", _glue_points, _arrow_decomposition),
-        Check("simple-membership-dims", _glue_instances, _simple_membership),
-        Check("reflection-arrow-invariance", _reflection_targets, _reflection_invariant),
+        Check("leaf-projection-closure", _LEAVES, _leaf_closure),
+        Check("glued-order", _LEAVES, _glued_order),
+        Check("complement-transport", _LEAVES, _complement_transport),
+        Check("crossing-arrow-bijection", _LEAVES, _crossing_arrows),
+        Check("arrow-decomposition", _LEAVES, _arrow_decomposition),
+        Check("simple-membership-dims", _GLUE, _simple_membership),
+        Check(
+            "reflection-arrow-invariance",
+            (("reference", "A", 4, 4), ("reference", "D", 4, 4), ("reference", "A", 5, 5)),
+            _reflection_invariant,
+        ),
     ],
     "taxonomy": [
-        Check("degree-class-partition", lambda r: _d_quivers(r, 5), _class_partition),
-        Check("fork-class-A-empty", lambda r: _d_quivers(r, 5), _class_a_empty),
-        Check("degree-class-counts", lambda r: _d_quivers(r, 5, lo=3), _class_counts),
-        Check("fork-bijection-path", lambda r: _d_quivers(r, 4, lo=3), _bijection_path),
-        Check("fork-bijection-shrink", lambda r: _d_quivers(r, 4, lo=3), _bijection_shrink),
-        Check("product-split", lambda r: _d_quivers(r, 4, lo=3), _product_split),
-        Check("stem-cover-exists", lambda r: _d_quivers(r, 5), _sincere_cover),
-        Check("full-stem-forces-fork-pair", lambda r: _d_quivers(r, 5), _fork_pair),
+        Check("degree-class-partition", _Q2_Q5, _class_partition),
+        Check("fork-class-A-empty", _Q2_Q5, _class_a_empty),
+        Check("degree-class-counts", _Q3_Q5, _class_counts),
+        Check("fork-bijection-path", _Q3_Q4, _bijection_path),
+        Check("fork-bijection-shrink", _Q3_Q4, _bijection_shrink),
+        Check("product-split", _Q3_Q4, _product_split),
+        Check("stem-cover-exists", _Q2_Q5, _sincere_cover),
+        Check("full-stem-forces-fork-pair", _Q2_Q5, _fork_pair),
     ],
 }
 
-SUITE_ORDER = ["counts", "hasse", "degrees", "oracle", "glue", "taxonomy"]
+SUITE_ORDER = list(SUITES)
 
 CHECKS = {check.name: check for suite in SUITE_ORDER for check in SUITES[suite]}
 

@@ -296,8 +296,8 @@ def test_classification_is_pinned(n):
 
 
 def test_taxonomy_classifies_each_module_once_and_no_tree_per_module(monkeypatch):
-    """Each taxonomy check classifies each module at most once per instance,
-    and classifying a module classifies no tree."""
+    """The taxonomy suite classifies each module at most once over all its
+    checks, and classifying a module classifies no tree."""
     trees = 0
     classified = Counter()
     canonical_positions, classify = quiver._canonical_positions, cl.classify
@@ -313,14 +313,21 @@ def test_taxonomy_classifies_each_module_once_and_no_tree_per_module(monkeypatch
 
     monkeypatch.setattr(quiver, "_canonical_positions", count_tree)
     monkeypatch.setattr(cl, "classify", count_module)
-    calls = 0
+    verify._classes.cache_clear()
     for check in verify.SUITES["taxonomy"]:
-        for label, q in check.instances(5):
-            classified.clear()
+        for label, q in verify._instances(check.rows, 5):
             assert check.find(q) is None, (check.name, label)
             assert max(classified.values(), default=1) == 1, (check.name, label)
-            calls += classified.total()
+    calls = classified.total()
     assert calls > 0 and trees < calls
+
+
+def test_product_split_compares_fiber_one_with_the_closed_form(monkeypatch):
+    """Fiber 1 is compared with the closed form of |C|, which the check does
+    not derive from the fiber itself."""
+    real = cl.c_count_formula
+    monkeypatch.setattr(verify.cl, "c_count_formula", lambda n: real(n) + 1)
+    assert verify._product_split(d_quiver(4)) == "fiber 1: 20 vs 21"
 
 
 def test_bijection_checks_pass_at_q5():

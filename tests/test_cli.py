@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -328,6 +327,37 @@ def test_verify_reports_are_deterministic(capsys):
     assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_ALL_RANK_4_SHA256
 
 
+# sha256(json.dumps([(check, label), ...]))[:12] over every check of `verify
+# --suite all` at each --max-rank, and the number of pairs, pinned while each
+# check still picked its instances through its own helper.
+VERIFY_LABELS = {
+    0: ("4f53cda18c2b", 0),
+    1: ("a9bafec5ae13", 13),
+    2: ("2b9d62981c0d", 27),
+    3: ("c2dca130af65", 56),
+    4: ("8e6aa09e900f", 248),
+    5: ("e043662d7489", 295),
+    6: ("3869109fbe07", 317),
+    7: ("e131702f96d4", 319),
+    8: ("e59cd734bd1d", 321),
+    **{rank: ("b96b17942fbc", 322) for rank in range(9, 13)},
+}
+
+
+@pytest.mark.parametrize("max_rank", sorted(VERIFY_LABELS))
+def test_verify_instances_at_each_max_rank(max_rank):
+    from tiltquiver import verify
+
+    pairs = [
+        (check.name, label)
+        for suite in verify.SUITE_ORDER
+        for check in verify.SUITES[suite]
+        for label, _ in verify._instances(check.rows, max_rank)
+    ]
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:12]
+    assert (digest, len(pairs)) == VERIFY_LABELS[max_rank]
+
+
 def test_verify_wrong_closed_form_fails_loudly(capsys, monkeypatch):
     from tiltquiver import verify
 
@@ -355,17 +385,15 @@ def test_verify_wrong_closed_form_fails_loudly(capsys, monkeypatch):
 def test_oracle_failures_name_the_counterexample(monkeypatch):
     from tiltquiver import rep, verify
 
-    real_table = verify.ext_table
+    real_hom_dim = rep.hom_dim
 
-    def swollen_table(q):
-        table = real_table(q)
-        hom = ((2,) + table.hom[0][1:],) + table.hom[1:]
-        return dataclasses.replace(table, hom=hom)
+    def swollen_endomorphisms(m, n):
+        return real_hom_dim(m, n) + (m is n)
 
-    monkeypatch.setattr(verify, "ext_table", swollen_table)
+    monkeypatch.setattr(rep, "hom_dim", swollen_endomorphisms)
     results = verify.CHECKS["rigidity"](3)
     assert [r.instance for r in results] == ["A1", "A2", "A3", "Q2"]
-    assert all(r.status == "fail" and r.detail == "id 0: hom 2, ext 0" for r in results)
+    assert all(r.status == "fail" and r.detail == "id 0: hom 2, ext 1" for r in results)
 
     def doubled_simple(q):
         return frozenset({(2,) + (0,) * (len(q.vertices) - 1)})

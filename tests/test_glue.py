@@ -118,7 +118,7 @@ def test_closure_report_projects_each_module_once(monkeypatch):
     monkeypatch.setattr(glue, "rigid_summand_ids", counting)
     glue._leaf_maps.cache_clear()
     assert {r.status for r in verify.run_suite("glue", 5)} == {"pass"}
-    points = [point for _, point in verify._glue_points(5)]
+    points = [point for _, point in verify._instances(verify._LEAVES, 5)]
     keys = set(points) | {(reflect(q, x), x) for q, x in points}
     assert {small for small, _ in calls} <= {delete_vertex(q, x) for q, x in keys}
     assert 0 < len(calls) <= sum(len(ext_table(q)) for q, _ in keys)
