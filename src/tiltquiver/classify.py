@@ -48,7 +48,7 @@ def tilting_model_sets(q):
     ]
 
 
-@dataclass
+@dataclass(slots=True)
 class DClassification:
     n: int  # the fork parameter: the quiver has n + 1 vertices
     models: frozenset  # the summands' model tags

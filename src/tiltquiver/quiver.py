@@ -192,7 +192,9 @@ def classify_tree(q):
     """Classify the underlying tree: ("A", n) for a path, ("D", n) for Q_n.
 
     For D the returned parameter is the fork parameter, so the quiver has n+1
-    vertices.  Raises on any other tree shape.
+    vertices.  The fork tips are found by the tree's shape; only the 3-vertex
+    path, the shape D shares with A3, is read as D by its labels, when its
+    two ends end in "+" and "-".  Raises on any other tree shape.
     """
     kind, positions = _canonical_positions(q)
     if kind == "A":
@@ -209,53 +211,26 @@ def canonical_form(q):
 
 
 def _canonical_positions(q):
-    n = len(q.vertices)
     adj = q.neighbor_map()
     degs = {v: len(adj[v]) for v in q.vertices}
-    if any(d > 3 for d in degs.values()):
+    forks = [v for v, d in degs.items() if d > 2]
+    if len(forks) > 1 or any(d > 3 for d in degs.values()):
         raise ValueError("underlying tree is not of type A or D")
-    forks = [v for v, d in degs.items() if d == 3]
-    if len(forks) > 1:
-        raise ValueError("underlying tree is not of type A or D")
-
-    tips = _labeled_fork_tips(q, adj)
-    if tips is not None:
-        return "D", _d_positions(q, adj, tips)
-    if not forks:
-        return "A", _path_positions(q, adj)
-    fork = forks[0]
-    branches = []
-    for w in adj[fork]:
-        branch = [w]
-        prev = fork
-        while degs[branch[-1]] == 2:
-            nxt = next(u for u in adj[branch[-1]] if u != prev)
-            prev = branch[-1]
-            branch.append(nxt)
-        branches.append(branch)
-    short = [b for b in branches if len(b) == 1]
-    if len(short) < 2:
-        raise ValueError("underlying tree is not of type A or D")
-    if len(short) == 3:
-        stem_leaf = min((b[0] for b in short), key=vertex_key)
-        short = [b for b in short if b[0] != stem_leaf]
-    tips = tuple(sorted((b[0] for b in short), key=vertex_key))
-    return "D", _d_positions(q, adj, tips)
-
-
-def _labeled_fork_tips(q, adj):
-    # Canonical labels make the fork explicit even when the tree degenerates
-    # to a path (the smallest D shape has no degree-3 vertex).
-    plus = [v for v in q.vertices if v.endswith("+")]
-    minus = [v for v in q.vertices if v.endswith("-")]
-    if len(plus) != 1 or len(minus) != 1:
-        return None
-    p, m = plus[0], minus[0]
-    if p[:-1] != m[:-1]:
-        return None
-    if len(adj[p]) != 1 or len(adj[m]) != 1 or adj[p][0] != adj[m][0]:
-        return None
-    return (p, m)
+    if forks:
+        # the tips are the leaves on the fork, the two largest-key ones when
+        # all three branches are leaves (D4); the stem is the branch left
+        leaves = sorted((w for w in adj[forks[0]] if degs[w] == 1), key=vertex_key)
+        if len(leaves) < 2:
+            raise ValueError("underlying tree is not of type A or D")
+        return "D", _d_positions(q, adj, tuple(leaves[-2:]))
+    # The smallest D shape has no branch vertex: it is the 3-vertex path,
+    # told from A3 only by the fork-tip labels on its two ends.
+    if len(q.vertices) == 3:
+        a, b = (v for v in q.vertices if degs[v] == 1)
+        tips = (a, b) if a.endswith("+") else (b, a)
+        if tips[0].endswith("+") and tips[1].endswith("-"):
+            return "D", _d_positions(q, adj, tips)
+    return "A", _path_positions(q, adj)
 
 
 def _path_positions(q, adj):
@@ -273,24 +248,14 @@ def _path_positions(q, adj):
 
 
 def _d_positions(q, adj, tips):
-    fork = adj[tips[0]][0]
     n = len(q.vertices) - 1
     mapping = {tips[0]: f"{n}+", tips[1]: f"{n}-"}
-    stem = [fork]
-    prev_set = set(tips)
-    while True:
-        nxt = [u for u in adj[stem[-1]] if u not in prev_set]
-        if not nxt:
-            break
-        if len(nxt) > 1:
-            raise ValueError("underlying tree is not of type A or D")
-        prev_set.add(stem[-1])
-        stem.append(nxt[0])
-    # stem runs fork -> leaf; canonical positions count from the leaf end
-    for pos, v in enumerate(reversed(stem), start=1):
-        mapping[v] = str(pos)
-    if len(mapping) != len(q.vertices):
-        raise ValueError("underlying tree is not of type A or D")
+    # the stem runs from the fork to its leaf, and positions count from the leaf
+    stem, prev = [adj[tips[0]][0]], None
+    while len(stem) < n - 1:
+        stem.append(next(u for u in adj[stem[-1]] if u != prev and u not in tips))
+        prev = stem[-2]
+    mapping.update((v, str(pos)) for pos, v in enumerate(reversed(stem), start=1))
     return mapping
 
 

@@ -8,8 +8,9 @@ hereditary Dynkin algebra a set of ids of size #vertices with pairwise
 two-sided Ext vanishing is exactly a tilting module.  Arrows of the tilting
 quiver come from the exchange of a summand, and the whole graph is checked
 to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
-The projective module is the maximum of that order, so one walk along the
-arrows from it finds the tilting modules and the arrows together
+The projective module, whose summands are the ids with no Ext^1 to any
+indecomposable, is the maximum of that order, so one walk along the arrows
+from it finds the tilting modules and the arrows together
 (`tilting_quiver`), and those of the opposite quiver are the same modules
 with every arrow reversed.
 """
@@ -350,7 +351,10 @@ def tilting_quiver(q):
     Riedtmann-Schofield, 1991), so every tilting module lies below it along
     arrows, and a walk from the projective module that follows arrows only
     reaches every tilting module and records each arrow once, at its tail.
-    Nodes are keyed by their summand masks.  An almost complete tilting
+    The walk starts at the ids whose `ext_zero` row is full: an
+    indecomposable P has Ext^1(P, -) = 0 exactly when it is projective, and
+    the walk raises unless it finds #vertices of them.  Nodes are keyed by
+    their summand masks.  An almost complete tilting
     module has one or two complements, so the neighbours of a node t are the
     ids outside t that are Ext-incompatible with exactly one summand x of t,
     each exchanged against that x.  One bit-sliced counter over the summands
@@ -457,12 +461,12 @@ def _exchange_walk(table):
     down = [sum(compress(bit, row)) for row in table.ext]
     if any(map(and_, up, down)):
         raise RuntimeError("exchange pair is not oriented by a unique Ext")
-    start = bytes(
-        sorted(
-            table.id_by_dim[tuple(d[v] for v in q.vertices)]
-            for d in rep.projective_dim_vectors(q).values()
+    # the projectives are the ids with no Ext^1 to any indecomposable
+    start = bytes(i for i, row in enumerate(table.ext_zero) if row == full)
+    if len(start) != len(q.vertices):
+        raise RuntimeError(
+            f"Ext table has {len(start)} projectives for {len(q.vertices)} vertices"
         )
-    )
     # per node in walk order, its sorted summand ids as bytes
     summands = [start]
     byte = [bytes((i,)) for i in range(k)]

@@ -19,6 +19,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 from operator import or_
 
 from . import classify as cl
@@ -195,8 +196,21 @@ def _unique_extremes(q):
 
 
 def _half_degree_sum(q):
+    # A node's degree, counted from the compat table and not read off the
+    # walk's delta: x in t is exchanged iff some id outside t is compatible
+    # with every other summand of t.
     tq = tilting_quiver(q)
-    total = sum(tq.delta)
+    compat = tq.table.compat
+    full = (1 << len(compat)) - 1
+    total = 0
+    for t in tq.nodes:
+        outside = full ^ sum(1 << s for s in t)
+        for x in t:
+            rest = outside
+            for s in t:
+                if s != x:
+                    rest &= compat[s]
+            total += rest != 0
     return None if 2 * len(tq.arrows) == total else f"{len(tq.arrows)} vs {total}"
 
 
@@ -288,11 +302,23 @@ def _rigidity(q):
 
 
 def _euler_root_norm(q):
-    for d in sorted(rep.positive_roots(q)):
-        dims = dict(zip(q.vertices, d))
-        norm = rep.euler_form(q, dims, dims)
-        if norm != 1:
-            return f"root {d}: euler form {norm}"
+    # The positive roots of a Dynkin tree are the nonzero d >= 0 with
+    # <d, d> = 1.  Every coordinate is at most 2, and at most 1 on a path, so
+    # enumerating those vectors finds them without the reflection closure.
+    index = {v: i for i, v in enumerate(q.vertices)}
+    edges = [(index[a], index[b]) for a, b in q.arrows]
+
+    def norm(d):
+        return sum(x * x for x in d) - sum(d[a] * d[b] for a, b in edges)
+
+    branched = any(len(ws) > 2 for ws in q.neighbor_map().values())
+    found = {d for d in product(range(3 if branched else 2), repeat=len(index)) if norm(d) == 1}
+    roots = rep.positive_roots(q)
+    extra, missing = sorted(roots - found), sorted(found - roots)
+    if extra:
+        return f"root {extra[0]}: euler form {norm(extra[0])}"
+    if missing:
+        return f"vector {missing[0]}: euler form 1, not a root"
     return None
 
 

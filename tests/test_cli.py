@@ -236,6 +236,44 @@ def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_product_reads_only_the_roots_from_rep():
+    """The product modules use no linear algebra, and of `rep` only the
+    positive roots and the simple reflection of a dimension vector; the rest
+    of `rep` is the oracle that verify and the tests check them against."""
+    import ast
+    import importlib
+
+    allowed = {"positive_roots", "simple_reflection_dims"}
+    used = {}
+    for name in ("quiver", "models", "tilting", "glue", "classify", "cli"):
+        module = importlib.import_module(f"tiltquiver.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = set()
+        bound = set()  # local names of the rep module
+        attributes = set()  # the Name nodes read as rep.<attr>
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").removeprefix("tiltquiver").lstrip(".")
+                for alias in node.names:
+                    if source in ("rep", "linalg"):
+                        names.add(f"{source}.{alias.name}")
+                    elif alias.name in ("rep", "linalg"):
+                        names.add(alias.name)
+                        bound.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                names.update(a.name for a in node.names if a.name.endswith((".rep", ".linalg")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in bound:
+                    names.add(f"rep.{node.attr}")
+                    attributes.add(node.value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in bound and node not in attributes:
+                names.add(f"{node.id} as a whole")
+        used[name] = names - {"rep"} - {f"rep.{a}" for a in allowed}
+    assert used == {name: set() for name in used}
+
+
 def test_enumerate_matches_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--type", "A", "--rank", "4")
     assert code == 0

@@ -198,3 +198,33 @@ def test_canonical_form_is_stable_and_relabels():
     canon, mapping = canonical_form(small)
     assert canon == d_quiver(2)
     assert mapping == {"2": "1", "3+": "2+", "3-": "2-"}
+
+
+def test_unlabelled_trees_are_classified_by_shape():
+    from tiltquiver.tilting import tilting_quiver
+
+    # D5: stem a-b-c with the tips x and y on c
+    q = Quiver(("a", "b", "c", "x", "y"), (("a", "b"), ("c", "b"), ("c", "x"), ("y", "c")))
+    assert classify_tree(q) == ("D", 4)
+    assert canonical_form(q)[1] == {"x": "4+", "y": "4-", "a": "1", "b": "2", "c": "3"}
+    tq = tilting_quiver(q)
+    assert (len(tq.nodes), len(tq.arrows)) == (77, 165)
+    # D4: three leaves on one vertex; the smallest-key leaf is the stem
+    star = Quiver(("c", "x", "y", "z"), (("c", "x"), ("y", "c"), ("c", "z")))
+    assert classify_tree(star) == ("D", 3)
+    assert canonical_form(star)[1] == {"x": "1", "c": "2", "y": "3+", "z": "3-"}
+    tq = tilting_quiver(star)
+    assert (len(tq.nodes), len(tq.arrows)) == (20, 32)
+    # fork-tip labels off the two largest-key leaves do not make them the tips
+    labelled = Quiver(("1+", "1-", "2", "3"), (("2", "1+"), ("2", "1-"), ("2", "3")))
+    assert canonical_form(labelled)[1] == {"1+": "1", "2": "2", "1-": "3+", "3": "3-"}
+
+
+def test_three_vertex_path_is_d_only_with_tip_labels_on_both_ends():
+    assert classify_tree(Quiver(("1", "2+", "2-"), (("1", "2+"), ("2-", "1")))) == ("D", 2)
+    for verts, arrows in (
+        (("3+", "3-", "2"), (("3+", "3-"), ("3-", "2"))),  # "3-" in the middle
+        (("1", "2", "3+"), (("1", "2"), ("2", "3+"))),  # one tip label
+        (("1+", "2", "3+"), (("1+", "2"), ("2", "3+"))),  # two "+" ends
+    ):
+        assert classify_tree(Quiver(verts, arrows)) == ("A", 3), verts

@@ -496,6 +496,28 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
         tilting_quiver.__wrapped__(q)
 
 
+def test_walk_starts_at_the_ids_with_no_ext():
+    """The walk starts at the ids whose ext_zero row is full, which are the
+    projectives, and raises unless it finds one per vertex."""
+    import tiltquiver.tilting as tilting
+
+    for kind, param in (("A", 5), ("D", 5)):
+        for bits, q in all_orientations(kind, param):
+            table = ext_table(q)
+            full = (1 << len(table)) - 1
+            proj = sorted(
+                table.id_by_dim[tuple(d[v] for v in q.vertices)]
+                for d in projective_dim_vectors(q).values()
+            )
+            assert [i for i, row in enumerate(table.ext_zero) if row == full] == proj, bits
+    q = path_quiver(3)
+    table = ext_table(q)
+    assert table.ext_zero[0] == (1 << len(table)) - 1  # id 0 is projective at A3
+    one_bit_off = (table.ext_zero[0] ^ 1 << 3,) + table.ext_zero[1:]
+    with pytest.raises(RuntimeError, match="2 projectives for 3 vertices"):
+        tilting._exchange_walk(replace(table, ext_zero=one_bit_off))
+
+
 def test_hasse_property():
     for q in (path_quiver(1), path_quiver(3), d_quiver(3)):
         assert hasse_check(ext_table(q), tilting_quiver(q)).ok

@@ -1,0 +1,58 @@
+"""Checks of the hasse and oracle suites that must be able to fail.
+
+Each test breaks what a check reads from the product and expects the check
+to name the fault, where a check that re-reads the product's own figures
+would pass.
+"""
+
+from array import array
+
+from tiltquiver import rep, verify
+from tiltquiver.quiver import d_quiver, opposite, path_quiver
+from tiltquiver.tilting import TiltingQuiver, tilting_quiver
+
+
+def test_half_degree_sum_counts_degrees_from_the_compat_table(monkeypatch):
+    """Dropping an arrow and lowering the walk's degrees at both of its ends
+    keeps 2 * #arrows = sum(delta), but not the count of exchangeable
+    summands that the check reads off the compat table."""
+    assert verify._half_degree_sum(path_quiver(1)) is None  # t without x is empty
+    q = path_quiver(4)
+    tq = tilting_quiver(q)
+    assert tq.heads[0] == 1  # the arrow (0, 1)
+    delta = list(tq.delta)
+    delta[0] -= 1
+    delta[1] -= 1
+    broken = TiltingQuiver(
+        tq.table,
+        tq.summands,
+        array("I", tq.heads[1:]),
+        (tq.out_deg[0] - 1,) + tq.out_deg[1:],
+        tuple(delta),
+    )
+    assert 2 * len(broken.arrows) == sum(broken.delta)
+    monkeypatch.setattr(verify, "tilting_quiver", lambda _: broken)
+    assert verify._half_degree_sum(q) == "20 vs 42"
+
+
+def test_euler_root_norm_enumerates_the_norm_one_vectors(monkeypatch):
+    """The roots of the reflection closure are the vectors of Euler norm 1,
+    and a root dropped from them is named."""
+    for q in (path_quiver(6), d_quiver(5), d_quiver(5, [True, False, True, False, True])):
+        assert verify._euler_root_norm(q) is None
+    real = rep.positive_roots
+    monkeypatch.setattr(rep, "positive_roots", lambda q: real(q) - {(1, 1, 1)})
+    assert verify._euler_root_norm(path_quiver(3)) == "vector (1, 1, 1): euler form 1, not a root"
+
+
+def test_unique_extremes_does_not_read_its_oracle_from_the_walk(monkeypatch):
+    """With the projectives' oracle answering the injectives, the walk still
+    starts at the projective module, and unique-extremes names its source."""
+    real = rep.projective_dim_vectors
+    monkeypatch.setattr(rep, "projective_dim_vectors", lambda q: real(opposite(q)))
+    tilting_quiver.cache_clear()  # walk under the patch
+    try:
+        assert verify._unique_extremes(path_quiver(3)) == "sources [0], sinks [4]"
+        assert verify._unique_extremes(d_quiver(3)) == "sources [0], sinks [17]"
+    finally:
+        tilting_quiver.cache_clear()
