@@ -21,7 +21,7 @@ import json
 import weakref
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, eq, getitem, mul, sub
 
@@ -543,21 +543,79 @@ class HasseReport:
     extra: tuple = ()
 
 
+def _covers_certified(table, tq):
+    """True when <= is a partial order on the nodes and the arrows are its covers.
+
+    down[p] = {t : t <= p} is the AND of below[i] over the summands i of p,
+    as in `order_bitsets`.  Every node p must pass three local tests on
+    down[p] and the down-sets of the heads c of its run of `tq.heads`:
+
+    (R) p is in down[p];
+    (U) the union of the down[c] is down[p] minus p;
+    (M) no head lies in the down-sets of two heads (a head listed twice
+        lies in its own down-set twice).
+
+    Proof.  By (R) and (U) each arrow p -> c has down[c] inside down[p]
+    without p, so down-set sizes fall strictly along arrows and the arrows
+    have no cycle.  By induction on |down[p]|, down[p] is p together with
+    the union of the heads' down-sets, each the set reached from its head,
+    so down[p] is the set reached from p.  So t <= p iff t is reached from
+    p: <= is reflexive and transitive, and antisymmetric since no cycle
+    exists, a partial order.  A cover p > t lies in some down[c], so
+    t <= c < p and t = c: every cover is an arrow.  An arrow p -> c is not
+    a cover iff c < t < p for some t, and t then lies in down[c'] for a head
+    c' != c, so iff c lies in a second head's down-set, which (M) rules
+    out.  So the arrows are exactly the covers, each listed once.
+
+    Each down-set is rank ANDs of #nodes-bit ints, rebuilt per node and per
+    arrow; no row is kept.  A head outside the nodes fails the test.
+    """
+    nodes = tq.nodes
+    k = len(nodes)
+    heads = tq.heads
+    if heads and max(heads) >= k:
+        return False
+    w = nodes.width
+    flat = tq.summands
+    below = _below(table.ext_zero, _has(nodes, len(table)), k)
+    part = below.__getitem__
+    at = 0
+    for p, deg in enumerate(tq.out_deg):
+        down_p = reduce(and_, map(part, flat[p * w : p * w + w]))
+        if not down_p >> p & 1:
+            return False
+        row = heads[at : at + deg]
+        at += deg
+        ones = twos = 0
+        for c in row:
+            down_c = reduce(and_, map(part, flat[c * w : c * w + w]))
+            twos |= ones & down_c
+            ones |= down_c
+        if ones != down_p ^ (1 << p) or any(twos >> c & 1 for c in row):
+            return False
+    return True
+
+
 def hasse_check(table, tq):
     """Arrows must equal the covers of <=, pointing from larger to smaller.
 
-    The order comes from `table.ext_zero` only, never from the arrows.  The
-    down- and up-set bitsets of `order_bitsets` give antisymmetry in one AND
-    per node; the covers of each node are then peeled off its strict down-set
-    along a linear extension, one big-int step per cover.  No row is stored:
-    each down-set the peel needs, of the node and of each cover found, is
-    rebuilt from the per-id below bitsets of `order_bitsets`, laid out in
-    linear-extension positions, and each node's covers are compared with its
-    own run of `tq.heads`.  Memory is #ids bitsets of #nodes bits, not
-    #nodes rows of #nodes bits, nor a set of all the covers.  `missing` and
-    `extra` hold (larger, smaller) pairs of node indices, a head outside the
-    nodes included; when antisymmetry fails, `extra` holds the first pair
-    (u, t) with t <= u <= t instead.
+    The order comes from `table.ext_zero` only, never from the arrows.  A
+    passing quiver is decided by the local certificate of
+    `_covers_certified`: every node's down-set is the union of its heads'
+    down-sets plus itself, and no head lies below another head.  The rest
+    runs only when the certificate fails, to say why.  The down- and up-set
+    bitsets of `order_bitsets` give antisymmetry in one AND per node; the
+    covers of each node are then peeled off its strict down-set along a
+    linear extension, one big-int step per cover.  No row is stored: each
+    down-set the peel needs, of the node and of each cover found, is rebuilt
+    from the per-id below bitsets, laid out in linear-extension positions,
+    and each node's covers are compared with its own run of `tq.heads`.
+    Memory is #ids bitsets of #nodes bits, not #nodes rows of #nodes bits,
+    nor a set of all the covers.  `missing` and `extra` hold (larger,
+    smaller) pairs of node indices, a head outside the nodes included, and
+    `extra` holds a pair once more for each repeat of its arrow; when
+    antisymmetry fails, `extra` holds the first pair (u, t) with t <= u <= t
+    instead.
     """
     if table.quiver != tq.quiver:
         raise ValueError("Ext table and tilting quiver belong to different quivers")
@@ -567,6 +625,8 @@ def hasse_check(table, tq):
     off = array("I", accumulate(tq.out_deg, initial=0))  # u's heads: heads[off[u]:off[u + 1]]
     if len(off) != k + 1 or off[-1] != len(heads):
         raise ValueError("arrow rows do not match the nodes")
+    if _covers_certified(table, tq):
+        return HasseReport(True)
     size = []  # only the down-set sizes outlive this loop
     for u, (down_u, up_u) in enumerate(zip(*order_bitsets(table, nodes))):
         if not down_u >> u & 1:
@@ -609,10 +669,13 @@ def hasse_check(table, tq):
             covers.add(order[c])
             cand ^= cand & down_c
         u = order[p]
-        hs = set(heads[off[u] : off[u + 1]])
+        row = heads[off[u] : off[u + 1]]
+        hs = set(row)
         if covers != hs:
             missing.extend((u, c) for c in covers - hs)
             extra.extend((u, b) for b in hs - covers)
+        if len(hs) != len(row):
+            extra.extend((u, b) for b in hs for _ in range(row.count(b) - 1))
     missing.sort()
     extra.sort()
     return HasseReport(not missing and not extra, tuple(missing), tuple(extra))

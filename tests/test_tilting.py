@@ -665,6 +665,98 @@ def test_hasse_check_reports_wrong_arrows():
     assert check([(1, 0)] + arrows[1:]) == HasseReport(
         False, missing=((0, 1),), extra=((1, 0),)
     )
+    # an arrow listed twice is one arrow too many, though its set is the covers
+    assert check(arrows + [(0, 1)]) == HasseReport(False, extra=((0, 1),))
+    assert check(arrows + [(0, 1), (0, 1), (0, 4)]) == HasseReport(
+        False, extra=((0, 1), (0, 1), (0, 4))
+    )
+
+
+def single_arrow_variants(tq):
+    """tq itself, then tq with one arrow deleted, added, reversed or repeated.
+
+    Every deletion, every added ordered pair (u, v) that is not an arrow
+    (u == v included), every reversal, and one repeat: 2 + #nodes**2 +
+    #arrows quivers in all.
+    """
+    arrows = list(tq.arrows)
+    have = set(arrows)
+    k = len(tq.nodes)
+    yield tq
+    for i in range(len(arrows)):
+        yield with_arrows(tq, arrows[:i] + arrows[i + 1 :])
+    for u in range(k):
+        for v in range(k):
+            if (u, v) not in have:
+                yield with_arrows(tq, arrows + [(u, v)])
+    for i, (u, v) in enumerate(arrows):
+        yield with_arrows(tq, arrows[:i] + [(v, u)] + arrows[i + 1 :])
+    yield with_arrows(tq, arrows + arrows[:1])
+
+
+def test_cover_certificate_agrees_with_the_peel(monkeypatch):
+    """The local certificate accepts exactly what the peel of `hasse_check`
+    accepts, on every single-arrow variant at two orientations each of A4
+    and D4."""
+    import tiltquiver.tilting as tilting
+
+    certified = tilting._covers_certified
+    # with the certificate failing every quiver, the peel decides each one
+    monkeypatch.setattr(tilting, "_covers_certified", lambda table, tq: False)
+    instances = [path_quiver(4), path_quiver(4, [False, True, False])]
+    instances += [d_quiver(3), d_quiver(3, [False, True, False])]
+    seen = passed = 0
+    for q in instances:
+        table = ext_table(q)
+        for variant in single_arrow_variants(tilting_quiver(q)):
+            ok = hasse_check(table, variant).ok
+            assert certified(table, variant) == ok
+            seen += 1
+            passed += ok
+    assert (seen, passed) == (1306, 4)
+
+
+def test_certificate_needs_each_node_below_itself():
+    """(U) and (M) alone accept a relation that is not reflexive.
+
+    Two one-summand nodes a, b over a one-vertex quiver, with down[a] = {b},
+    down[b] = {a} and all four arrows a -> a, a -> b, b -> a, b -> b: the
+    heads' down-sets of each node are down[node] with the node added, and
+    no head lies in two of them.
+    """
+    import tiltquiver.tilting as tilting
+
+    one = path_quiver(1)
+    table = replace(ext_table(one), dims=((1,), (1,)), ext_zero=(0b10, 0b01))
+    tq = replace(
+        tilting_quiver(one),
+        table=table,
+        summands=bytes((0, 1)),
+        heads=array("I", [0, 1, 0, 1]),
+        out_deg=(2, 2),
+        delta=(4, 4),
+    )
+    assert not tilting._covers_certified(table, tq)
+    with pytest.raises(RuntimeError, match="node 0 is not <= itself"):
+        hasse_check(table, tq)
+
+
+def test_certificate_alone_decides_a_passing_quiver(monkeypatch):
+    """A quiver that passes never reaches the up-set rows or the peel."""
+    import tiltquiver.tilting as tilting
+
+    def refuse(table, nodes):
+        raise AssertionError("order_bitsets called")
+
+    monkeypatch.setattr(tilting, "order_bitsets", refuse)
+    instances = [q for kind, param in (("A", 5), ("D", 4)) for _, q in all_orientations(kind, param)]
+    assert len(instances) == 32
+    for q in instances:
+        assert hasse_check(ext_table(q), tilting_quiver(q)).ok, q
+    # a failing quiver goes on to the peel, which reads the rows
+    tq = tilting_quiver(path_quiver(4))
+    with pytest.raises(AssertionError, match="order_bitsets called"):
+        hasse_check(ext_table(path_quiver(4)), with_arrows(tq, list(tq.arrows)[1:]))
 
 
 def test_hasse_check_reports_heads_outside_the_nodes():
