@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 
 from .models import FAMILIES, all_orientations, builder_param
-from .quiver import opposite
+from .quiver import automorphism, opposite
 from .tilting import (
     closed_form_counts,
     tilting_modules_json_chunks,
@@ -155,9 +155,11 @@ def _cmd_reflect_scan(args, parser, out):
     counts = {}  # quiver -> (vertices, arrows)
     lines = []
     for bits, q in oriented:
-        # Tilt(Q^op) is Tilt(Q) with every arrow reversed, so each opposite
-        # pair is walked once
-        key = counts.get(opposite(q))
+        # Tilt(Q^op) is Tilt(Q) with every arrow reversed, and Tilt(aQ) is
+        # Tilt(Q) with its ids permuted, so each orbit is walked once
+        alpha = automorphism(q)
+        twins = (opposite(q),) if alpha is None else (opposite(q), alpha[0], opposite(alpha[0]))
+        key = next((counts[t] for t in twins if t in counts), None)
         if key is None:
             tq = transient_quiver(q)
             key = (len(tq.nodes), len(tq.arrows))

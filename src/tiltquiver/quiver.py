@@ -1,4 +1,4 @@
-"""Tree-shaped quivers: construction, reflection, opposite, leaf deletion, classification.
+"""Tree-shaped quivers: construction, reflection, opposite, automorphism, leaf deletion, classification.
 
 Vertex labels are strings.  The canonical families use "1", "2", ... for path
 vertices and "n+"/"n-" for the two fork tips of the D-type quiver.  A quiver is
@@ -130,6 +130,30 @@ def reflect(q, x):
 def opposite(q):
     """Reverse every arrow: the quiver Q^op."""
     return Quiver(q.vertices, tuple((b, a) for a, b in q.arrows))
+
+
+def automorphism(q):
+    """The diagram automorphism alpha applied to q: (alpha q, perm), or None when alpha q == q.
+
+    alpha reverses the path on type A and swaps the two fork tips on type D
+    (on the 3-vertex D shape that is the path reversal too).  It is an
+    involution of the underlying tree, so alpha q has q's vertices and
+    edges; perm[p] is the position in q.vertices of alpha(q.vertices[p]).
+    """
+    kind, positions = _canonical_positions(q)
+    n = len(q.vertices)
+    if kind == "A":
+        swap = {str(i): str(n + 1 - i) for i in range(1, n + 1)}
+    else:
+        tips = f"{n - 1}+", f"{n - 1}-"
+        swap = dict(zip(tips, reversed(tips)))
+    at = {p: v for v, p in positions.items()}
+    alpha = {v: at[swap.get(p, p)] for v, p in positions.items()}
+    image = Quiver(q.vertices, tuple((alpha[a], alpha[b]) for a, b in q.arrows))
+    if image == q:
+        return None
+    index = {v: p for p, v in enumerate(q.vertices)}
+    return image, tuple(index[alpha[v]] for v in q.vertices)
 
 
 def delete_vertex(q, x):

@@ -30,6 +30,7 @@ from .quiver import (
     delete_vertex,
     reflect,
     sink_reflection_sequence,
+    tree_edges,
     vertex_key,
 )
 
@@ -345,19 +346,31 @@ def simple_reflection_dims(q, x, d):
     return out
 
 
-@lru_cache(maxsize=None)
 def positive_roots(q):
-    """Positive roots of the underlying tree by reflection closure of the simples.
+    """Positive roots of the underlying tree of q by reflection closure of the simples.
+
+    The roots depend on the tree alone, so they are cached per tree
+    (vertices and edges, orientation forgotten): a scan over the
+    orientations of one tree finds them once.  `cache_info`, `cache_clear`
+    and `__wrapped__` (the uncached call) are those of that cache.
+    """
+    return _tree_roots(q.vertices, tree_edges(q))
+
+
+@lru_cache(maxsize=None)
+def _tree_roots(vertices, edges):
+    """The positive roots of the tree, as coordinate tuples in the order of `vertices`.
 
     Every positive root is reached from a simple root by simple reflections
     that each raise one coordinate, so d is reflected at x only when that
     raises d[x]; no negative root is visited.
     """
-    verts = q.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = q.neighbor_map()
-    nbrs = [[idx[w] for w in adj[v]] for v in verts]
-    simples = [tuple(1 if i == j else 0 for j in range(len(verts))) for i in range(len(verts))]
+    idx = {v: i for i, v in enumerate(vertices)}
+    nbrs = [[] for _ in vertices]
+    for a, b in edges:
+        nbrs[idx[a]].append(idx[b])
+        nbrs[idx[b]].append(idx[a])
+    simples = [tuple(1 if i == j else 0 for j in range(len(vertices))) for i in range(len(vertices))]
     seen = set(simples)
     queue = list(simples)
     while queue:
@@ -370,6 +383,11 @@ def positive_roots(q):
                     seen.add(t)
                     queue.append(t)
     return frozenset(seen)
+
+
+positive_roots.cache_info = _tree_roots.cache_info
+positive_roots.cache_clear = _tree_roots.cache_clear
+positive_roots.__wrapped__ = lambda q: _tree_roots.__wrapped__(q.vertices, tree_edges(q))
 
 
 def projective_dim_vectors(q):

@@ -11,8 +11,10 @@ to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
 The projective module, whose summands are the ids with no Ext^1 to any
 indecomposable, is the maximum of that order, so one walk along the arrows
 from it finds the tilting modules and the arrows together
-(`tilting_quiver`), and those of the opposite quiver are the same modules
-with every arrow reversed.
+(`tilting_quiver`).  Those of the opposite quiver are the same modules
+with every arrow reversed, and those of its image under the diagram
+automorphism are its own with the ids permuted, so one walk serves each
+orbit of orientations.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, eq, getitem, mul, sub
 
 from . import models, rep
-from .quiver import Quiver, classify_tree, opposite, quiver_to_json
+from .quiver import Quiver, automorphism, classify_tree, opposite, quiver_to_json
 
 # Items (nodes, arrows, modules or degrees) per slice of a streamed export.
 SLICE = 1024
@@ -376,23 +378,31 @@ def tilting_quiver(q):
     (`TiltingQuiver.summands`), and each node's run of heads is renumbered,
     sorted and appended to one flat array (`TiltingQuiver.heads`).
 
-    A quiver and its opposite share one walk.  The duality D = Hom_k(-, k)
-    takes mod kQ to mod kQ^op, keeps dimension vectors and gives
+    The orientations in one orbit {Q, Q^op, aQ, aQ^op} share one walk, with
+    a the diagram automorphism (`quiver.automorphism`: the path reversal on
+    A, the fork-tip swap on D).  The duality D = Hom_k(-, k) takes mod kQ
+    to mod kQ^op, keeps dimension vectors and gives
     Ext^1_Q(U, T) = Ext^1_{Q^op}(DT, DU).  Both quivers have the same
     underlying tree, so the same positive roots, and ids are the sorted
     roots: D maps each indecomposable to the one with its id, and each
     tilting module to the one with the same summand ids.  So Tilt(Q^op) has
     the nodes and degrees of Tilt(Q), with the order, and so every arrow,
-    reversed.  So a miss whose opposite's quiver is still held (returned
-    here and not yet freed, nor dropped by `cache_clear`) is derived from it
-    with no walk (`_reversed`).  The one fact a walk over q's own table
-    would check beyond the twin's walk is that the table is the transpose
-    of the twin's, and the derivation raises unless it is.
+    reversed (`_reversed`).  The automorphism moves each representation
+    along a, so it maps the roots of Q onto themselves by a permutation of
+    their coordinates, keeps Ext, and maps Tilt(aQ) onto Tilt(Q) by the
+    permutation of ids it induces (`_relabeled`).  So a miss is derived with
+    no walk from the quiver of Q^op, else of aQ, else of aQ^op (reversed,
+    then relabelled), whichever is first still held (returned here and not
+    yet freed, nor dropped by `cache_clear`), and walked only when none is.
+    The one fact a walk over q's own table would check beyond the twin's
+    walk is that the table is the transpose, or the image, of the twin's,
+    and each derivation raises unless it is.
     """
     _guard(q)
     table = ext_table(q)
-    twin = _held.get(opposite(q))
-    tq = _exchange_walk(table) if twin is None else _reversed(table, twin)
+    tq = _derived(q, table)
+    if tq is None:
+        tq = _exchange_walk(table)
     _held[q] = tq
     return tq
 
@@ -433,6 +443,50 @@ def _reversed(table, twin):
     return TiltingQuiver(table, twin.summands, heads, out_deg, twin.delta)
 
 
+def _derived(q, table):
+    """q's quiver from a held quiver of its orbit, or None when none is held."""
+    twin = _held.get(opposite(q))
+    if twin is not None:
+        return _reversed(table, twin)
+    alpha = automorphism(q)
+    if alpha is None:  # then a(Q^op) = Q^op as well
+        return None
+    aq, perm = alpha
+    twin = _held.get(aq)
+    if twin is not None:
+        return _relabeled(table, twin, perm)
+    twin = _held.get(opposite(aq))
+    if twin is not None:
+        return _relabeled(table, _reversed(ext_table(aq), twin), perm)
+    return None
+
+
+def _relabeled(table, twin, perm):
+    """The quiver of `table` from `twin`, the quiver of the automorphic orientation.
+
+    `perm` is the automorphism's coordinate permutation (`quiver.automorphism`).
+    The twin's id j, of root e, stands for the id s[j] of table's root
+    d with d[p] = e[perm[p]]; the twin's arrows, degrees and order carry
+    over, so each node's summands are mapped by s in one `bytes.translate`,
+    sorted again, and finished as a walk's are (`_finish`).
+    """
+    ids = table.id_by_dim
+    s = [ids.get(tuple(map(e.__getitem__, perm))) for e in twin.table.dims]
+    ext = table.ext
+    if (
+        len(s) != len(ext)
+        or None in s
+        or tuple(tuple(map(ext[i].__getitem__, s)) for i in s) != twin.table.ext
+    ):
+        raise RuntimeError(
+            "Ext table is not the image of the automorphic quiver's: invariant violation"
+        )
+    flat = twin.summands.translate(bytes(s).ljust(256, b"\0"))
+    w = len(table.quiver.vertices)
+    summands = [bytes(sorted(flat[a : a + w])) for a in range(0, len(flat), w)]
+    return _finish(table, summands, twin.heads, twin.out_deg, twin.delta)
+
+
 def transient_quiver(q):
     """`tilting_quiver(q)` built without reading or filling any cache.
 
@@ -440,9 +494,9 @@ def transient_quiver(q):
     for this call alone and the table is kept as `tq.table`, so nothing of q
     outlives the quiver returned: a command leaves every cache as it found
     it, and a scan over many orientations holds one orientation's data at a
-    time.  It never derives a quiver from its opposite, so each call walks
-    once; `reflect-scan` walks one orientation of each opposite pair and
-    reads the other's counts off it.
+    time.  It never derives a quiver from another orientation's, so each
+    call walks once; `reflect-scan` walks one orientation of each orbit of
+    the opposite and the automorphism and reads the others' counts off it.
     """
     _guard(q)
     return _exchange_walk(_euler_table(q, rep.positive_roots.__wrapped__(q)))
@@ -514,12 +568,27 @@ def _exchange_walk(table):
         raise RuntimeError(
             "walk along arrows from the projective module misses an exchange"
         )
-    # Drop the walk's index, and its per-node summands once joined, so that
-    # the flat stores reuse their memory instead of raising the peak.
+    # Drop the walk's index before the flat stores are built, so that they
+    # reuse its memory instead of raising the peak; `_finish` frees the
+    # per-node summands once it has joined them.
     del index, masks
+    return _finish(table, summands, arcs, out_deg, deg)
+
+
+def _finish(table, summands, arcs, out_deg, deg):
+    """The quiver of `table` on the nodes `summands`, with their arrows in `arcs`.
+
+    `summands` holds each node's sorted summand ids as bytes, and `arcs` the
+    heads of node 0's arrows, then node 1's, and so on, `out_deg[u]` of them
+    for node u, by position in `summands`; `deg` holds the degrees.  The
+    nodes are sorted by their summands and joined into one byte string, each
+    run of heads is renumbered and sorted, and the degrees follow the nodes.
+    `summands` is emptied once joined, so that the flat stores reuse the
+    memory of its bytes, also when the caller still holds the list.
+    """
     order = sorted(range(len(summands)), key=summands.__getitem__)
     nodes = b"".join(map(summands.__getitem__, order))
-    del summands
+    summands.clear()
     new = array("I", bytes(4 * len(order)))
     for pos, old in enumerate(order):
         new[old] = pos

@@ -27,6 +27,9 @@ GRAPH_SHA256 = {
 # sha256 of `reflect-scan --type D --rank 5` stdout, pinned while the scan
 # still kept every orientation's quiver in the tilting_quiver cache.
 REFLECT_SCAN_D5_SHA256 = "3f2623cdfa4459d381b1afd02c8ccaf875bf051ebb49b3722c60e278367a8203"
+# The same at D7 and A9, pinned in CI (D7 also in bench/workloads.py).
+REFLECT_SCAN_D7_SHA256 = "9fc5486695ef9a3d20a89202552193751ed823733b6aef7642e5186af4ce2332"
+REFLECT_SCAN_A9_SHA256 = "eeafdb728f250557f678b6a0585ec9542079754cc70f09dc98b9851b89df2a0c"
 
 # sha256 of stdout taken before the Ext table moved onto the Euler form; at
 # the reference orientation the labels are model tags.
@@ -330,22 +333,52 @@ def test_reflect_scan_caches_no_quiver(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_SCAN_D5_SHA256
 
 
-def test_reflect_scan_walks_each_opposite_pair_once(capsys, exchange_walks):
-    code, out, _ = run_cli(capsys, "reflect-scan", "--type", "D", "--rank", "5")
+@pytest.mark.parametrize(
+    "kind, rank, walks, digest",
+    [
+        ("D", 5, 6, REFLECT_SCAN_D5_SHA256),  # of 16 orientations
+        ("D", 7, 24, REFLECT_SCAN_D7_SHA256),  # of 64
+        ("A", 9, 72, REFLECT_SCAN_A9_SHA256),  # of 256
+    ],
+    ids=["D5", "D7", "A9"],
+)
+def test_reflect_scan_walks_each_orbit_once(capsys, monkeypatch, kind, rank, walks, digest):
+    """One walk per orbit of the opposite and the diagram automorphism.
+
+    The counts are the closed forms at every orientation, so each walk here
+    returns a stand-in with them, and the output is still the pinned one.
+    """
+    from types import SimpleNamespace
+
+    from tiltquiver import tilting
+
+    nodes, arrows = closed_form_counts(kind, rank)
+    walked = []
+
+    def stand_in(table):
+        walked.append(table.quiver)
+        return SimpleNamespace(nodes=range(nodes), arrows=range(arrows))
+
+    monkeypatch.setattr(tilting, "_exchange_walk", stand_in)
+    code, out, _ = run_cli(capsys, "reflect-scan", "--type", kind, "--rank", str(rank))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_SCAN_D5_SHA256
-    assert len(exchange_walks) == 8  # of 16 orientations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(walked) == walks
 
 
 def test_reflect_scan_keeps_no_table(capsys):
     from tiltquiver.rep import positive_roots
     from tiltquiver.tilting import ext_table
 
-    before = [f.cache_info().currsize for f in (ext_table, positive_roots)]
+    # The roots are cached per tree, so the scan's tree may be cached
+    # already; emptied first, a cache the scan read or filled would show.
+    for f in (ext_table, positive_roots):
+        f.cache_clear()
+    before = [f.cache_info() for f in (ext_table, positive_roots)]
     code, out, _ = run_cli(capsys, "reflect-scan", "--type", "A", "--rank", "6")
     assert code == 0
     assert out.endswith("distinct=1\n") and out.count("vertices=132 arrows=330") == 32
-    assert [f.cache_info().currsize for f in (ext_table, positive_roots)] == before
+    assert [f.cache_info() for f in (ext_table, positive_roots)] == before
 
 
 def test_verify_small_passes(capsys):

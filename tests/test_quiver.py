@@ -7,6 +7,7 @@ from tiltquiver.models import FAMILIES, all_orientations
 from tiltquiver.quiver import (
     Quiver,
     admissible_sink_order,
+    automorphism,
     canonical_form,
     classify_tree,
     d_quiver,
@@ -82,6 +83,31 @@ def test_opposite_is_an_involution_that_flips_every_orientation_bit():
             assert tree_edges(op) == tree_edges(q), (kind, bits)
             assert op == build(n, [not b for b in bits]), (kind, bits)
             assert (op == q) == ((kind, n) == ("A", 1)), (kind, bits)
+
+
+def test_automorphism_reverses_the_path_and_swaps_the_fork_tips():
+    for kind, n in (("A", 1), ("A", 2), ("A", 5), ("D", 2), ("D", 3), ("D", 5)):
+        build = FAMILIES[kind].reference
+        for bits, q in all_orientations(kind, n):
+            if kind == "A":
+                # edge i joins i+1 and i+2; the reversal turns it round onto edge n-2-i
+                want = [not b for b in reversed(bits)]
+            else:
+                want = [*bits[:-2], bits[-1], bits[-2]]
+            alpha = automorphism(q)
+            if want == list(bits):
+                assert alpha is None, (kind, bits)
+                continue
+            image, perm = alpha
+            assert image == build(n, want), (kind, bits)
+            v = q.vertices
+            moved = {(v[perm[v.index(a)]], v[perm[v.index(b)]]) for a, b in q.arrows}
+            assert moved == set(image.arrows), (kind, bits)
+            assert automorphism(image) == (q, perm), (kind, bits)
+    # the tree's shape decides, not its labels
+    q = delete_vertex(path_quiver(4, [True, True, True]), "1")
+    assert automorphism(q) == (opposite(q), (2, 1, 0))
+    assert automorphism(delete_vertex(path_quiver(4, [True, True, False]), "1")) is None
 
 
 def test_delete_vertex_examples():
