@@ -51,12 +51,17 @@ def tilting_model_sets(q):
 @dataclass(slots=True)
 class DClassification:
     n: int  # the fork parameter: the quiver has n + 1 vertices
-    models: frozenset  # the summands' model tags
+    summands: tuple  # the summands' model tags, in id order
     bucket: str  # "T0" | "T1" | "T2" (or "T?<delta>" if the bound ever failed)
     tags: tuple  # refined tags among "A+", "A-", "B+(j)", "B-(j)", "C(j)"
     problems: tuple
     dim_one_vertex: object = None  # the unique dimension-one vertex in the middle class
     m0: object = None  # j of the only M(0,j) summand; None if there is none or several
+
+    @property
+    def models(self):
+        """The summands' model tags as the set the bijections compare with."""
+        return frozenset(self.summands)
 
 
 def classify(table, t):
@@ -94,7 +99,7 @@ def classify(table, t):
         else:
             problems.append("dim-one at vertex 1 without a unique M(0,j) summand")
     return DClassification(
-        n, frozenset(mods), bucket, tuple(tags), tuple(problems), dim_one_vertex, j
+        n, tuple(mods), bucket, tuple(tags), tuple(problems), dim_one_vertex, j
     )
 
 
@@ -121,7 +126,7 @@ def to_path_tilting(c):
     other = "L-" if sign == "+" else "L+"
     m0 = DIndec("M", 0, c.m0)
     out = set()
-    for m in c.models:
+    for m in c.summands:
         if m == m0:
             continue
         if m.kind == "L":
@@ -169,7 +174,7 @@ def to_smaller_fork(c):
     if c.m0 is None or c.dim_one_vertex != "1":
         raise ValueError("module is not in a vertex-one class")
     m0 = DIndec("M", 0, c.m0)
-    return c.m0, frozenset(_shift(m, -1) for m in c.models if m != m0)
+    return c.m0, frozenset(_shift(m, -1) for m in c.summands if m != m0)
 
 
 def from_smaller_fork(j, mods):
@@ -212,10 +217,10 @@ def split_product(c):
     i = int(c.dim_one_vertex)
     m0 = DIndec("M", 0, c.m0)
     left = frozenset(
-        AInterval(m.a, m.b) for m in c.models if m.kind == "L" and m.b < i
+        AInterval(m.a, m.b) for m in c.summands if m.kind == "L" and m.b < i
     )
     right = {DIndec("M", 0, c.m0 - i + 1)}
-    for m in c.models:
+    for m in c.summands:
         if m == m0 or (m.kind == "L" and m.b < i):
             continue
         right.add(_shift(m, 1 - i))

@@ -40,13 +40,17 @@ COUNTS_MAX_RANK = 100_000
 
 @dataclass
 class ExtTable:
-    """Pairwise hom/ext dimensions over the indecomposables of one quiver."""
+    """Pairwise hom/ext dimensions over the indecomposables of one quiver.
+
+    `hom` and `ext` hold one `bytes` row per id, a dimension per byte (every
+    one is below _BIAS); `[i][j]` and iteration read ints, as from a tuple.
+    """
 
     quiver: Quiver
     dims: tuple  # dimension vector per id: the positive roots, sorted
     models: tuple  # model tag per id at the reference orientation, None elsewhere
-    hom: tuple
-    ext: tuple
+    hom: tuple  # row per id, as bytes: hom[i][j] = dim Hom(i, j)
+    ext: tuple  # row per id, as bytes: ext[i][j] = dim Ext^1(i, j)
     compat: tuple  # bitmask per id: two-sided ext vanishing
     ext_zero: tuple  # bitmask per id i: {j : ext[i][j] == 0}
     id_by_dim: dict
@@ -120,8 +124,8 @@ def _euler_table(q, roots):
     rows = [(bias_row + sum(map(mul, d, w_packed))).to_bytes(k, "little") for d in dims]
     if bytes(map(getitem, rows, range(k))) != bytes((_BIAS + 1,)) * k:
         raise RuntimeError("indecomposable is not exceptional: invariant violation")
-    hom = tuple(tuple(r.translate(_HOM)) for r in rows)
-    ext = tuple(tuple(r.translate(_EXT)) for r in rows)
+    hom = tuple(r.translate(_HOM) for r in rows)
+    ext = tuple(r.translate(_EXT) for r in rows)
     zero = b"".join(rows).translate(_EXT_ZERO)  # row after row
     ext_zero = tuple(int(zero[i : i + k][::-1], 2) for i in range(0, k * k, k))
     # row i of the transpose, the ids j with ext[j][i] == 0, is column i of
@@ -322,14 +326,16 @@ class TiltingQuiver:
     order, then node 1's, and so on, with `out_deg[u]` the length of node u's
     run.  `arrows` views them as sorted (tail, head) pairs.  `delta[u]` is
     node u's degree, its arrows in and out, as the walk counted it; node u
-    is a source exactly when `delta[u] == out_deg[u]`.
+    is a source exactly when `delta[u] == out_deg[u]`.  `out_deg` and
+    `delta` are byte strings, one byte per node, since a degree is at most
+    the vertex count.
     """
 
     table: ExtTable
     summands: bytes
     heads: array  # array('I')
-    out_deg: tuple
-    delta: tuple
+    out_deg: bytes
+    delta: bytes
 
     @property
     def quiver(self):
@@ -392,8 +398,9 @@ def tilting_quiver(q):
     their coordinates, keeps Ext, and maps Tilt(aQ) onto Tilt(Q) by the
     permutation of ids it induces (`_relabeled`).  So a miss is derived with
     no walk from the quiver of Q^op, else of aQ, else of aQ^op (reversed,
-    then relabelled), whichever is first still held (returned here and not
-    yet freed, nor dropped by `cache_clear`), and walked only when none is.
+    then relabelled), whichever is first still held (the first of its
+    quivers returned here and not yet freed, nor dropped by `cache_clear`),
+    and walked only when none is.
     The one fact a walk over q's own table would check beyond the twin's
     walk is that the table is the transpose, or the image, of the twin's,
     and each derivation raises unless it is.
@@ -403,12 +410,14 @@ def tilting_quiver(q):
     tq = _derived(q, table)
     if tq is None:
         tq = _exchange_walk(table)
-    _held[q] = tq
+    _held.setdefault(q, tq)
     return tq
 
 
-# Every quiver `tilting_quiver` returned that is still held somewhere, by its
-# quiver; `cache_clear` empties it with the cache.
+# Per quiver, the first of its quivers `tilting_quiver` returned that is still
+# held somewhere: a later build, such as a `__wrapped__` call makes, does not
+# replace it, so dropping that build loses no twin.  `cache_clear` empties it
+# with the cache.
 _held = weakref.WeakValueDictionary()
 _clear_cache = tilting_quiver.cache_clear
 
@@ -430,11 +439,11 @@ def _reversed(table, twin):
     transposed: one pass over them in tail order fills each head's row in
     increasing order, so nothing is sorted.
     """
-    if table.ext != tuple(zip(*twin.table.ext)):
+    if table.ext != tuple(map(bytes, zip(*twin.table.ext))):
         raise RuntimeError(
             "Ext table is not the transpose of the opposite quiver's: invariant violation"
         )
-    out_deg = tuple(map(sub, twin.delta, twin.out_deg))
+    out_deg = bytes(map(sub, twin.delta, twin.out_deg))
     at = array("I", accumulate(out_deg, initial=0))  # next free slot per row
     heads = array("I", bytes(4 * len(twin.heads)))
     for t, h in twin.arrows:
@@ -476,7 +485,7 @@ def _relabeled(table, twin, perm):
     if (
         len(s) != len(ext)
         or None in s
-        or tuple(tuple(map(ext[i].__getitem__, s)) for i in s) != twin.table.ext
+        or tuple(bytes(map(ext[i].__getitem__, s)) for i in s) != twin.table.ext
     ):
         raise RuntimeError(
             "Ext table is not the image of the automorphic quiver's: invariant violation"
@@ -582,7 +591,8 @@ def _finish(table, summands, arcs, out_deg, deg):
     heads of node 0's arrows, then node 1's, and so on, `out_deg[u]` of them
     for node u, by position in `summands`; `deg` holds the degrees.  The
     nodes are sorted by their summands and joined into one byte string, each
-    run of heads is renumbered and sorted, and the degrees follow the nodes.
+    run of heads is renumbered and sorted, and the degrees follow the nodes,
+    one byte each.
     `summands` is emptied once joined, so that the flat stores reuse the
     memory of its bytes, also when the caller still holds the list.
     """
@@ -600,8 +610,8 @@ def _finish(table, summands, arcs, out_deg, deg):
         table,
         nodes,
         heads,
-        tuple(map(out_deg.__getitem__, order)),
-        tuple(map(deg.__getitem__, order)),
+        bytes(map(out_deg.__getitem__, order)),
+        bytes(map(deg.__getitem__, order)),
     )
 
 

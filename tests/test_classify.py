@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -336,3 +337,27 @@ def test_bijection_checks_pass_at_q5():
     assert len(enumerate_tilting(q)) == 294
     for find in (verify._bijection_path, verify._bijection_shrink, verify._product_split):
         assert find(q) is None, find.__name__
+
+
+def test_cached_classes_hold_at_most_400_bytes_per_module():
+    """`verify._classes` over Q2-Q5, with the Ext tables and modules built
+    first: at most 400 B per module (913 B while each classification held a
+    frozenset of its summands' models, 299 B with their tuple)."""
+    qs = [d_quiver(n) for n in range(2, 6)]
+    for q in qs:
+        enumerate_tilting(q)
+        ext_table(q)
+    verify._classes.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        n = sum(len(verify._classes(q)) for q in qs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert n == 5 + 20 + 77 + 294
+    assert held <= 400 * n, (held, n)
+    table = ext_table(qs[-1])
+    for t, c in verify._classes(qs[-1]):
+        assert c.summands == tuple(cl.summand_models(table, t))
+        assert c.models == frozenset(c.summands)

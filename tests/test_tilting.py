@@ -58,13 +58,14 @@ def test_ext_table_a2_frozen():
         AInterval(0, 1),
         AInterval(0, 2),
     ]
-    assert table.hom == ((1, 0, 1), (0, 1, 0), (0, 1, 1))
-    assert table.ext == ((0, 0, 0), (1, 0, 0), (0, 0, 0))
+    assert table.hom == (bytes((1, 0, 1)), bytes((0, 1, 0)), bytes((0, 1, 1)))
+    assert table.ext == (bytes((0, 0, 0)), bytes((1, 0, 0)), bytes((0, 0, 0)))
 
 
 def test_ext_table_bytes_are_pinned():
-    # sha256 of repr(table.hom) and repr(table.ext), taken with the Fraction
-    # elimination kernels; the integer kernels must give the same tables.
+    # sha256 of the repr of table.hom and table.ext as tuples of int tuples,
+    # taken with the Fraction elimination kernels; the integer kernels and
+    # the byte rows must give the same tables.
     pinned = {
         ("A", "1101001"): (
             "b6ca05e5b3f9a90dfdae2fee1bb7cd18aaaf092025605849b22beaabdc9bd21b",
@@ -79,8 +80,9 @@ def test_ext_table_bytes_are_pinned():
         bits = [c == "1" for c in text]
         q = path_quiver(8, bits) if kind == "A" else d_quiver(6, bits)
         table = ext_table(q)
-        assert hashlib.sha256(repr(table.hom).encode()).hexdigest() == hom_digest
-        assert hashlib.sha256(repr(table.ext).encode()).hexdigest() == ext_digest
+        hom, ext = (repr(tuple(map(tuple, rows))).encode() for rows in (table.hom, table.ext))
+        assert hashlib.sha256(hom).hexdigest() == hom_digest
+        assert hashlib.sha256(ext).hexdigest() == ext_digest
 
 
 def test_ext_table_raises_on_a_non_exceptional_root(monkeypatch):
@@ -113,8 +115,8 @@ def _per_pair_table(kind, param, q, roots):
             w[a] -= d[b]
         weights.append(w)
     euler_rows = [[sum(map(mul, d, w)) for w in weights] for d in dims]
-    hom = tuple(tuple(max(x, 0) for x in row) for row in euler_rows)
-    ext = tuple(tuple(max(-x, 0) for x in row) for row in euler_rows)
+    hom = tuple(bytes(max(x, 0) for x in row) for row in euler_rows)
+    ext = tuple(bytes(max(-x, 0) for x in row) for row in euler_rows)
     compat = tuple(
         sum(1 << j for j in range(k) if j != i and ext[i][j] == 0 and ext[j][i] == 0)
         for i in range(k)
@@ -186,9 +188,9 @@ def test_euler_table_matches_rep_oracle():
             assert table.dims == tuple(r.dim_tuple() for r in reps), (kind, bits)
             assert table.models == tuple(ind.model for ind in inds), (kind, bits)
             hom = rep.hom_table(q, reps)
-            assert table.hom == hom, (kind, bits)
+            assert table.hom == tuple(map(bytes, hom)), (kind, bits)
             ext = tuple(
-                tuple(
+                bytes(
                     rep.ext_from_hom(h, rep.euler_form(q, m.dims, n.dims))
                     for h, n in zip(row, reps)
                 )
@@ -388,11 +390,11 @@ def test_a_quiver_the_automorphism_fixes_is_not_relabelled_from_itself(exchange_
         assert automorphism(q) is None
         tilting_quiver.cache_clear()
         exchange_walks.clear()
-        tilting_quiver(q)
+        first = tilting_quiver(q)
         # held, but still not a twin of itself: a miss walks again
-        again = tilting_quiver.__wrapped__(q)
+        tilting_quiver.__wrapped__(q)
         assert len(exchange_walks) == 2
-        assert tilting_quiver(opposite(q)).summands is again.summands
+        assert tilting_quiver(opposite(q)).summands is first.summands
         assert len(exchange_walks) == 2
     assert relabels == []
 
@@ -406,9 +408,9 @@ def test_relabel_rejects_a_table_that_is_not_the_image(monkeypatch):
     twin = tilting_quiver(image)
     table = ext_table(q)
     assert stored(tilting._relabeled(table, twin, perm)) == stored(transient_quiver(q))
-    ext = [list(row) for row in table.ext]
+    ext = list(map(bytearray, table.ext))
     ext[0][1] += 1  # one Ext entry changed
-    changed = replace(table, ext=tuple(map(tuple, ext)))
+    changed = replace(table, ext=tuple(map(bytes, ext)))
     with pytest.raises(RuntimeError, match="not the image"):
         tilting._relabeled(changed, twin, perm)
     # the same on a miss of q while its twin is held: nothing is cached
@@ -431,6 +433,45 @@ def test_a_lone_call_walks_once_and_caches_one_quiver(exchange_walks):
     assert len(exchange_walks) == 2
     assert tilting_quiver.cache_info().currsize == 1
     assert list(tilting._held) == [q]
+
+
+def test_a_dropped_rebuild_keeps_the_held_twin(exchange_walks):
+    """A quiver of q built again outside the cache and dropped at once
+    leaves the cached quiver of q held, so the next miss of Q^op derives
+    from it instead of walking."""
+    import tiltquiver.tilting as tilting
+
+    tilting_quiver.cache_clear()
+    q = path_quiver(5, [True, True, False, True])
+    tq = tilting_quiver(q)
+    tilting_quiver.__wrapped__(q)  # walks: no other quiver of its orbit is held
+    assert len(exchange_walks) == 2
+    assert list(tilting._held) == [q] and tilting._held[q] is tq
+    assert tilting_quiver(opposite(q)).summands is tq.summands
+    assert len(exchange_walks) == 2
+
+
+def test_finish_empties_the_callers_summands():
+    """`_finish` clears the caller's list of per-node summands once it has
+    joined them, so the flat stores reuse their memory while the walk still
+    holds the list."""
+    import tiltquiver.tilting as tilting
+
+    q = d_quiver(4, [True, False, True, False])
+    tq = tilting_quiver(q)
+    k = len(tq.nodes)
+    # the walk's inputs with the nodes in reverse order: node u at k - 1 - u
+    summands = [bytes(t) for t in reversed(tq.nodes)]
+    runs = [[] for _ in range(k)]
+    for t, h in tq.arrows:
+        runs[k - 1 - t].append(k - 1 - h)
+    arcs = array("I", [h for run in runs for h in run])
+    out_deg = array("B", map(len, runs))
+    deg = array("B", reversed(tq.delta))
+    got = tilting._finish(tq.table, summands, arcs, out_deg, deg)
+    assert summands == []
+    assert stored(got) == stored(tq)
+    assert type(got.out_deg) is bytes and type(got.delta) is bytes
 
 
 def test_cache_clear_forgets_every_twin(exchange_walks):
@@ -565,7 +606,7 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
         with pytest.raises(RuntimeError, match="more than two completions"):
             tilting_quiver.__wrapped__(q)
     both_ways = tuple(
-        tuple(table.ext[i][j] + table.ext[j][i] for j in range(k)) for i in range(k)
+        bytes(table.ext[i][j] + table.ext[j][i] for j in range(k)) for i in range(k)
     )
     monkeypatch.setattr(tilting, "ext_table", lambda _: replace(table, ext=both_ways))
     with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
@@ -573,7 +614,7 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
     # With Ext transposed every arrow is reversed and the projective module
     # becomes the minimum: a walk along arrows from it records no arrow and
     # would return a 1-node quiver, where A3 has 5 nodes.
-    transposed = tuple(zip(*table.ext))
+    transposed = tuple(map(bytes, zip(*table.ext)))
     monkeypatch.setattr(tilting, "ext_table", lambda _: replace(table, ext=transposed))
     with pytest.raises(RuntimeError, match="misses an exchange"):
         tilting_quiver.__wrapped__(q)
@@ -674,14 +715,17 @@ def test_failing_hasse_check_memory_stays_near_the_walk_peak():
     assert added <= 1.5 * walk_peak, (added, walk_peak)
 
 
-def test_walk_peak_stays_near_what_the_quiver_holds(d9_walk_memory):
-    """At D9 the walk may peak at 6.5 times what its quiver holds.
+def test_walk_peak_stays_at_most_65_bytes_per_arrow(d9_walk_memory):
+    """At D9 the walk may peak at 65 B per arrow of its quiver.
 
-    Recording each exchange pair from both ends, with a list of heads per
-    node and the bitset of pairs already met, peaked at 8.3 times.
+    The walk that follows arrows only peaks at 49.4 B per arrow.  Recording
+    each exchange pair from both ends, with a list of heads per node and the
+    bitset of pairs already met, peaks at about 80 B.  The bound was 6.5
+    times what the quiver held while its degrees were int tuples, 10.1 B
+    per arrow, so 65.5 B.
     """
-    peak, held = d9_walk_memory["own_walk_peak"], d9_walk_memory["quiver_held"]
-    assert peak <= 6.5 * held, (peak, held)
+    peak, n = d9_walk_memory["own_walk_peak"], d9_walk_memory["n_arrows"]
+    assert peak <= 65 * n, (peak, n)
 
 
 def test_quiver_holds_at_most_48_bytes_per_arrow(d9_walk_memory):
@@ -727,10 +771,31 @@ def test_nodes_view_reads_like_a_tuple_of_tuples():
             assert not (nodes == other) and not (other == nodes), q
 
 
-def test_cached_quivers_hold_at_most_48_bytes_per_node():
+def test_cached_ext_tables_hold_at_most_12_bytes_per_entry():
+    """All 32 orientations of D6, with their roots built first, cached by
+    `ext_table`: at most 12 B held per (i, j) entry, all fields included
+    (24.3 B while each hom and ext row was a tuple of ints, 9.9 B with a
+    byte string per row)."""
+    quivers = [q for _, q in all_orientations("D", 5)]
+    for q in quivers:
+        rep.positive_roots(q)
+    ext_table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = sum(len(ext_table(q)) ** 2 for q in quivers)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert entries == 32 * 30**2
+    assert held <= 12 * entries, (held, entries)
+
+
+def test_cached_quivers_hold_at_most_24_bytes_per_node():
     """All 32 orientations of D6, with their Ext tables built first, cached
-    by `tilting_quiver`: at most 48 B held per node (125 B while each node
-    was a tuple of its summand ids)."""
+    by `tilting_quiver`: at most 24 B held per node (125 B while each node
+    was a tuple of its summand ids, 30.0 B while the degrees of each node
+    were int tuples, 19.5 B with a byte per degree)."""
     quivers = [q for _, q in all_orientations("D", 5)]
     for q in quivers:
         ext_table(q)
@@ -743,7 +808,7 @@ def test_cached_quivers_hold_at_most_48_bytes_per_node():
     finally:
         tracemalloc.stop()
     assert n == 32 * closed_form_counts("D", 6)[0]
-    assert held <= 48 * n, (held, n)
+    assert held <= 24 * n, (held, n)
 
 
 def test_every_id_fits_a_byte_up_to_the_guards():
@@ -759,7 +824,7 @@ def with_arrows(tq, pairs):
     out_deg = [0] * len(tq.nodes)
     for a, _ in pairs:
         out_deg[a] += 1
-    return replace(tq, heads=array("I", [b for _, b in pairs]), out_deg=tuple(out_deg))
+    return replace(tq, heads=array("I", [b for _, b in pairs]), out_deg=bytes(out_deg))
 
 
 def test_hasse_check_reports_wrong_arrows():
@@ -847,8 +912,8 @@ def test_certificate_needs_each_node_below_itself():
         table=table,
         summands=bytes((0, 1)),
         heads=array("I", [0, 1, 0, 1]),
-        out_deg=(2, 2),
-        delta=(4, 4),
+        out_deg=bytes((2, 2)),
+        delta=bytes((4, 4)),
     )
     assert not tilting._covers_certified(table, tq)
     with pytest.raises(RuntimeError, match="node 0 is not <= itself"):
@@ -885,7 +950,7 @@ def test_hasse_check_reports_heads_outside_the_nodes():
     # rows that do not add up to the heads, or to the nodes, are no arrow set
     for bad in (
         replace(tq, out_deg=tq.out_deg[:-1]),
-        replace(tq, out_deg=tq.out_deg + (0,)),
+        replace(tq, out_deg=tq.out_deg + bytes(1)),
         replace(tq, heads=tq.heads[:-1]),
     ):
         with pytest.raises(ValueError, match="arrow rows do not match the nodes"):

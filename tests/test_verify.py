@@ -20,15 +20,13 @@ def test_half_degree_sum_counts_degrees_from_the_compat_table(monkeypatch):
     q = path_quiver(4)
     tq = tilting_quiver(q)
     assert tq.heads[0] == 1  # the arrow (0, 1)
-    delta = list(tq.delta)
+    out_deg = bytearray(tq.out_deg)
+    out_deg[0] -= 1
+    delta = bytearray(tq.delta)
     delta[0] -= 1
     delta[1] -= 1
     broken = TiltingQuiver(
-        tq.table,
-        tq.summands,
-        array("I", tq.heads[1:]),
-        (tq.out_deg[0] - 1,) + tq.out_deg[1:],
-        tuple(delta),
+        tq.table, tq.summands, array("I", tq.heads[1:]), bytes(out_deg), bytes(delta)
     )
     assert 2 * len(broken.arrows) == sum(broken.delta)
     monkeypatch.setattr(verify, "tilting_quiver", lambda _: broken)
