@@ -18,7 +18,6 @@ bijection takes that classification, so a module is classified once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .models import FAMILIES, AInterval, DIndec
@@ -48,15 +47,19 @@ def tilting_model_sets(q):
     ]
 
 
-@dataclass(slots=True)
 class DClassification:
-    n: int  # the fork parameter: the quiver has n + 1 vertices
-    summands: tuple  # the summands' model tags, in id order
-    bucket: str  # "T0" | "T1" | "T2" (or "T?<delta>" if the bound ever failed)
-    tags: tuple  # refined tags among "A+", "A-", "B+(j)", "B-(j)", "C(j)"
-    problems: tuple
-    dim_one_vertex: object = None  # the unique dimension-one vertex in the middle class
-    m0: object = None  # j of the only M(0,j) summand; None if there is none or several
+    """The class of one tilting module over Q_n, with what the bijections read."""
+
+    __slots__ = ("n", "summands", "bucket", "tags", "problems", "dim_one_vertex", "m0")
+
+    def __init__(self, n, summands, bucket, tags, problems, dim_one_vertex=None, m0=None):
+        self.n = n  # the fork parameter: the quiver has n + 1 vertices
+        self.summands = summands  # the summands' model tags, in id order
+        self.bucket = bucket  # "T0" | "T1" | "T2" (or "T?<delta>" if the bound ever failed)
+        self.tags = tags  # refined tags among "A+", "A-", "B+(j)", "B-(j)", "C(j)"
+        self.problems = problems
+        self.dim_one_vertex = dim_one_vertex  # the unique dimension-one vertex in the middle class
+        self.m0 = m0  # j of the only M(0,j) summand; None if there is none or several
 
     @property
     def models(self):

@@ -26,7 +26,6 @@ from .tilting import (
     tilting_quiver_json_chunks,
     transient_quiver,
 )
-from .verify import run_suite
 
 EXIT_CLOSED_STDOUT = 141
 
@@ -128,6 +127,9 @@ def _cmd_counts(args, parser, out):
 
 
 def _cmd_verify(args, parser, out):
+    # imported here, so that the other commands do not load the checks
+    from .verify import run_suite
+
     try:
         results = run_suite(args.suite, args.max_rank)
     except ValueError as exc:

@@ -12,26 +12,25 @@ closed-form counts, so no caller branches on A/D.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import namedtuple
 from itertools import product
 from math import comb
-from typing import NamedTuple, Optional
 
 from .quiver import d_quiver, path_quiver
 
 
-class AInterval(NamedTuple):
-    lo: int
-    hi: int
+class AInterval(namedtuple("AInterval", "lo hi")):
+    __slots__ = ()
 
     def render(self):
         return f"L({self.lo},{self.hi})"
 
 
-class DIndec(NamedTuple):
-    kind: str  # "L", "L+", "L-" or "M"
-    a: int
-    b: int  # upper index for L/M; the fork parameter n for L+/-
+class DIndec(namedtuple("DIndec", "kind a b")):
+    """kind is "L", "L+", "L-" or "M"; b is the upper index for L/M and the
+    fork parameter n for L+/-."""
+
+    __slots__ = ()
 
     def render(self):
         return f"{self.kind}({self.a},{self.b})"
@@ -56,7 +55,7 @@ def a_dim(x, n):
     return {str(v): 1 if x.lo < v <= x.hi else 0 for v in range(1, n + 1)}
 
 
-def a_tau(x, n) -> Optional[AInterval]:
+def a_tau(x, n) -> AInterval | None:
     """AR translate: shift the interval up by one, zero on projectives."""
     if x.hi == n:
         return None
@@ -109,7 +108,7 @@ def d_dim(x, n):
     return dims
 
 
-def d_tau(x, n) -> Optional[DIndec]:
+def d_tau(x, n) -> DIndec | None:
     """AR translate on model tags; zero exactly on projectives."""
     if x.kind == "L":
         if x.b < n - 1:
@@ -198,20 +197,25 @@ def d_matrices(x, n):
     return maps
 
 
-class Family(NamedTuple):
+class Family(
+    namedtuple("Family", "reference indecs dim matrices tau ext_vanish shift min_rank guard counts")
+):
     """One Dynkin type.  `counts` takes the rank; the other functions take the
-    builder parameter n = rank - shift (A_n is path_quiver(n), D_m is d_quiver(m - 1))."""
+    builder parameter n = rank - shift (A_n is path_quiver(n), D_m is d_quiver(m - 1)).
 
-    reference: Callable  # (n, bits=None) -> the quiver, reference orientation by default
-    indecs: Callable  # n -> the model tags
-    dim: Callable  # (x, n) -> dimension vector, a dict over the vertex labels
-    matrices: Callable  # (x, n) -> structure maps over the reference orientation
-    tau: Callable  # (x, n) -> AR translate, None on projectives
-    ext_vanish: Callable  # (x, y, n) -> two-sided Ext vanishing
-    shift: int  # rank minus the builder parameter
-    min_rank: int
-    guard: int  # the most vertices a tilting quiver is enumerated at
-    counts: Callable  # rank -> (vertices, arrows) of the tilting quiver
+    reference   (n, bits=None) -> the quiver, reference orientation by default
+    indecs      n -> the model tags
+    dim         (x, n) -> dimension vector, a dict over the vertex labels
+    matrices    (x, n) -> structure maps over the reference orientation
+    tau         (x, n) -> AR translate, None on projectives
+    ext_vanish  (x, y, n) -> two-sided Ext vanishing
+    shift       rank minus the builder parameter
+    min_rank    the lowest rank of the type
+    guard       the most vertices a tilting quiver is enumerated at
+    counts      rank -> (vertices, arrows) of the tilting quiver
+    """
+
+    __slots__ = ()
 
 
 FAMILIES = {

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 
 _LABEL = re.compile(r"^(\d+)([+-]?)$")
 _SUFFIX_ORDER = {"": 0, "+": 1, "-": 2}
@@ -23,16 +22,18 @@ def vertex_key(label):
     return (1, 0, 0, label)
 
 
-@dataclass(frozen=True)
 class Quiver:
-    """Finite connected acyclic quiver whose underlying graph is a tree."""
+    """Finite connected acyclic quiver whose underlying graph is a tree.
 
-    vertices: tuple
-    arrows: tuple
+    Immutable, and equal and hashed by its sorted vertices and arrows, so it
+    keys the package's caches.
+    """
 
-    def __post_init__(self):
-        verts = tuple(sorted(self.vertices, key=vertex_key))
-        arrows = tuple(sorted(self.arrows))
+    __slots__ = ("vertices", "arrows")
+
+    def __init__(self, vertices, arrows):
+        verts = tuple(sorted(vertices, key=vertex_key))
+        arrows = tuple(sorted(arrows))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arrows", arrows)
         if len(set(verts)) != len(verts):
@@ -52,6 +53,23 @@ class Quiver:
             raise ValueError("underlying graph must be a tree")
         if verts and self._reachable(verts[0]) != vset:
             raise ValueError("quiver must be connected")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows) == (other.vertices, other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows))
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     def _reachable(self, start):
         adj = self.neighbor_map()

@@ -19,12 +19,10 @@ simple_reflection_dims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg, models
 from .quiver import (
-    Quiver,
     canonical_form,
     classify_tree,
     delete_vertex,
@@ -35,23 +33,23 @@ from .quiver import (
 )
 
 
-@dataclass
 class Rep:
     """Representation: dims per vertex, one matrix (rows of tuples) per arrow."""
 
-    quiver: Quiver
-    dims: dict
-    maps: dict
+    __slots__ = ("quiver", "dims", "maps")
 
-    def __post_init__(self):
-        if set(self.dims) != set(self.quiver.vertices):
+    def __init__(self, quiver, dims, maps):
+        if set(dims) != set(quiver.vertices):
             raise ValueError("dimension vector must cover exactly the vertices")
-        for a, b in self.quiver.arrows:
-            mat = self.maps.get((a, b))
+        for a, b in quiver.arrows:
+            mat = maps.get((a, b))
             if mat is None:
                 raise ValueError(f"missing matrix for arrow ({a},{b})")
-            if len(mat) != self.dims[b] or any(len(r) != self.dims[a] for r in mat):
+            if len(mat) != dims[b] or any(len(r) != dims[a] for r in mat):
                 raise ValueError(f"matrix shape mismatch on arrow ({a},{b})")
+        self.quiver = quiver
+        self.dims = dims
+        self.maps = maps
 
     def dim_tuple(self):
         return tuple(self.dims[v] for v in self.quiver.vertices)
@@ -263,14 +261,16 @@ def extend(q, x, n_rep):
     return Rep(q, dims, maps)
 
 
-@dataclass
 class Indec:
     """Indecomposable with its canonical id and optional combinatorial model."""
 
-    id: int
-    rep: Rep
-    dim: dict
-    model: object = None
+    __slots__ = ("id", "rep", "dim", "model")
+
+    def __init__(self, id, rep, dim, model=None):
+        self.id = id
+        self.rep = rep
+        self.dim = dim
+        self.model = model
 
 
 def build_model_rep(ref, kind, x, n):

@@ -22,13 +22,12 @@ from __future__ import annotations
 import json
 import weakref
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, eq, getitem, mul, sub
 
 from . import models, rep
-from .quiver import Quiver, automorphism, classify_tree, opposite, quiver_to_json
+from .quiver import automorphism, classify_tree, opposite, quiver_to_json
 
 # Items (nodes, arrows, modules or degrees) per slice of a streamed export.
 SLICE = 1024
@@ -38,7 +37,6 @@ SLICE = 1024
 COUNTS_MAX_RANK = 100_000
 
 
-@dataclass
 class ExtTable:
     """Pairwise hom/ext dimensions over the indecomposables of one quiver.
 
@@ -46,14 +44,17 @@ class ExtTable:
     one is below _BIAS); `[i][j]` and iteration read ints, as from a tuple.
     """
 
-    quiver: Quiver
-    dims: tuple  # dimension vector per id: the positive roots, sorted
-    models: tuple  # model tag per id at the reference orientation, None elsewhere
-    hom: tuple  # row per id, as bytes: hom[i][j] = dim Hom(i, j)
-    ext: tuple  # row per id, as bytes: ext[i][j] = dim Ext^1(i, j)
-    compat: tuple  # bitmask per id: two-sided ext vanishing
-    ext_zero: tuple  # bitmask per id i: {j : ext[i][j] == 0}
-    id_by_dim: dict
+    __slots__ = ("quiver", "dims", "models", "hom", "ext", "compat", "ext_zero", "id_by_dim")
+
+    def __init__(self, quiver, dims, models, hom, ext, compat, ext_zero, id_by_dim):
+        self.quiver = quiver
+        self.dims = dims  # dimension vector per id: the positive roots, sorted
+        self.models = models  # model tag per id at the reference orientation, None elsewhere
+        self.hom = hom  # row per id, as bytes: hom[i][j] = dim Hom(i, j)
+        self.ext = ext  # row per id, as bytes: ext[i][j] = dim Ext^1(i, j)
+        self.compat = compat  # bitmask per id: two-sided ext vanishing
+        self.ext_zero = ext_zero  # bitmask per id i: {j : ext[i][j] == 0}
+        self.id_by_dim = id_by_dim
 
     def __len__(self):
         return len(self.dims)
@@ -311,7 +312,6 @@ class Nodes:
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-@dataclass
 class TiltingQuiver:
     """Tilting modules as nodes, exchange arrows pointing larger -> smaller.
 
@@ -328,14 +328,25 @@ class TiltingQuiver:
     node u's degree, its arrows in and out, as the walk counted it; node u
     is a source exactly when `delta[u] == out_deg[u]`.  `out_deg` and
     `delta` are byte strings, one byte per node, since a degree is at most
-    the vertex count.
+    the vertex count.  Two quivers are equal when they share one table
+    object and store the same nodes, arrows and degrees.
     """
 
-    table: ExtTable
-    summands: bytes
-    heads: array  # array('I')
-    out_deg: bytes
-    delta: bytes
+    __slots__ = ("table", "summands", "heads", "out_deg", "delta", "__weakref__")
+
+    def __init__(self, table, summands, heads, out_deg, delta):
+        self.table = table
+        self.summands = summands
+        self.heads = heads  # array('I')
+        self.out_deg = out_deg
+        self.delta = delta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.table, self.summands, self.heads, self.out_deg, self.delta) == (
+            other.table, other.summands, other.heads, other.out_deg, other.delta
+        )
 
     @property
     def quiver(self):
@@ -370,7 +381,9 @@ def tilting_quiver(q):
     collects the ids hit at least once and `twos` those hit at least twice.
     `ones` must be every id, since an id compatible with all of t would make
     a rigid module with more summands than vertices, and no summand x may
-    clash with two candidates, since t minus x would have three complements.
+    clash with two candidates, since t minus x would have three complements;
+    each candidate clashes with one summand, so that holds exactly when as
+    many summands clash with a candidate as there are candidates.
     Every node runs both checks on all its candidates.  The exchange of x
     for y is an arrow out of t when Ext^1(y, x) != 0, so with
     up[x] = {y : Ext^1(y, x) != 0} one AND per summand tells an out-arrow
@@ -403,22 +416,31 @@ def tilting_quiver(q):
     and walked only when none is.
     The one fact a walk over q's own table would check beyond the twin's
     walk is that the table is the transpose, or the image, of the twin's,
-    and each derivation raises unless it is.
+    and each derivation raises unless it is.  `__wrapped__` builds q's
+    quiver the same way but neither reads nor fills the cache, and holds no
+    twin.
     """
+    tq = _build(q)
+    _held[q] = tq
+    return tq
+
+
+def _build(q):
+    """The quiver of q, derived from a held twin or else walked; nothing is cached."""
     _guard(q)
     table = ext_table(q)
     tq = _derived(q, table)
     if tq is None:
         tq = _exchange_walk(table)
-    _held.setdefault(q, tq)
     return tq
 
 
-# Per quiver, the first of its quivers `tilting_quiver` returned that is still
-# held somewhere: a later build, such as a `__wrapped__` call makes, does not
-# replace it, so dropping that build loses no twin.  `cache_clear` empties it
-# with the cache.
+# Per quiver, the quiver the cache holds for it, while it is held somewhere:
+# only a cache miss registers one, so a `__wrapped__` build, which the cache
+# never returns, is no twin and dropping it loses none.  `cache_clear` empties
+# it with the cache.
 _held = weakref.WeakValueDictionary()
+tilting_quiver.__wrapped__ = _build
 _clear_cache = tilting_quiver.cache_clear
 
 
@@ -550,14 +572,14 @@ def _exchange_walk(table):
                 "more than two completions of an almost complete module"
             )
         cand = ones & ~(twos | m)
-        deg.append(cand.bit_count())
+        d = cand.bit_count()
+        deg.append(d)
         before = len(arcs)
+        shares = 0
         for x in ids:
             yb = cand & inc[x]  # the complement of t without x other than x, if any
-            if yb & (yb - 1):
-                raise RuntimeError(
-                    "more than two completions of an almost complete module"
-                )
+            if yb:
+                shares += 1
             if yb & up[x]:
                 n = m ^ bit[x] ^ yb
                 u = index.get(n)
@@ -569,6 +591,13 @@ def _exchange_walk(table):
                     at = (n & (yb - 1)).bit_count()
                     summands.append(rest[:at] + byte[yb.bit_length() - 1] + rest[at:])
                 arcs.append(u)
+        # the shares cand & inc[x] split cand, so each is one id or none
+        # exactly when d of them are nonzero; a share of two ids may have
+        # added a node above, but the walk raises before reaching it
+        if shares != d:
+            raise RuntimeError(
+                "more than two completions of an almost complete module"
+            )
         out_deg.append(len(arcs) - before)
     # Every pair is recorded at its tail alone, so the degree sum counts each
     # recorded arrow twice, and anything more is an exchange the walk could
@@ -615,11 +644,23 @@ def _finish(table, summands, arcs, out_deg, deg):
     )
 
 
-@dataclass
 class HasseReport:
-    ok: bool
-    missing: tuple = ()
-    extra: tuple = ()
+    """Whether the arrows are the covers, with the (larger, smaller) pairs that are not."""
+
+    __slots__ = ("ok", "missing", "extra")
+
+    def __init__(self, ok, missing=(), extra=()):
+        self.ok = ok
+        self.missing = missing
+        self.extra = extra
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.missing, self.extra) == (other.ok, other.missing, other.extra)
+
+    def __repr__(self):
+        return f"HasseReport(ok={self.ok!r}, missing={self.missing!r}, extra={self.extra!r})"
 
 
 def _covers_certified(table, tq):
@@ -760,13 +801,15 @@ def hasse_check(table, tq):
     return HasseReport(not missing and not extra, tuple(missing), tuple(extra))
 
 
-@dataclass
 class DegreeReport:
     """Node-degree histogram plus the dim-vector cross-check."""
 
-    histogram: dict
-    formula_ok: bool
-    mismatches: tuple
+    __slots__ = ("histogram", "formula_ok", "mismatches")
+
+    def __init__(self, histogram, formula_ok, mismatches):
+        self.histogram = histogram
+        self.formula_ok = formula_ok
+        self.mismatches = mismatches
 
 
 def degree_stats(tq):

@@ -1,0 +1,15 @@
+"""Copies of the package's tables and quivers with some fields changed.
+
+The tests that feed a corrupted table or quiver to a check build it here,
+through the class's own constructor.
+"""
+
+
+def forged(obj, **changes):
+    """A copy of `obj` with `changes` in place of those fields, built through its constructor.
+
+    The fields are the class's `__slots__` (bar `__weakref__`), which its
+    constructor takes by the same names; an unknown name raises TypeError.
+    """
+    fields = [name for name in type(obj).__slots__ if name != "__weakref__"]
+    return type(obj)(**({name: getattr(obj, name) for name in fields} | changes))

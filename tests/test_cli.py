@@ -277,6 +277,36 @@ def test_product_reads_only_the_roots_from_rep():
     assert used == {name: set() for name in used}
 
 
+def modules_loaded_by(statement, names):
+    """Which of `names` are in sys.modules after `statement` in a fresh `python -S`.
+
+    -S skips the site hooks, which may import `typing` before the package does.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(tiltquiver.__file__).parents[1]))
+    code = f"import sys\n{statement}\nprint(*[n for n in {names!r} if n in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_the_package_imports_neither_dataclasses_nor_typing():
+    """Every command starts by importing the package, so it imports none of
+    `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize` behind it) or
+    `typing`; the records are plain classes with `__slots__`."""
+    statement = "import tiltquiver, tiltquiver.cli, tiltquiver.rep, tiltquiver.tilting, tiltquiver.verify"
+    heavy = ("dataclasses", "inspect", "typing")
+    assert modules_loaded_by(statement, heavy) == []
+    assert modules_loaded_by(statement + "; import dataclasses, typing", heavy) == list(heavy)
+
+
+def test_the_cli_loads_the_checks_only_for_verify():
+    checks = ("tiltquiver.verify", "tiltquiver.glue", "tiltquiver.classify")
+    assert modules_loaded_by("import tiltquiver.cli", checks) == []
+    assert modules_loaded_by("import tiltquiver.verify", checks) == list(checks)
+
+
 def test_enumerate_matches_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--type", "A", "--rank", "4")
     assert code == 0
@@ -481,7 +511,7 @@ def test_verify_failure_reports_on_stderr(capsys, monkeypatch):
     from tiltquiver.verify import CheckResult
 
     monkeypatch.setattr(
-        "tiltquiver.cli.run_suite",
+        "tiltquiver.verify.run_suite",
         lambda suite, max_rank: [
             CheckResult("demo-check", "X1", "pass"),
             CheckResult("demo-check", "X2", "fail", "got 1, want 2"),

@@ -1,7 +1,7 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
+from forge import forged
 
 from tiltquiver import classify as cl
 from tiltquiver import glue, rep, verify
@@ -453,7 +453,7 @@ def flip(table, i, j):
     """The table with bit j of ext_zero[i] flipped."""
     zero = list(table.ext_zero)
     zero[i] ^= 1 << j
-    return replace(table, ext_zero=tuple(zero))
+    return forged(table, ext_zero=tuple(zero))
 
 
 def test_row_finds_match_the_pairwise_oracle(monkeypatch):

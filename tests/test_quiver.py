@@ -40,6 +40,23 @@ def test_path_quiver_rejects_rank_zero():
         path_quiver(3, [True])
 
 
+def test_quiver_is_an_immutable_value():
+    """Quivers key the caches: equal and hashed by their sorted vertices and
+    arrows, whatever order they were given in, and never changed."""
+    q = path_quiver(3, [True, False])
+    same = Quiver(("3", "2", "1"), (("3", "2"), ("1", "2")))
+    assert q == same and hash(q) == hash(same)
+    assert q != path_quiver(3) and q != (q.vertices, q.arrows)
+    assert repr(path_quiver(2)) == "Quiver(vertices=('1', '2'), arrows=(('1', '2'),))"
+    with pytest.raises(AttributeError):
+        q.arrows = ()
+    with pytest.raises(AttributeError):
+        del q.vertices
+    with pytest.raises(AttributeError):
+        q.label = "A3"
+    assert q == same
+
+
 def test_d_quiver_examples():
     q = d_quiver(3)
     assert q.vertices == ("1", "2", "3+", "3-")

@@ -7,6 +7,8 @@ would pass.
 
 from array import array
 
+import pytest
+
 from tiltquiver import rep, verify
 from tiltquiver.quiver import d_quiver, opposite, path_quiver
 from tiltquiver.tilting import TiltingQuiver, tilting_quiver
@@ -54,3 +56,13 @@ def test_unique_extremes_does_not_read_its_oracle_from_the_walk(monkeypatch):
         assert verify._unique_extremes(d_quiver(3)) == "sources [0], sinks [17]"
     finally:
         tilting_quiver.cache_clear()
+
+
+def test_a_check_is_an_immutable_value():
+    check = verify.CHECKS["rigidity"]
+    same = verify.Check(check.name, check.rows, check.find)
+    assert check == same and hash(check) == hash(same)
+    assert check != verify.Check(check.name, check.rows[:1], check.find)
+    with pytest.raises(AttributeError):
+        check.rows = ()
+    assert {check: 1}[same] == 1
