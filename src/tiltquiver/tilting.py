@@ -32,6 +32,11 @@ from .quiver import automorphism, classify_tree, opposite, quiver_to_json
 # Items (nodes, arrows, modules or degrees) per slice of a streamed export.
 SLICE = 1024
 
+# Down-set rows `_covers_certified` keeps at once, the least recently read
+# dropped first.  A row has #nodes bits, so they hold at most 0.1 MB at A8,
+# 1.1 MB at D9, 3.8 MB at A11 and 13 MB at A12, freed when the check returns.
+DOWN_ROWS = 512
+
 # The highest rank `closed_form_counts` accepts: its cost grows about
 # quadratically with the rank (A100000 takes about 2 s on a 2-vCPU VM).
 COUNTS_MAX_RANK = 100_000
@@ -687,8 +692,11 @@ def _covers_certified(table, tq):
     c' != c, so iff c lies in a second head's down-set, which (M) rules
     out.  So the arrows are exactly the covers, each listed once.
 
-    Each down-set is rank ANDs of #nodes-bit ints, rebuilt per node and per
-    arrow; no row is kept.  A head outside the nodes fails the test.
+    Each down-set is rank ANDs of #nodes-bit ints.  The DOWN_ROWS most
+    recently read are kept, so a head's row is mostly read back, not
+    rebuilt: in the lexicographic node order most arrows end a few hundred
+    nodes from their tail.  Nothing else is kept, and the rows are freed on
+    return.  A head outside the nodes fails the test.
     """
     nodes = tq.nodes
     k = len(nodes)
@@ -699,16 +707,20 @@ def _covers_certified(table, tq):
     flat = tq.summands
     below = _below(table.ext_zero, _has(nodes, len(table)), k)
     part = below.__getitem__
+
+    @lru_cache(maxsize=DOWN_ROWS)
+    def down(u):
+        return reduce(and_, map(part, flat[u * w : u * w + w]))
+
     at = 0
     for p, deg in enumerate(tq.out_deg):
-        down_p = reduce(and_, map(part, flat[p * w : p * w + w]))
+        down_p = down(p)
         if not down_p >> p & 1:
             return False
         row = heads[at : at + deg]
         at += deg
         ones = twos = 0
-        for c in row:
-            down_c = reduce(and_, map(part, flat[c * w : c * w + w]))
+        for down_c in map(down, row):
             twos |= ones & down_c
             ones |= down_c
         if ones != down_p ^ (1 << p) or any(twos >> c & 1 for c in row):
@@ -722,15 +734,16 @@ def hasse_check(table, tq):
     The order comes from `table.ext_zero` only, never from the arrows.  A
     passing quiver is decided by the local certificate of
     `_covers_certified`: every node's down-set is the union of its heads'
-    down-sets plus itself, and no head lies below another head.  The rest
-    runs only when the certificate fails, to say why.  The down- and up-set
-    bitsets of `order_bitsets` give antisymmetry in one AND per node; the
-    covers of each node are then peeled off its strict down-set along a
-    linear extension, one big-int step per cover.  No row is stored: each
-    down-set the peel needs, of the node and of each cover found, is rebuilt
-    from the per-id below bitsets, laid out in linear-extension positions,
-    and each node's covers are compared with its own run of `tq.heads`.
-    Memory is #ids bitsets of #nodes bits, not #nodes rows of #nodes bits,
+    down-sets plus itself, and no head lies below another head; it keeps at
+    most DOWN_ROWS down-set rows, freed on return.  The rest runs only when
+    the certificate fails, to say why.  The down- and up-set bitsets of
+    `order_bitsets` give antisymmetry in one AND per node; the covers of
+    each node are then peeled off its strict down-set along a linear
+    extension, one big-int step per cover.  The peel stores no row: each
+    down-set it needs, of the node and of each cover found, is rebuilt from
+    the per-id below bitsets, laid out in linear-extension positions, and
+    each node's covers are compared with its own run of `tq.heads`.  Its
+    memory is #ids bitsets of #nodes bits, not #nodes rows of #nodes bits,
     nor a set of all the covers.  `missing` and `extra` hold (larger,
     smaller) pairs of node indices, a head outside the nodes included, and
     `extra` holds a pair once more for each repeat of its arrow; when

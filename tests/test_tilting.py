@@ -706,7 +706,9 @@ def test_failing_hasse_check_memory_stays_near_the_walk_peak():
 
     A peel that kept each node's down-set row added 1.88 times the walk's
     peak here (0.88 without), and D8 is the smallest reference instance
-    where it fails this bound.
+    where it fails this bound.  Both the passing check on the walked quiver
+    and the failing one leave traced memory where it was before the call,
+    which a row cache that outlived the call would not.
     """
     import tiltquiver.tilting as tilting
 
@@ -717,6 +719,10 @@ def test_failing_hasse_check_memory_stays_near_the_walk_peak():
         tracemalloc.reset_peak()
         tq = tilting._exchange_walk(table)
         walk_peak = tracemalloc.get_traced_memory()[1] - before
+        # the certificate's rows are freed on return: none outlives the check
+        held_pass = tracemalloc.get_traced_memory()[0]
+        assert hasse_check(table, tq).ok
+        after_pass = tracemalloc.get_traced_memory()[0]
         arrows = list(tq.arrows)
         dropped = arrows.pop()
         broken = with_arrows(tq, arrows)
@@ -725,10 +731,17 @@ def test_failing_hasse_check_memory_stays_near_the_walk_peak():
         tracemalloc.reset_peak()
         report = hasse_check(table, broken)
         added = tracemalloc.get_traced_memory()[1] - held
+        after_fail = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert report == HasseReport(False, missing=(dropped,))
     assert added <= 1.5 * walk_peak, (added, walk_peak)
+    # 256 B leaves room for the readings and the report themselves; one
+    # D8 row outliving the call would take 570 B, DOWN_ROWS of them 290 KB
+    assert after_pass - held_pass <= 256 and after_fail - held <= 256, (
+        after_pass - held_pass,
+        after_fail - held,
+    )
 
 
 def test_walk_peak_stays_at_most_65_bytes_per_arrow(d9_walk_memory):
@@ -909,6 +922,77 @@ def test_cover_certificate_agrees_with_the_peel(monkeypatch):
             seen += 1
             passed += ok
     assert (seen, passed) == (1306, 4)
+
+
+def test_certificate_builds_each_down_set_once(monkeypatch):
+    """When every node fits DOWN_ROWS, a passing hasse_check reads the per-id
+    below bitsets #vertices times per node: each down-set is built once and a
+    head's is read back.  Rebuilt per node and per arrow, they were read
+    (#nodes + #arrows) times #vertices times."""
+    import tiltquiver.tilting as tilting
+
+    reads = []
+    build = tilting._below
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    monkeypatch.setattr(tilting, "_below", lambda *args: Counted(build(*args)))
+    for q in (FAMILIES["A"].reference(builder_param("A", 6)), d_quiver(5)):
+        table, tq = ext_table(q), tilting_quiver(q)
+        k = len(tq.nodes)
+        assert k <= tilting.DOWN_ROWS and len(tq.heads) > k, q
+        reads.clear()
+        assert hasse_check(table, tq).ok, q
+        assert len(reads) == k * len(q.vertices), q
+
+
+def forged_failures(table, tq):
+    """(table, quiver) pairs that fail hasse_check: tq with an arrow dropped,
+    a transitive arrow added, an arrow reversed, an arrow repeated and a head
+    outside the nodes, then tq over an all-ones `ext_zero`."""
+    arrows = list(tq.arrows)
+    out = dict(arrows)  # a head of each node with arrows out
+    u, v = next((t, h) for t, h in arrows if h in out)
+    k = len(tq.nodes)
+    for pairs in (
+        arrows[1:],
+        arrows + [(u, out[v])],  # u -> v -> out[v], so no cover
+        [arrows[0][::-1]] + arrows[1:],
+        arrows + arrows[:1],
+        arrows + [(0, k)],
+    ):
+        yield table, with_arrows(tq, pairs)
+    yield forged(table, ext_zero=((1 << len(table)) - 1,) * len(table)), tq
+
+
+def test_verdicts_do_not_depend_on_the_row_cache_size(monkeypatch):
+    """With one down-set row kept, so that every head's row is rebuilt, and
+    with every node's row kept, hasse_check gives the peel's report on the
+    walked quiver and on forged failing ones, at every orientation of A5 and
+    D5 and at the benchmark's A8 and D7 base orientations."""
+    import tiltquiver.tilting as tilting
+
+    certified = tilting._covers_certified
+    instances = [q for kind, param in (("A", 5), ("D", 4)) for _, q in all_orientations(kind, param)]
+    instances += [path_quiver(8, [c == "1" for c in "1101001"])]
+    instances += [d_quiver(6, [c == "1" for c in "101101"])]
+    assert len(instances) == 34
+    for q in instances:
+        table, tq = ext_table(q), tilting_quiver(q)
+        cases = [(table, tq), *forged_failures(table, tq)]
+        for at, (tab, variant) in enumerate(cases):
+            with monkeypatch.context() as mp:
+                # with the certificate failing every quiver, the peel decides
+                mp.setattr(tilting, "_covers_certified", lambda table, tq: False)
+                want = hasse_check(tab, variant)
+            assert want.ok == (at == 0), (q, at)
+            for rows in (1, len(tq.nodes)):
+                monkeypatch.setattr(tilting, "DOWN_ROWS", rows)
+                assert certified(tab, variant) == want.ok, (q, at, rows)
+                assert hasse_check(tab, variant) == want, (q, at, rows)
 
 
 def test_certificate_needs_each_node_below_itself():
