@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 
 from .models import FAMILIES, all_orientations, builder_param
-from .quiver import automorphism, opposite
+from .quiver import twins
 from .tilting import (
     closed_form_counts,
     tilting_modules_json_chunks,
@@ -53,10 +53,11 @@ def _cmd_enumerate(args, parser, out):
     q = _build_quiver(args.type, args.rank, args.orientation, parser)
     tq = transient_quiver(q)
     if args.format == "csv":
+        # labels hold commas and never a double quote, so their field is quoted
         labels = tq.table.labels()
         out.write("index,ids,labels\n")
         out.writelines(
-            f"{i},{'|'.join(map(str, t))},{'|'.join([labels[s] for s in t])}\n"
+            f"{i},{'|'.join(map(str, t))},\"{'|'.join([labels[s] for s in t])}\"\n"
             for i, t in enumerate(tq.nodes)
         )
     else:
@@ -157,11 +158,8 @@ def _cmd_reflect_scan(args, parser, out):
     counts = {}  # quiver -> (vertices, arrows)
     lines = []
     for bits, q in oriented:
-        # Tilt(Q^op) is Tilt(Q) with every arrow reversed, and Tilt(aQ) is
-        # Tilt(Q) with its ids permuted, so each orbit is walked once
-        alpha = automorphism(q)
-        twins = (opposite(q),) if alpha is None else (opposite(q), alpha[0], opposite(alpha[0]))
-        key = next((counts[t] for t in twins if t in counts), None)
+        # an orbit shares its counts (`tilting_quiver`), so each is walked once
+        key = next((counts[t] for t, _, _ in twins(q) if t in counts), None)
         if key is None:
             tq = transient_quiver(q)
             key = (len(tq.nodes), len(tq.arrows))

@@ -1,4 +1,4 @@
-"""Tree-shaped quivers: construction, reflection, opposite, automorphism, leaf deletion, classification.
+"""Tree-shaped quivers: construction, reflection, opposite, automorphism, twins, leaf deletion, classification.
 
 Vertex labels are strings.  The canonical families use "1", "2", ... for path
 vertices and "n+"/"n-" for the two fork tips of the D-type quiver.  A quiver is
@@ -172,6 +172,23 @@ def automorphism(q):
         return None
     index = {v: p for p, v in enumerate(q.vertices)}
     return image, tuple(index[alpha[v]] for v in q.vertices)
+
+
+def twins(q):
+    """Yield the other orientations of q's orbit as (twin, reverse, perm), each built when asked for.
+
+    First (Q^op, True, None), then, only when the automorphism moves q,
+    (alpha Q, False, perm) and ((alpha Q)^op, True, perm), with perm as in
+    `automorphism`.  `reverse` says whether the twin's arrows point the
+    other way; alpha commutes with the opposite, so alpha fixing q fixes
+    Q^op as well.
+    """
+    yield opposite(q), True, None
+    alpha = automorphism(q)
+    if alpha is not None:
+        image, perm = alpha
+        yield image, False, perm
+        yield opposite(image), True, perm
 
 
 def delete_vertex(q, x):

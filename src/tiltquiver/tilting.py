@@ -11,23 +11,20 @@ to be the Hasse diagram of the order t <= u  iff  Ext^1(u, t) = 0 summandwise.
 The projective module, whose summands are the ids with no Ext^1 to any
 indecomposable, is the maximum of that order, so one walk along the arrows
 from it finds the tilting modules and the arrows together
-(`tilting_quiver`).  Those of the opposite quiver are the same modules
-with every arrow reversed, and those of its image under the diagram
-automorphism are its own with the ids permuted, so one walk serves each
-orbit of orientations.
+(`tilting_quiver`), and the cached walk serves each orbit of orientations
+under the opposite and the diagram automorphism.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from array import array
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, eq, getitem, mul, sub
 
 from . import models, rep
-from .quiver import automorphism, classify_tree, opposite, quiver_to_json
+from .quiver import classify_tree, quiver_to_json, twins
 
 # Items (nodes, arrows, modules or degrees) per slice of a streamed export.
 SLICE = 1024
@@ -337,7 +334,7 @@ class TiltingQuiver:
     object and store the same nodes, arrows and degrees.
     """
 
-    __slots__ = ("table", "summands", "heads", "out_deg", "delta", "__weakref__")
+    __slots__ = ("table", "summands", "heads", "out_deg", "delta")
 
     def __init__(self, table, summands, heads, out_deg, delta):
         self.table = table
@@ -403,27 +400,23 @@ def tilting_quiver(q):
     sorted and appended to one flat array (`TiltingQuiver.heads`).
 
     The orientations in one orbit {Q, Q^op, aQ, aQ^op} share one walk, with
-    a the diagram automorphism (`quiver.automorphism`: the path reversal on
-    A, the fork-tip swap on D).  The duality D = Hom_k(-, k) takes mod kQ
-    to mod kQ^op, keeps dimension vectors and gives
-    Ext^1_Q(U, T) = Ext^1_{Q^op}(DT, DU).  Both quivers have the same
+    a the diagram automorphism (`quiver.twins` lists them).  The duality
+    D = Hom_k(-, k) takes mod kQ to mod kQ^op, keeps dimension vectors and
+    gives Ext^1_Q(U, T) = Ext^1_{Q^op}(DT, DU).  Both quivers have the same
     underlying tree, so the same positive roots, and ids are the sorted
     roots: D maps each indecomposable to the one with its id, and each
     tilting module to the one with the same summand ids.  So Tilt(Q^op) has
     the nodes and degrees of Tilt(Q), with the order, and so every arrow,
-    reversed (`_reversed`).  The automorphism moves each representation
-    along a, so it maps the roots of Q onto themselves by a permutation of
-    their coordinates, keeps Ext, and maps Tilt(aQ) onto Tilt(Q) by the
-    permutation of ids it induces (`_relabeled`).  So a miss is derived with
-    no walk from the quiver of Q^op, else of aQ, else of aQ^op (reversed,
-    then relabelled), whichever is first still held (the first of its
-    quivers returned here and not yet freed, nor dropped by `cache_clear`),
-    and walked only when none is.
-    The one fact a walk over q's own table would check beyond the twin's
-    walk is that the table is the transpose, or the image, of the twin's,
-    and each derivation raises unless it is.  `__wrapped__` builds q's
-    quiver the same way but neither reads nor fills the cache, and holds no
-    twin.
+    reversed.  The automorphism moves each representation along a, so it
+    maps the roots of Q onto themselves by a permutation of their
+    coordinates, keeps Ext, and maps Tilt(aQ) onto Tilt(Q) by the
+    permutation of ids it induces.  So a miss is derived with no walk
+    (`_derived`) from the quiver of the first of Q^op, aQ and aQ^op that the
+    cache already holds, and walked only when it holds none.  The one fact a
+    walk over q's own table would check beyond the twin's walk is that the
+    table is the twin's, transposed and/or permuted, and the derivation
+    raises unless it is.  `__wrapped__` builds q's quiver the same way but
+    neither reads nor fills the cache.
     """
     tq = _build(q)
     _held[q] = tq
@@ -434,17 +427,17 @@ def _build(q):
     """The quiver of q, derived from a held twin or else walked; nothing is cached."""
     _guard(q)
     table = ext_table(q)
-    tq = _derived(q, table)
-    if tq is None:
-        tq = _exchange_walk(table)
-    return tq
+    for twin, reverse, perm in twins(q):
+        held = _held.get(twin)
+        if held is not None:
+            return _derived(table, held, reverse, perm)
+    return _exchange_walk(table)
 
 
-# Per quiver, the quiver the cache holds for it, while it is held somewhere:
-# only a cache miss registers one, so a `__wrapped__` build, which the cache
-# never returns, is no twin and dropping it loses none.  `cache_clear` empties
-# it with the cache.
-_held = weakref.WeakValueDictionary()
+# Per quiver, the quiver the cache holds for it: only a cache miss registers
+# one, so a `__wrapped__` build, which the cache never returns, is no twin.
+# The cache holds every quiver here until `cache_clear` empties both.
+_held = {}
 tilting_quiver.__wrapped__ = _build
 _clear_cache = tilting_quiver.cache_clear
 
@@ -458,69 +451,44 @@ def _clear():
 tilting_quiver.cache_clear = _clear
 
 
-def _reversed(table, twin):
-    """The quiver of `table` from `twin`, the quiver of the opposite orientation.
+def _derived(table, twin, reverse, perm):
+    """The quiver of `table` from `twin`, the quiver of an orientation in its orbit.
 
-    The nodes and degrees are the twin's own objects.  Each node's out-degree
-    is its in-degree in the twin, and the heads are the twin's arrows
-    transposed: one pass over them in tail order fills each head's row in
-    increasing order, so nothing is sorted.
+    `reverse` and `perm` are those `quiver.twins` yields with the twin's
+    orientation.  The twin's id j, of root e, stands for the id s[j] of
+    table's root d with d[p] = e[perm[p]], or for j itself when `perm` is
+    None.  Reversed, each node's out-degree is its in-degree in the twin,
+    and the heads are the twin's arrows transposed: one pass over them in
+    tail order fills each head's row in increasing order.  Without a
+    permutation the nodes and degrees are the twin's own objects; with one,
+    each node's summands are mapped by s in one `bytes.translate`, sorted
+    again, and finished as a walk's are (`_finish`).
     """
-    if table.ext != tuple(map(bytes, zip(*twin.table.ext))):
-        raise RuntimeError(
-            "Ext table is not the transpose of the opposite quiver's: invariant violation"
-        )
-    out_deg = bytes(map(sub, twin.delta, twin.out_deg))
-    at = array("I", accumulate(out_deg, initial=0))  # next free slot per row
-    heads = array("I", bytes(4 * len(twin.heads)))
-    for t, h in twin.arrows:
-        heads[at[h]] = t
-        at[h] += 1
-    return TiltingQuiver(table, twin.summands, heads, out_deg, twin.delta)
-
-
-def _derived(q, table):
-    """q's quiver from a held quiver of its orbit, or None when none is held."""
-    twin = _held.get(opposite(q))
-    if twin is not None:
-        return _reversed(table, twin)
-    alpha = automorphism(q)
-    if alpha is None:  # then a(Q^op) = Q^op as well
-        return None
-    aq, perm = alpha
-    twin = _held.get(aq)
-    if twin is not None:
-        return _relabeled(table, twin, perm)
-    twin = _held.get(opposite(aq))
-    if twin is not None:
-        return _relabeled(table, _reversed(ext_table(aq), twin), perm)
-    return None
-
-
-def _relabeled(table, twin, perm):
-    """The quiver of `table` from `twin`, the quiver of the automorphic orientation.
-
-    `perm` is the automorphism's coordinate permutation (`quiver.automorphism`).
-    The twin's id j, of root e, stands for the id s[j] of table's root
-    d with d[p] = e[perm[p]]; the twin's arrows, degrees and order carry
-    over, so each node's summands are mapped by s in one `bytes.translate`,
-    sorted again, and finished as a walk's are (`_finish`).
-    """
-    ids = table.id_by_dim
-    s = [ids.get(tuple(map(e.__getitem__, perm))) for e in twin.table.dims]
     ext = table.ext
-    if (
-        len(s) != len(ext)
-        or None in s
-        or tuple(bytes(map(ext[i].__getitem__, s)) for i in s) != twin.table.ext
-    ):
-        raise RuntimeError(
-            "Ext table is not the image of the automorphic quiver's: invariant violation"
-        )
+    if perm is None:
+        s, image, which = range(len(ext)), ext, "transpose of the opposite"
+    else:
+        ids = table.id_by_dim
+        s = [ids.get(tuple(map(e.__getitem__, perm))) for e in twin.table.dims]
+        image = None if None in s else tuple(bytes(map(ext[i].__getitem__, s)) for i in s)
+        which = "image of the automorphic"
+    want = tuple(map(bytes, zip(*twin.table.ext))) if reverse else twin.table.ext
+    if len(s) != len(ext) or image != want:
+        raise RuntimeError(f"Ext table is not the {which} quiver's: invariant violation")
+    heads, out_deg = twin.heads, twin.out_deg
+    if reverse:
+        out_deg = bytes(map(sub, twin.delta, out_deg))
+        at = array("I", accumulate(out_deg, initial=0))  # next free slot per row
+        heads = array("I", bytes(4 * len(twin.heads)))
+        for t, h in twin.arrows:
+            heads[at[h]] = t
+            at[h] += 1
+    if perm is None:
+        return TiltingQuiver(table, twin.summands, heads, out_deg, twin.delta)
     flat = twin.summands.translate(bytes(s).ljust(256, b"\0"))
     w = len(table.quiver.vertices)
     summands = [bytes(sorted(flat[a : a + w])) for a in range(0, len(flat), w)]
-    return _finish(table, summands, twin.heads, twin.out_deg, twin.delta)
+    return _finish(table, summands, heads, out_deg, twin.delta)
 
 
 def transient_quiver(q):
@@ -531,8 +499,9 @@ def transient_quiver(q):
     outlives the quiver returned: a command leaves every cache as it found
     it, and a scan over many orientations holds one orientation's data at a
     time.  It never derives a quiver from another orientation's, so each
-    call walks once; `reflect-scan` walks one orientation of each orbit of
-    the opposite and the automorphism and reads the others' counts off it.
+    call walks once; `reflect-scan` reads the same `quiver.twins` as a
+    cache miss does, and copies the counts of the first twin it has
+    already walked instead of calling here.
     """
     _guard(q)
     return _exchange_walk(_euler_table(q, rep.positive_roots.__wrapped__(q)))

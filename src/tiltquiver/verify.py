@@ -15,7 +15,7 @@ so each identity is a few comparisons of row bitsets per module.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache, reduce
 from itertools import product
 from operator import or_
@@ -36,46 +36,20 @@ from .tilting import (
 )
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "check instance status detail", defaults=("",))):
     """One check's outcome on one instance: "pass", or "fail" with a counterexample."""
 
-    __slots__ = ("check", "instance", "status", "detail")
-
-    def __init__(self, check, instance, status, detail=""):
-        self.check = check
-        self.instance = instance
-        self.status = status
-        self.detail = detail
+    __slots__ = ()
 
 
-class Check:
+class Check(namedtuple("Check", "name rows find")):
     """One named identity, checked instance by instance.
 
     `rows` declares the instances (see `_instances`); `find(arg)` returns a
-    counterexample string, or None when the identity holds.  A check is
-    immutable, and equal and hashed by its three fields.
+    counterexample string, or None when the identity holds.
     """
 
-    __slots__ = ("name", "rows", "find")
-
-    def __init__(self, name, rows, find):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "find", find)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.rows, self.find) == (other.name, other.rows, other.find)
-
-    def __hash__(self):
-        return hash((self.name, self.rows, self.find))
+    __slots__ = ()
 
     def __call__(self, max_rank):
         out = []

@@ -8,8 +8,8 @@ through the class's own constructor.
 def forged(obj, **changes):
     """A copy of `obj` with `changes` in place of those fields, built through its constructor.
 
-    The fields are the class's `__slots__` (bar `__weakref__`), which its
-    constructor takes by the same names; an unknown name raises TypeError.
+    The fields are the class's `__slots__`, which its constructor takes by
+    the same names; an unknown name raises TypeError.
     """
-    fields = [name for name in type(obj).__slots__ if name != "__weakref__"]
+    fields = type(obj).__slots__
     return type(obj)(**({name: getattr(obj, name) for name in fields} | changes))

@@ -11,6 +11,7 @@ import pytest
 
 import tiltquiver
 from tiltquiver.cli import EXIT_CLOSED_STDOUT, main
+from tiltquiver.models import FAMILIES, builder_param
 from tiltquiver.tilting import closed_form_counts
 
 # sha256 of `verify --suite all --max-rank 4` stdout: 248 passing checks.
@@ -32,21 +33,23 @@ REFLECT_SCAN_D7_SHA256 = "9fc5486695ef9a3d20a89202552193751ed823733b6aef7642e518
 REFLECT_SCAN_A9_SHA256 = "eeafdb728f250557f678b6a0585ec9542079754cc70f09dc98b9851b89df2a0c"
 
 # sha256 of stdout taken before the Ext table moved onto the Euler form; at
-# the reference orientation the labels are model tags.
+# the reference orientation the labels are model tags.  The CSV digests were
+# pinned again when the labels field was quoted.
 EULER_PATH_SHA256 = {
     ("graph", "--type", "D", "--rank", "6"):
         "328dd3744685ecf1317e64ffd463842116436160838c657612996984888e88fb",
     ("graph", "--type", "D", "--rank", "6", "--orientation", "10110"):
         "fca6d779ea8e8007b988e6b83bf546341a6506f4eec0995b9572596c92eae6e5",
     ("enumerate", "--type", "D", "--rank", "6", "--format", "csv"):
-        "467b23754e2b247ead445c373d5e4440467c743ff3fef89c6c63363fb7afe3a4",
+        "33ac9b4e74360ff17b8d434d4dc82dd393b7956fd33ddcb406c00beaa4314dc1",
     ("enumerate", "--type", "A", "--rank", "6", "--format", "csv"):
-        "20a9d007beb674b2a53256f84c0ed3628a2e00dbcdc0352c22d7576dae3441c1",
+        "9c372d378cc3a5bdbf87c43e7ebff2dca943694312a7629df1e344e8999dd4f5",
 }
 
 
 # sha256 of stdout pinned before `graph` and `enumerate` streamed their
-# output; each spans several chunks of the DOT export or JSON slices.
+# output; each spans several chunks of the DOT export or JSON slices.  The
+# CSV digest was pinned again when the labels field was quoted.
 STREAMED_SHA256 = {
     ("graph", "--type", "A", "--rank", "9", "--format", "json"):
         "cb598ee9617e3289c285c98e73207e6aa020cb364ecca19fcc67bf0bca95dc5f",
@@ -55,7 +58,7 @@ STREAMED_SHA256 = {
     ("enumerate", "--type", "A", "--rank", "9", "--format", "json"):
         "46c1b461801eae5d18d0f556899b73ded040bfe9e3742f3121aaef525a177505",
     ("enumerate", "--type", "D", "--rank", "8", "--orientation", "0110101", "--format", "csv"):
-        "e0f9f9eb884aa319c6761ece386b426a818901974c0ec69b2339ecca2e973947",
+        "f7fa95017fa908086dfe210517f980865b4fa489f76c977f4fb8e1a5173cc6d5",
 }
 
 
@@ -331,6 +334,35 @@ def test_enumerate_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "index,ids,labels"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "kind, rank, orientation",
+    [("A", 3, "reference"), ("D", 5, "0110")],
+    ids=["A3-reference", "D5-0110"],
+)
+def test_enumerate_csv_parses_into_three_fields(capsys, kind, rank, orientation):
+    """The labels hold commas (L(0,1), (0,1,1)), so their field is quoted:
+    `csv.reader` reads the header's three fields on every row."""
+    import csv
+
+    from tiltquiver.tilting import transient_quiver
+
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--type", kind, "--rank", str(rank),
+        "--orientation", orientation, "--format", "csv",
+    )
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["index", "ids", "labels"]
+    bits = None if orientation == "reference" else [c == "1" for c in orientation]
+    labels = transient_quiver(FAMILIES[kind].reference(builder_param(kind, rank), bits)).table.labels()
+    assert len(rows) == closed_form_counts(kind, rank)[0]
+    for i, row in enumerate(rows):
+        assert len(row) == 3, row
+        index, ids, names = row
+        assert int(index) == i
+        assert names.split("|") == [labels[int(s)] for s in ids.split("|")], row
 
 
 def test_reflect_scan_single_pair(capsys):

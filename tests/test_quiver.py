@@ -18,6 +18,7 @@ from tiltquiver.quiver import (
     reflect,
     sink_reflection_sequence,
     tree_edges,
+    twins,
     vertex_key,
 )
 
@@ -125,6 +126,25 @@ def test_automorphism_reverses_the_path_and_swaps_the_fork_tips():
     q = delete_vertex(path_quiver(4, [True, True, True]), "1")
     assert automorphism(q) == (opposite(q), (2, 1, 0))
     assert automorphism(delete_vertex(path_quiver(4, [True, True, False]), "1")) is None
+
+
+def test_twins_list_the_orbit_opposite_first_and_lazily(monkeypatch):
+    """Q^op first; aQ and aQ^op follow, with the automorphism's perm, only
+    when it moves q, and the automorphism is not applied until the second
+    twin is asked for."""
+    import tiltquiver.quiver as quiver
+
+    for kind, n in (("A", 1), ("A", 5), ("D", 3), ("D", 5)):
+        for bits, q in all_orientations(kind, n):
+            alpha = automorphism(q)
+            want = [(opposite(q), True, None)]
+            if alpha is not None:
+                want += [(alpha[0], False, alpha[1]), (opposite(alpha[0]), True, alpha[1])]
+            assert list(twins(q)) == want, (kind, bits)
+    calls = []
+    monkeypatch.setattr(quiver, "automorphism", lambda q: calls.append(q))
+    q = path_quiver(4, [True, False, False])
+    assert next(twins(q)) == (opposite(q), True, None) and calls == []
 
 
 def test_delete_vertex_examples():

@@ -368,23 +368,39 @@ def counting(monkeypatch, name):
 
 def test_a_miss_derives_from_the_first_held_quiver_of_its_orbit(exchange_walks, monkeypatch):
     q = path_quiver(5, [True, True, False, True])
-    image, _ = automorphism(q)
+    image, perm = automorphism(q)
     want = stored(transient_quiver(q))
-    reversals, relabels = counting(monkeypatch, "_reversed"), counting(monkeypatch, "_relabeled")
-    # Q^op is reversed, aQ relabelled, and aQ^op reversed, then relabelled
-    for held, steps in ((opposite(q), (1, 0)), (image, (0, 1)), (opposite(image), (1, 1))):
+    derivations = counting(monkeypatch, "_derived")
+    # Q^op is reversed, aQ relabelled, and aQ^op reversed and relabelled
+    for held, steps in ((opposite(q), (True, None)), (image, (False, perm)), (opposite(image), (True, perm))):
         tilting_quiver.cache_clear()
         tilting_quiver(held)
         exchange_walks.clear()
-        reversals.clear()
-        relabels.clear()
+        derivations.clear()
         assert stored(tilting_quiver(q)) == want, held
-        assert (len(reversals), len(relabels)) == steps, held
+        assert [args[2:] for args in derivations] == [steps], held
         assert exchange_walks == [], held
 
 
+def test_the_automorphic_opposite_derives_in_one_step(exchange_walks):
+    """With only the quiver of aQ^op held, a miss of Q derives from it in
+    one step: no walk, and no Ext table of aQ built on the way."""
+    for cached in (ext_table, tilting_quiver, rep.positive_roots):
+        cached.cache_clear()
+    q = path_quiver(5, [True, True, False, True])
+    aq = automorphism(q)[0]
+    tilting_quiver(opposite(aq))
+    exchange_walks.clear()
+    tq = tilting_quiver(q)
+    assert exchange_walks == []
+    assert ext_table.cache_info().currsize == 2
+    walked = transient_quiver(q)
+    assert stored(tq) == stored(walked)
+    assert tq.table.dims == walked.table.dims and tq.table.ext == walked.table.ext
+
+
 def test_a_quiver_the_automorphism_fixes_is_not_relabelled_from_itself(exchange_walks, monkeypatch):
-    relabels = counting(monkeypatch, "_relabeled")
+    derivations = counting(monkeypatch, "_derived")
     # 1 -> 2 -> 3 <- 4 <- 5, and the fork tips both sinks
     for q in (path_quiver(5, [True, True, False, False]), d_quiver(5, [True] * 5)):
         assert automorphism(q) is None
@@ -396,7 +412,7 @@ def test_a_quiver_the_automorphism_fixes_is_not_relabelled_from_itself(exchange_
         assert len(exchange_walks) == 2
         assert tilting_quiver(opposite(q)).summands is first.summands
         assert len(exchange_walks) == 2
-    assert relabels == []
+    assert [args[2:] for args in derivations] == [(True, None)] * 2
 
 
 def test_relabel_rejects_a_table_that_is_not_the_image(monkeypatch):
@@ -407,12 +423,17 @@ def test_relabel_rejects_a_table_that_is_not_the_image(monkeypatch):
     image, perm = automorphism(q)
     twin = tilting_quiver(image)
     table = ext_table(q)
-    assert stored(tilting._relabeled(table, twin, perm)) == stored(transient_quiver(q))
+    assert stored(tilting._derived(table, twin, False, perm)) == stored(transient_quiver(q))
     ext = list(map(bytearray, table.ext))
     ext[0][1] += 1  # one Ext entry changed
     changed = forged(table, ext=tuple(map(bytes, ext)))
     with pytest.raises(RuntimeError, match="not the image"):
-        tilting._relabeled(changed, twin, perm)
+        tilting._derived(changed, twin, False, perm)
+    # from aQ^op the table is checked transposed and permuted at once
+    far = tilting_quiver.__wrapped__(opposite(image))
+    assert stored(tilting._derived(table, far, True, perm)) == stored(transient_quiver(q))
+    with pytest.raises(RuntimeError, match="not the image"):
+        tilting._derived(changed, far, True, perm)
     # the same on a miss of q while its twin is held: nothing is cached
     monkeypatch.setattr(tilting, "ext_table", lambda _: changed)
     with pytest.raises(RuntimeError, match="not the image"):
@@ -511,7 +532,7 @@ def test_derive_rejects_a_table_that_is_not_the_transpose(monkeypatch):
     twin = tilting_quiver(opposite(q))
     third = ext_table(d_quiver(4, [True, True, False, False]))
     with pytest.raises(RuntimeError, match="not the transpose"):
-        tilting._reversed(third, twin)
+        tilting._derived(third, twin, True, None)
     # the same on a miss of q while its twin is held: nothing is cached
     monkeypatch.setattr(tilting, "ext_table", lambda _: third)
     with pytest.raises(RuntimeError, match="not the transpose"):
@@ -578,16 +599,12 @@ def test_exchange_quiver_matches_pairwise_oracle():
             assert tuple(tilting_quiver(q).arrows) == tuple(sorted(want)), (kind, bits)
 
 
-def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
+def test_tilting_quiver_rejects_a_corrupted_ext_table():
     import tiltquiver.tilting as tilting
 
     q = path_quiver(3)
     table = ext_table(q)
     k = len(table)
-    # with the opposite's quiver held the table's Ext transpose is all that
-    # is checked (test_derive_rejects_a_table_that_is_not_the_transpose), so
-    # drop it: each call below walks
-    tilting_quiver.cache_clear()
 
     def flipped(*pairs):
         compat = list(table.compat)
@@ -618,22 +635,19 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table(monkeypatch):
         flipped((4, 2), (4, 1)),
     )
     for bad in broken:
-        monkeypatch.setattr(tilting, "ext_table", lambda _, t=bad: t)
         with pytest.raises(RuntimeError, match="more than two completions"):
-            tilting_quiver.__wrapped__(q)
+            tilting._exchange_walk(bad)
     both_ways = tuple(
         bytes(table.ext[i][j] + table.ext[j][i] for j in range(k)) for i in range(k)
     )
-    monkeypatch.setattr(tilting, "ext_table", lambda _: forged(table, ext=both_ways))
     with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
-        tilting_quiver.__wrapped__(q)
+        tilting._exchange_walk(forged(table, ext=both_ways))
     # With Ext transposed every arrow is reversed and the projective module
     # becomes the minimum: a walk along arrows from it records no arrow and
     # would return a 1-node quiver, where A3 has 5 nodes.
     transposed = tuple(map(bytes, zip(*table.ext)))
-    monkeypatch.setattr(tilting, "ext_table", lambda _: forged(table, ext=transposed))
     with pytest.raises(RuntimeError, match="misses an exchange"):
-        tilting_quiver.__wrapped__(q)
+        tilting._exchange_walk(forged(table, ext=transposed))
 
 
 def test_walk_starts_at_the_ids_with_no_ext():
@@ -708,36 +722,48 @@ def test_failing_hasse_check_memory_stays_near_the_walk_peak():
     peak here (0.88 without), and D8 is the smallest reference instance
     where it fails this bound.  Both the passing check on the walked quiver
     and the failing one leave traced memory where it was before the call,
-    which a row cache that outlived the call would not.
+    which a row cache that outlived the call would not.  Each held reading
+    is taken right after a full collection, so it does not depend on
+    whether one falls inside the window and empties the interpreter's free
+    lists (the 2-tuples of `list(tq.arrows)` fill one with about 110 KB).
     """
+    import gc
+
     import tiltquiver.tilting as tilting
+
+    def collected():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
 
     table = ext_table.__wrapped__(FAMILIES["D"].reference(builder_param("D", 8)))
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        before = collected()
         tracemalloc.reset_peak()
         tq = tilting._exchange_walk(table)
         walk_peak = tracemalloc.get_traced_memory()[1] - before
         # the certificate's rows are freed on return: none outlives the check
-        held_pass = tracemalloc.get_traced_memory()[0]
+        held_pass = collected()
         assert hasse_check(table, tq).ok
-        after_pass = tracemalloc.get_traced_memory()[0]
+        after_pass = collected()
         arrows = list(tq.arrows)
         dropped = arrows.pop()
         broken = with_arrows(tq, arrows)
         del arrows
-        held = tracemalloc.get_traced_memory()[0]
+        held = collected()
         tracemalloc.reset_peak()
         report = hasse_check(table, broken)
         added = tracemalloc.get_traced_memory()[1] - held
-        after_fail = tracemalloc.get_traced_memory()[0]
+        # the report itself (224 B, fresh allocations after a collection) is
+        # the call's result, not what it leaves behind
+        assert report == HasseReport(False, missing=(dropped,))
+        del report
+        after_fail = collected()
     finally:
         tracemalloc.stop()
-    assert report == HasseReport(False, missing=(dropped,))
     assert added <= 1.5 * walk_peak, (added, walk_peak)
-    # 256 B leaves room for the readings and the report themselves; one
-    # D8 row outliving the call would take 570 B, DOWN_ROWS of them 290 KB
+    # 256 B leaves room for the readings themselves; one D8 row outliving
+    # the call would take 570 B, DOWN_ROWS of them 290 KB
     assert after_pass - held_pass <= 256 and after_fail - held <= 256, (
         after_pass - held_pass,
         after_fail - held,
