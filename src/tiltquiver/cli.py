@@ -24,6 +24,7 @@ from .tilting import (
     tilting_modules_json_chunks,
     tilting_quiver_dot_chunks,
     tilting_quiver_json_chunks,
+    transient_counts,
     transient_quiver,
 )
 
@@ -105,8 +106,8 @@ def _cmd_counts(args, parser, out):
         rows.append((v, a, "closed-form"))
     if args.source in ("enumeration", "both"):
         # a rank past the guard raises here and is reported like any other command's
-        tq = transient_quiver(_build_quiver(args.type, args.rank, "reference", parser))
-        rows.append((len(tq.nodes), len(tq.arrows), "enumeration"))
+        q = _build_quiver(args.type, args.rank, "reference", parser)
+        rows.append((*transient_counts(q), "enumeration"))
     if args.type == "D" and args.rank == 3:
         sys.stderr.write("note: rank 3 of type D coincides with type A rank 3\n")
     with _every_digit():
@@ -161,8 +162,7 @@ def _cmd_reflect_scan(args, parser, out):
         # an orbit shares its counts (`tilting_quiver`), so each is walked once
         key = next((counts[t] for t, _, _ in twins(q) if t in counts), None)
         if key is None:
-            tq = transient_quiver(q)
-            key = (len(tq.nodes), len(tq.arrows))
+            key = transient_counts(q)
         counts[q] = key
         text = "".join("1" if b else "0" for b in bits)
         lines.append((text, key))

@@ -494,21 +494,54 @@ def _derived(table, twin, reverse, perm):
 def transient_quiver(q):
     """`tilting_quiver(q)` built without reading or filling any cache.
 
-    Every command builds its quiver here.  Its roots and Ext table are built
-    for this call alone and the table is kept as `tq.table`, so nothing of q
-    outlives the quiver returned: a command leaves every cache as it found
-    it, and a scan over many orientations holds one orientation's data at a
-    time.  It never derives a quiver from another orientation's, so each
-    call walks once; `reflect-scan` reads the same `quiver.twins` as a
-    cache miss does, and copies the counts of the first twin it has
-    already walked instead of calling here.
+    `enumerate` and `graph` build their quiver here.  Its roots and Ext
+    table are built for this call alone and the table is kept as
+    `tq.table`, so nothing of q outlives the quiver returned: a command
+    leaves every cache as it found it.  It never derives a quiver from
+    another orientation's, so each call walks once.
     """
+    return _exchange_walk(_transient_table(q))
+
+
+def transient_counts(q):
+    """The numbers of vertices and arrows of `tilting_quiver(q)`, as a pair.
+
+    Like `transient_quiver`, it reads and fills no cache, but it builds no
+    quiver: the walk's stores are counted as they are, with no sorting or
+    renumbering.  `reflect-scan` and `counts` count here, a scan holding one
+    orientation's data at a time; `reflect-scan` reads the same
+    `quiver.twins` as a cache miss does, and copies the counts of the first
+    twin it has already counted instead of calling here.
+    """
+    summands, arcs, _, _ = _walk(_transient_table(q))
+    return len(summands), len(arcs)
+
+
+def _transient_table(q):
+    """The Ext table of q, with its roots, built for one call and cached nowhere."""
     _guard(q)
-    return _exchange_walk(_euler_table(q, rep.positive_roots.__wrapped__(q)))
+    return _euler_table(q, rep.positive_roots.__wrapped__(q))
 
 
 def _exchange_walk(table):
-    """The walk of `tilting_quiver` over `table`, the Ext table of its quiver."""
+    """The walk of `tilting_quiver` over `table`, the Ext table of its quiver, finished.
+
+    The walk's index of nodes dies when `_walk` returns, so the flat stores
+    `_finish` builds reuse its memory instead of raising the peak.
+    """
+    return _finish(table, *_walk(table))
+
+
+def _walk(table):
+    """Walk the exchange quiver over `table` and return its raw stores.
+
+    They are `(summands, arcs, out_deg, deg)`, all in walk order, the order
+    `_finish` reads: `summands` holds each node's sorted summand ids as
+    bytes, `arcs` the heads of node 0's arrows, then node 1's, and so on, by
+    position in `summands`, `out_deg` each node's number of them, and `deg`
+    each node's degree.  So there are `len(summands)` nodes and `len(arcs)`
+    arrows.  The walk raises instead of returning part of a quiver.
+    """
     q = table.quiver
     k = len(table)
     full = (1 << k) - 1
@@ -580,19 +613,13 @@ def _exchange_walk(table):
         raise RuntimeError(
             "walk along arrows from the projective module misses an exchange"
         )
-    # Drop the walk's index before the flat stores are built, so that they
-    # reuse its memory instead of raising the peak; `_finish` frees the
-    # per-node summands once it has joined them.
-    del index, masks
-    return _finish(table, summands, arcs, out_deg, deg)
+    return summands, arcs, out_deg, deg
 
 
 def _finish(table, summands, arcs, out_deg, deg):
     """The quiver of `table` on the nodes `summands`, with their arrows in `arcs`.
 
-    `summands` holds each node's sorted summand ids as bytes, and `arcs` the
-    heads of node 0's arrows, then node 1's, and so on, `out_deg[u]` of them
-    for node u, by position in `summands`; `deg` holds the degrees.  The
+    The four stores are laid out as `_walk` returns them.  The
     nodes are sorted by their summands and joined into one byte string, each
     run of heads is renumbered and sorted, and the degrees follow the nodes,
     one byte each.

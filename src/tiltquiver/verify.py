@@ -33,6 +33,7 @@ from .tilting import (
     module_dim,
     order_bitsets,
     tilting_quiver,
+    transient_counts,
 )
 
 
@@ -116,7 +117,8 @@ def _counts(q):
 
 
 def _closed_form(kind):
-    return lambda q: _mismatch(_counts(q), closed_form_counts(kind, len(q.vertices)))
+    # the counts need no quiver, so none is built or cached
+    return lambda q: _mismatch(transient_counts(q), closed_form_counts(kind, len(q.vertices)))
 
 
 def _orientation_invariant(target):

@@ -408,10 +408,9 @@ def test_reflect_scan_walks_each_orbit_once(capsys, monkeypatch, kind, rank, wal
     """One walk per orbit of the opposite and the diagram automorphism.
 
     The counts are the closed forms at every orientation, so each walk here
-    returns a stand-in with them, and the output is still the pinned one.
+    returns stand-in stores of their lengths, and the output is still the
+    pinned one.
     """
-    from types import SimpleNamespace
-
     from tiltquiver import tilting
 
     nodes, arrows = closed_form_counts(kind, rank)
@@ -419,9 +418,9 @@ def test_reflect_scan_walks_each_orbit_once(capsys, monkeypatch, kind, rank, wal
 
     def stand_in(table):
         walked.append(table.quiver)
-        return SimpleNamespace(nodes=range(nodes), arrows=range(arrows))
+        return range(nodes), range(arrows), None, None
 
-    monkeypatch.setattr(tilting, "_exchange_walk", stand_in)
+    monkeypatch.setattr(tilting, "_walk", stand_in)
     code, out, _ = run_cli(capsys, "reflect-scan", "--type", kind, "--rank", str(rank))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

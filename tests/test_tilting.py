@@ -30,6 +30,7 @@ from tiltquiver.tilting import (
     tilting_quiver_dot_chunks,
     tilting_quiver_json,
     tilting_quiver_json_chunks,
+    transient_counts,
     transient_quiver,
 )
 
@@ -303,6 +304,28 @@ def test_exchange_walk_at_every_rank_7_orientation():
             tq = tilting_quiver(q)
             assert enumerate_tilting(q) == clique_search(q), (kind, bits)
             assert (len(tq.nodes), len(tq.arrows)) == want, (kind, bits)
+            assert transient_counts(q) == want, (kind, bits)
+
+
+def test_counts_are_read_off_the_walk_without_a_quiver(monkeypatch):
+    """`transient_counts` gives the sizes of the walked quiver at every
+    orientation of A6 and D5, never finishes a quiver, and leaves every
+    cache as it found it."""
+    from tiltquiver import tilting
+
+    def refuse(*args):
+        raise AssertionError("a count finished a quiver")
+
+    caches = (ext_table, rep.positive_roots, tilting_quiver, enumerate_tilting)
+    for kind, param in (("A", 6), ("D", 5)):
+        for bits, q in all_orientations(kind, param):
+            tq = transient_quiver(q)
+            want = (len(tq.nodes), len(tq.arrows))
+            before = [f.cache_info() for f in caches]
+            with monkeypatch.context() as m:
+                m.setattr(tilting, "_finish", refuse)
+                assert transient_counts(q) == want, (kind, bits)
+            assert [f.cache_info() for f in caches] == before, (kind, bits)
 
 
 def stored(tq):

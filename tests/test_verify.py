@@ -2,7 +2,7 @@
 
 Each test breaks what a check reads from the product and expects the check
 to name the fault, where a check that re-reads the product's own figures
-would pass.
+would pass.  The last tests pin how the checks read the product.
 """
 
 from array import array
@@ -11,7 +11,7 @@ import pytest
 
 from tiltquiver import rep, verify
 from tiltquiver.quiver import d_quiver, opposite, path_quiver
-from tiltquiver.tilting import TiltingQuiver, tilting_quiver
+from tiltquiver.tilting import TiltingQuiver, ext_table, tilting_quiver
 
 
 def test_half_degree_sum_counts_degrees_from_the_compat_table(monkeypatch):
@@ -66,3 +66,15 @@ def test_a_check_is_an_immutable_value():
     with pytest.raises(AttributeError):
         check.rows = ()
     assert {check: 1}[same] == 1
+
+
+def test_closed_form_counts_cache_no_quiver():
+    """The closed-form checks count each instance's walk and keep nothing:
+    A1-A9 and D3-D8 add no quiver and no Ext table to the caches."""
+    tilting_quiver.cache_clear()
+    tables = ext_table.cache_info().currsize
+    for name in ("closed-form-counts-A", "closed-form-counts-D"):
+        results = verify.CHECKS[name](9)
+        assert results and all(r.status == "pass" for r in results), name
+    assert tilting_quiver.cache_info().currsize == 0
+    assert ext_table.cache_info().currsize == tables
