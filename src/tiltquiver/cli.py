@@ -159,7 +159,7 @@ def _cmd_reflect_scan(args, parser, out):
     counts = {}  # quiver -> (vertices, arrows)
     lines = []
     for bits, q in oriented:
-        # an orbit shares its counts (`tilting_quiver`), so each is walked once
+        # an orbit shares its counts (`tilting_quiver`), so each is counted once
         key = next((counts[t] for t, _, _ in twins(q) if t in counts), None)
         if key is None:
             key = transient_counts(q)

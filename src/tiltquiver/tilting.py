@@ -12,7 +12,10 @@ The projective module, whose summands are the ids with no Ext^1 to any
 indecomposable, is the maximum of that order, so one walk along the arrows
 from it finds the tilting modules and the arrows together
 (`tilting_quiver`), and the cached walk serves each orbit of orientations
-under the opposite and the diagram automorphism.
+under the opposite and the diagram automorphism.  Their numbers alone need no
+walk: the tilting modules are the #vertices-cliques of the Ext-compatibility
+relation, and the arrows follow from them and the cliques one smaller, so
+`transient_counts` counts both cliques from the table (`_count`).
 """
 
 from __future__ import annotations
@@ -506,21 +509,81 @@ def transient_quiver(q):
 def transient_counts(q):
     """The numbers of vertices and arrows of `tilting_quiver(q)`, as a pair.
 
-    Like `transient_quiver`, it reads and fills no cache, but it builds no
-    quiver: the walk's stores are counted as they are, with no sorting or
-    renumbering.  `reflect-scan` and `counts` count here, a scan holding one
-    orientation's data at a time; `reflect-scan` reads the same
-    `quiver.twins` as a cache miss does, and copies the counts of the first
-    twin it has already counted instead of calling here.
+    Like `transient_quiver`, it reads and fills no cache, but it neither
+    walks nor builds a quiver: both numbers are counted from the Ext table's
+    `compat` rows (`_count`).  `reflect-scan`, `counts` and verify's
+    closed-form checks count here, a scan holding one orientation's data at
+    a time; `reflect-scan` reads the same `quiver.twins` as a cache miss
+    does, and copies the counts of the first twin it has already counted
+    instead of calling here.
     """
-    summands, arcs, _, _ = _walk(_transient_table(q))
-    return len(summands), len(arcs)
+    return _count(_transient_table(q))
 
 
 def _transient_table(q):
     """The Ext table of q, with its roots, built for one call and cached nowhere."""
     _guard(q)
     return _euler_table(q, rep.positive_roots.__wrapped__(q))
+
+
+def _count(table):
+    """The numbers of tilting modules and of exchange arrows over `table`, as a pair.
+
+    Over a hereditary algebra every rigid set of #vertices = n
+    indecomposables is a tilting module (Bongartz 1981), and every rigid set
+    of n - 1 has one or two complements (Happel-Unger 1989), two exactly
+    when it is an arrow (Happel-Unger, "On a partial order of tilting
+    modules", 2005).  So the tilting modules are the n-cliques of `compat`,
+    and counting each one's n almost complete summands counts every arrow
+    twice and every other (n - 1)-clique once:
+    arrows = n * #(n-cliques) - #((n - 1)-cliques).
+
+    F(cand) is one packed int whose field j, W = #ids bits wide, holds the
+    number of pairwise compatible j-subsets of the id mask `cand`.  With v
+    the lowest id of cand, F(cand) = F(cand - v) + (F((cand - v) & compat[v])
+    << W), and F(0) = 1.  A count of j-subsets of W ids is below 2**W, so no
+    field carries into the next.  The memo is keyed on the candidate masks
+    and filled from an explicit stack, with no nested function, so nothing
+    it holds is a reference cycle and all of it is freed on return.  At the
+    reference orientation it holds 22,530 entries at A12 and 10,367 at D9
+    (the rank guards).  It raises when `compat` has a clique of more than n
+    ids (a rigid set with more summands than vertices), and unless
+    #((n - 1)-cliques) <= n * #(n-cliques) <= 2 * #((n - 1)-cliques) (each
+    almost complete module has one or two complements).
+    """
+    n = len(table.quiver.vertices)
+    k = len(table)
+    compat = table.compat
+    memo = {0: 1}
+    stack = [(1 << k) - 1]
+    while stack:
+        cand = stack[-1]
+        low = cand & -cand
+        rest = cand ^ low
+        inner = rest & compat[low.bit_length() - 1]
+        a = memo.get(rest)
+        b = memo.get(inner)
+        if a is None or b is None:
+            if a is None:
+                stack.append(rest)
+            if b is None and inner != rest:
+                stack.append(inner)
+            continue
+        memo[cand] = a + (b << k)
+        stack.pop()
+    total = memo[(1 << k) - 1]
+    if total >> (n + 1) * k:
+        raise RuntimeError(
+            "rigid set with more summands than vertices: invariant violation"
+        )
+    field = (1 << k) - 1
+    nodes = total >> n * k & field
+    almost = total >> (n - 1) * k & field
+    if not almost <= n * nodes <= 2 * almost:
+        raise RuntimeError(
+            "almost complete module without one or two complements: invariant violation"
+        )
+    return nodes, n * nodes - almost
 
 
 def _exchange_walk(table):

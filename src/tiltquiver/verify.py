@@ -122,6 +122,9 @@ def _closed_form(kind):
 
 
 def _orientation_invariant(target):
+    # counted through the cached walk, not `transient_counts`: the closed-form
+    # checks already read the Ext table's cliques, so here the walk's own
+    # counts meet the closed forms at every orientation
     kind, rank = target
     reference = closed_form_counts(kind, rank)
     pairs = {_counts(q) for _, q in all_orientations(kind, builder_param(kind, rank))}

@@ -396,7 +396,7 @@ def test_reflect_scan_caches_no_quiver(capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, rank, walks, digest",
+    "kind, rank, counts, digest",
     [
         ("D", 5, 6, REFLECT_SCAN_D5_SHA256),  # of 16 orientations
         ("D", 7, 24, REFLECT_SCAN_D7_SHA256),  # of 64
@@ -404,27 +404,26 @@ def test_reflect_scan_caches_no_quiver(capsys):
     ],
     ids=["D5", "D7", "A9"],
 )
-def test_reflect_scan_walks_each_orbit_once(capsys, monkeypatch, kind, rank, walks, digest):
-    """One walk per orbit of the opposite and the diagram automorphism.
+def test_reflect_scan_walks_each_orbit_once(capsys, monkeypatch, kind, rank, counts, digest):
+    """One count per orbit of the opposite and the diagram automorphism.
 
-    The counts are the closed forms at every orientation, so each walk here
-    returns stand-in stores of their lengths, and the output is still the
-    pinned one.
+    The counts are the closed forms at every orientation, so each count here
+    returns the closed-form pair, and the output is still the pinned one.
     """
     from tiltquiver import tilting
 
-    nodes, arrows = closed_form_counts(kind, rank)
-    walked = []
+    want = closed_form_counts(kind, rank)
+    counted = []
 
     def stand_in(table):
-        walked.append(table.quiver)
-        return range(nodes), range(arrows), None, None
+        counted.append(table.quiver)
+        return want
 
-    monkeypatch.setattr(tilting, "_walk", stand_in)
+    monkeypatch.setattr(tilting, "_count", stand_in)
     code, out, _ = run_cli(capsys, "reflect-scan", "--type", kind, "--rank", str(rank))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert len(walked) == walks
+    assert len(counted) == counts
 
 
 def test_reflect_scan_keeps_no_table(capsys):

@@ -307,14 +307,14 @@ def test_exchange_walk_at_every_rank_7_orientation():
             assert transient_counts(q) == want, (kind, bits)
 
 
-def test_counts_are_read_off_the_walk_without_a_quiver(monkeypatch):
+def test_counts_are_read_off_the_table_without_a_walk(monkeypatch):
     """`transient_counts` gives the sizes of the walked quiver at every
-    orientation of A6 and D5, never finishes a quiver, and leaves every
-    cache as it found it."""
+    orientation of A6 and D5, never walks or finishes a quiver, and leaves
+    every cache as it found it."""
     from tiltquiver import tilting
 
     def refuse(*args):
-        raise AssertionError("a count finished a quiver")
+        raise AssertionError("a count walked or finished a quiver")
 
     caches = (ext_table, rep.positive_roots, tilting_quiver, enumerate_tilting)
     for kind, param in (("A", 6), ("D", 5)):
@@ -323,9 +323,57 @@ def test_counts_are_read_off_the_walk_without_a_quiver(monkeypatch):
             want = (len(tq.nodes), len(tq.arrows))
             before = [f.cache_info() for f in caches]
             with monkeypatch.context() as m:
+                m.setattr(tilting, "_walk", refuse)
                 m.setattr(tilting, "_finish", refuse)
                 assert transient_counts(q) == want, (kind, bits)
             assert [f.cache_info() for f in caches] == before, (kind, bits)
+
+
+def test_a_count_leaves_no_cyclic_garbage():
+    """The count's memo is a dict of ints filled from an explicit stack, not
+    a recursive closure, so nothing it builds waits for the cyclic
+    collector: with the collector off, a collection right after a count
+    finds nothing to free."""
+    import gc
+
+    instances = [FAMILIES[kind].reference(builder_param(kind, r)) for kind, r in (("A", 8), ("D", 6))]
+    instances.append(path_quiver(8, [c == "1" for c in "1101001"]))
+    gc.collect()
+    gc.disable()
+    try:
+        for q in instances:
+            transient_counts(q)
+            assert gc.collect() == 0, q
+    finally:
+        gc.enable()
+
+
+def test_count_rejects_a_clique_past_the_vertex_count():
+    """An id outside a tilting module made compatible with all of its
+    summands gives `compat` a clique of #vertices + 1 ids, a rigid set with
+    more summands than vertices, and the count raises instead of counting
+    past it.  With no compatible pair at A2, each id is an almost complete
+    module with no complement, and the count raises too."""
+    from tiltquiver import tilting
+
+    for kind, r in (("A", 4), ("D", 5)):
+        table = ext_table(FAMILIES[kind].reference(builder_param(kind, r)))
+        full = (1 << len(table)) - 1
+        proj = sum(1 << i for i, row in enumerate(table.ext_zero) if row == full)
+        assert proj.bit_count() == r
+        for y in range(len(table)):
+            if proj >> y & 1:
+                continue
+            compat = list(table.compat)
+            compat[y] |= proj
+            for s in range(len(table)):
+                if proj >> s & 1:
+                    compat[s] |= 1 << y
+            with pytest.raises(RuntimeError, match="more summands than vertices"):
+                tilting._count(forged(table, compat=tuple(compat)))
+    table = ext_table(path_quiver(2))
+    with pytest.raises(RuntimeError, match="one or two complements"):
+        tilting._count(forged(table, compat=(0,) * len(table)))
 
 
 def stored(tq):

@@ -69,8 +69,8 @@ def test_a_check_is_an_immutable_value():
 
 
 def test_closed_form_counts_cache_no_quiver():
-    """The closed-form checks count each instance's walk and keep nothing:
-    A1-A9 and D3-D8 add no quiver and no Ext table to the caches."""
+    """The closed-form checks count each instance from its Ext table and keep
+    nothing: A1-A9 and D3-D8 add no quiver and no Ext table to the caches."""
     tilting_quiver.cache_clear()
     tables = ext_table.cache_info().currsize
     for name in ("closed-form-counts-A", "closed-form-counts-D"):
