@@ -2,48 +2,16 @@
 
 Matrices are lists of rows with int entries.  Everything in this package
 stays tiny (intertwiner systems below ~40 unknowns), so dense cubic
-elimination is the right tool.  Ranks use fraction-free (Bareiss)
-elimination and nullspaces a fraction-free Gauss-Jordan elimination that
-divides each combined row by its content, so nullspace basis vectors come
-back integer-primitive.
+elimination is the right tool.  One elimination serves every caller: a
+fraction-free Gauss-Jordan elimination that divides each combined row by
+its content, so nullspace basis vectors come back integer-primitive.  A
+Hom dimension is the nullity of its intertwiner system, and a reflection
+functor's new space is a kernel.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-
-
-def int_rank(m):
-    """Exact rank of int rows by Bareiss elimination; overwrites m."""
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            head = row_i[c]
-            if head:
-                for j in range(c + 1, ncols):
-                    row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
-                row_i[c] = 0
-            elif pivot != prev:
-                # the same step with head = 0; a no-op when pivot == prev
-                for j in range(c + 1, ncols):
-                    row_i[j] = pivot * row_i[j] // prev
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def primitive(vec):
@@ -75,9 +43,7 @@ def nullspace(rows, ncols):
         for i in range(len(m)):
             head = m[i][c]
             if i != r and head:
-                row = [p * a - head * b for a, b in zip(m[i], row_r)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+                m[i] = primitive([p * a - head * b for a, b in zip(m[i], row_r)])
         pivots.append(c)
         r += 1
     reduced = m[:r]
@@ -95,12 +61,3 @@ def nullspace(rows, ncols):
             v[p] = -row[f] * (scale // row[p])
         basis.append(primitive(v))
     return basis
-
-
-def transpose(rows, ncols):
-    return [[row[i] for row in rows] for i in range(ncols)]
-
-
-def left_nullspace(rows, ncols):
-    """Basis of {y : y A = 0} for A with the given number of columns."""
-    return nullspace(transpose(rows, ncols), len(rows))

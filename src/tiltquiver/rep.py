@@ -1,14 +1,17 @@
 """Exact quiver representations: the Hom/Ext oracle and the standard functors.
 
 A representation assigns a dimension to every vertex and an exact integer
-matrix to every arrow (shape target-dim x source-dim).  Hom dimensions come
-from the nullity of the assembled intertwiner system; Ext dimensions follow
-from hom - euler, valid because path algebras of trees are hereditary.
-Indecomposables over a reference orientation are instantiated from the
-combinatorial models and pushed to any other orientation with reflection
-functors at sinks.  Their matrices stay integer (nullspace bases are
-integer-primitive), so hom_dim and hom_table solve their systems in integers
-and reject any other matrix entry.
+matrix to every arrow (shape target-dim x source-dim).  Hom dimensions are
+the nullities of the assembled intertwiner systems (linalg.nullspace, the
+package's one elimination); Ext dimensions follow from hom - euler, valid
+because path algebras of trees are hereditary.  Indecomposables over a
+reference orientation are instantiated from the combinatorial models and
+pushed to any other orientation with reflection functors at sinks.  The
+reflection at a source is the dual of the one at a sink: D = Hom_k(-, k)
+transposes every matrix and turns Q into Q^op, and R-_x = D R+_x D.  The
+matrices stay integer (nullspace bases are integer-primitive), so hom_dim
+and hom_table solve their systems in integers and reject any other matrix
+entry.
 
 tilting.ext_table reads the same Hom/Ext tables off the Euler form on the
 positive roots, and glue works on those roots alone, so this linear algebra
@@ -26,6 +29,7 @@ from .quiver import (
     canonical_form,
     classify_tree,
     delete_vertex,
+    opposite,
     reflect,
     sink_reflection_sequence,
     tree_edges,
@@ -58,13 +62,9 @@ class Rep:
         return all(d == 0 for d in self.dims.values())
 
 
-def _zeros(r, c):
-    return tuple(tuple(0 for _ in range(c)) for _ in range(r))
-
-
 def simple_rep(q, x):
     dims = {v: 1 if v == x else 0 for v in q.vertices}
-    return Rep(q, dims, {(a, b): _zeros(dims[b], dims[a]) for a, b in q.arrows})
+    return Rep(q, dims, {(a, b): models._zeros(dims[b], dims[a]) for a, b in q.arrows})
 
 
 def euler_form(q, d, e):
@@ -96,7 +96,7 @@ def _hom_data(q, r):
     Returns the dims and, per arrow, the columns of its matrix and its negated
     rows: the slices that one row of the system copies.  r must live over q
     and have int matrix entries, so each system goes straight to the integer
-    rank.
+    elimination.
     """
     if r.quiver != q:
         raise ValueError("representations live over different quivers")
@@ -149,7 +149,7 @@ def hom_dim(m, n):
     """dim Hom(m, n): nullity of the intertwiner system f_b M_ab = N_ab f_a."""
     q = m.quiver
     total, rows = _hom_rows(_arrow_layout(q), _hom_data(q, m), _hom_data(q, n))
-    return total - linalg.int_rank(rows)
+    return len(linalg.nullspace(rows, total))
 
 
 def hom_table(q, reps):
@@ -164,7 +164,7 @@ def hom_table(q, reps):
         row = []
         for n in data:
             total, rows = _hom_rows(arrows, m, n)
-            row.append(total - linalg.int_rank(rows))
+            row.append(len(linalg.nullspace(rows, total)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -207,27 +207,24 @@ def _reflection_plus(q, q2, x, m):
 
 
 def reflection_minus(q, x, m):
-    """Reflection functor at a source: new space at x is coker(sum of outgoing maps)."""
+    """Reflection functor at a source: new space at x is coker(sum of outgoing maps).
+
+    R-_x = D R+_x D, since a source x of q is a sink of q^op.
+    """
     if not q.is_source(x):
         raise ValueError(f"{x!r} is not a source")
-    q2 = reflect(q, x)
-    outs = sorted((b for a, b in q.arrows if a == x), key=vertex_key)
-    rows = []
-    blocks = []
-    for y in outs:
-        blocks.append(len(rows))
-        rows.extend(list(r) for r in m.maps[(x, y)])
-    proj = linalg.left_nullspace(rows, m.dims[x]) if rows else []
-    c = len(proj)
-    dims2 = dict(m.dims)
-    dims2[x] = c
-    maps2 = {ar: m.maps[ar] for ar in q.arrows if x not in ar}
-    for y, off in zip(outs, blocks):
-        dy = m.dims[y]
-        maps2[(y, x)] = tuple(
-            tuple(proj[r][off + col] for col in range(dy)) for r in range(c)
-        )
-    return Rep(q2, dims2, maps2)
+    dual = _dual(q, m)
+    image = reflection_plus(dual.quiver, x, dual)
+    return _dual(image.quiver, image)
+
+
+def _dual(q, m):
+    """D m = Hom_k(m, k) over q^op: the same dims, every matrix transposed."""
+    maps = {
+        (b, a): tuple(tuple(row[c] for row in m.maps[(a, b)]) for c in range(m.dims[a]))
+        for a, b in q.arrows
+    }
+    return Rep(opposite(q), dict(m.dims), maps)
 
 
 def restrict(q, x, m):

@@ -103,12 +103,15 @@ def _euler_table(q, roots):
     so root i's whole row is the one product sum_v d_i[v] * w_packed[v], read
     back one byte per root with a bias of _BIAS; no Python loop runs per pair.
 
-    Field bound: with m[v] the largest v-coordinate of a root and
-    M[v] = max(m[v], sum of m[b] over arrows v->b), every |w_j[v]| <= M[v], so
-    every |<d_i, d_j>| <= B = sum_v m[v] * M[v].  The build raises unless
-    B < _BIAS, before anything is packed, so no value carries into the next
-    root's byte.  At every orientation B is at most 17 at A12 and 46 at D9
-    (the rank guards) and stays below _BIAS up to A85 and D22.
+    Field bound: <d_i, d_j> = sum_v d_i[v] d_j[v] - sum over arrows a->b of
+    d_i[a] d_j[b], a difference of two non-negative sums.  With m[v] the
+    largest v-coordinate of a root, every |<d_i, d_j>| <= B =
+    max(sum_v m[v]**2, sum over arrows a->b of m[a] m[b]).  The packed sum is
+    an exact int, so only each pair's final value must fit its byte.  The
+    build raises unless B < _BIAS, before anything is packed, so no value
+    carries into the next root's byte.  B depends on the tree alone: it is 12
+    at A12 and 27 at D9 (the rank guards) and stays below _BIAS up to A127
+    and D34.
     """
     dims = tuple(sorted(roots))
     k = len(dims)
@@ -116,10 +119,7 @@ def _euler_table(q, roots):
     layout = [(index[a], index[b]) for a, b in q.arrows]
     cols = list(zip(*dims))
     top = [max(c) for c in cols]
-    out = [0] * len(cols)
-    for a, b in layout:
-        out[a] += top[b]
-    if sum(map(mul, top, map(max, top, out))) >= _BIAS:
+    if max(sum(map(mul, top, top)), sum(top[a] * top[b] for a, b in layout)) >= _BIAS:
         raise RuntimeError("Euler form value may not fit its byte: invariant violation")
     # column v of the d_j, then of the w_j, as the int sum_j x_j * 256**j
     d_packed = [int.from_bytes(bytes(c), "little") for c in cols]
@@ -548,8 +548,11 @@ def _count(table):
     reference orientation it holds 22,530 entries at A12 and 10,367 at D9
     (the rank guards).  It raises when `compat` has a clique of more than n
     ids (a rigid set with more summands than vertices), and unless
-    #((n - 1)-cliques) <= n * #(n-cliques) <= 2 * #((n - 1)-cliques) (each
-    almost complete module has one or two complements).
+    #((n - 1)-cliques) <= n * #(n-cliques) <= 2 * #((n - 1)-cliques).  That
+    second check bounds only the average number of complements, not each
+    almost complete module's: at A3, a forged `compat` that gives the almost
+    complete module (2, 5) three complements still counts (5, 5).  `_walk`'s
+    checks and verify's comparisons with the closed forms catch such a table.
     """
     n = len(table.quiver.vertices)
     k = len(table)

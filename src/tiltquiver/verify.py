@@ -289,7 +289,7 @@ def _positive_roots(q):
 
 
 def _rigidity(q):
-    # End(M) = k and Ext^1(M, M) = 0, from the intertwiner ranks rather than
+    # End(M) = k and Ext^1(M, M) = 0, from the intertwiner nullities rather than
     # the Euler-form table (which raises on the same test before any check)
     for ind in rep.indecomposables(q):
         h = rep.hom_dim(ind.rep, ind.rep)

@@ -48,29 +48,26 @@ def rref_nullspace(rows, ncols):
     return basis
 
 
-def test_rank_basic():
-    assert linalg.int_rank([[1, 2], [2, 4]]) == 1
-    assert linalg.int_rank([[1, 0], [0, 1]]) == 2
-    assert linalg.int_rank([[0, 0], [0, 0]]) == 0
-    assert linalg.int_rank([]) == 0
-    assert linalg.int_rank([[1, 2, 3]]) == 1
-
-
-def test_rank_matches_rref_pivots_on_random_matrices():
+def nullity_inputs():
+    """(rows, ncols) pairs: fixed small cases, dense random matrices, and
+    sparse rows like the intertwiner systems padded with integer combinations
+    of them, so that the rank is deficient."""
+    yield from (
+        ([[1, 2], [2, 4]], 2),
+        ([[1, 0], [0, 1]], 2),
+        ([[0, 0], [0, 0]], 2),
+        ([], 2),
+        ([[]], 0),
+        ([[1, 2, 3]], 3),
+        ([[1, 2, 0], [1, 2, 1]], 3),
+    )
     rng = random.Random(7)
     for _ in range(50):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        _, pivots = rref(rows, nc)
-        assert linalg.int_rank(rows) == len(pivots)
-
-
-def test_int_rank_matches_rank_on_random_int_matrices():
+        yield [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)], nc
     rng = random.Random(13)
     for _ in range(600):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        # sparse rows like the intertwiner systems, padded with integer
-        # combinations of them so that the rank is deficient
         base = [
             [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(nc)]
             for _ in range(rng.randint(1, nr))
@@ -81,11 +78,11 @@ def test_int_rank_matches_rank_on_random_int_matrices():
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             rows.append([x * u + y * v for u, v in zip(a, b)])
         rng.shuffle(rows)
-        copy = [list(row) for row in rows]
-        want = len(rref(rows, nc)[1])
-        assert linalg.int_rank(copy) == want
-    assert linalg.int_rank([]) == 0
-    assert linalg.int_rank([[]]) == 0
+        yield rows, nc
+    rng = random.Random(11)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        yield [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)], nc
 
 
 def test_nullspace_matches_rref_oracle_on_random_int_matrices():
@@ -97,25 +94,14 @@ def test_nullspace_matches_rref_oracle_on_random_int_matrices():
 
 
 def test_nullspace_annihilates():
-    rng = random.Random(11)
-    for _ in range(30):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
+    # the nullity is ncols minus the rank, the pivot count of the rref oracle
+    for rows, nc in nullity_inputs():
         basis = linalg.nullspace(rows, nc)
-        assert len(basis) == nc - linalg.int_rank([list(row) for row in rows])
+        assert len(basis) == nc - len(rref(rows, nc)[1]), (rows, nc)
         for vec in basis:
             assert any(vec)
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vec)) == 0
-
-
-def test_left_nullspace_annihilates():
-    rows = [[1, 1], [2, 2], [0, 1]]
-    basis = linalg.left_nullspace(rows, 2)
-    assert len(basis) == 1
-    (y,) = basis
-    for c in range(2):
-        assert sum(y[i] * rows[i][c] for i in range(3)) == 0
 
 
 def test_primitive_scaling():

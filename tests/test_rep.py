@@ -15,11 +15,13 @@ from tiltquiver.quiver import (
     classify_tree,
     d_quiver,
     delete_vertex,
+    opposite,
     path_quiver,
     reflect,
 )
 from tiltquiver.rep import (
     Rep,
+    _dual,
     build_model_rep,
     euler_form,
     ext_dim,
@@ -163,13 +165,28 @@ def test_reflection_plus_examples():
 
 
 def test_reflection_plus_acts_as_simple_reflection_on_dims():
+    # and so does its dual, reflection_minus at every source
     for q in (path_quiver(4), d_quiver(3)):
-        for x in filter(q.is_sink, q.vertices):
+        for at, functor in ((q.is_sink, reflection_plus), (q.is_source, reflection_minus)):
+            for x in filter(at, q.vertices):
+                for ind in indecomposables(q):
+                    if ind.dim == simple_rep(q, x).dims:
+                        continue
+                    image = functor(q, x, ind.rep)
+                    assert image.dims == simple_reflection_dims(q, x, ind.dim)
+
+
+def test_dual_is_an_involution():
+    # at every orientation of A4 and D5 (builder parameter 4 for both)
+    for kind in ("A", "D"):
+        for bits, q in all_orientations(kind, 4):
             for ind in indecomposables(q):
-                if ind.dim == simple_rep(q, x).dims:
-                    continue
-                image = reflection_plus(q, x, ind.rep)
-                assert image.dims == simple_reflection_dims(q, x, ind.dim)
+                dual = _dual(q, ind.rep)
+                assert dual.quiver == opposite(q)
+                back = _dual(dual.quiver, dual)
+                assert back.quiver == q
+                assert back.dims == ind.rep.dims, (kind, bits, ind.id)
+                assert back.maps == ind.rep.maps, (kind, bits, ind.id)
 
 
 def test_reflection_round_trip_and_hom_preservation():

@@ -102,6 +102,20 @@ def test_ext_table_raises_when_a_value_may_leave_its_byte(monkeypatch):
         ext_table.__wrapped__(path_quiver(3))
 
 
+def test_ext_table_builds_at_d24():
+    # the field bound reads 87 at D24 (552 roots), below the byte's 128
+    q = d_quiver(23, [i % 2 == 0 for i in range(23)])
+    table = ext_table.__wrapped__(q)
+    assert len(table) == 552
+    index = {v: p for p, v in enumerate(q.vertices)}
+    layout = [(index[a], index[b]) for a, b in q.arrows]
+    for i in random.Random(5).sample(range(len(table)), 8):
+        d = table.dims[i]
+        for j, e in enumerate(table.dims):
+            euler = sum(map(mul, d, e)) - sum(d[a] * e[b] for a, b in layout)
+            assert table.hom[i][j] - table.ext[i][j] == euler, (i, j)
+
+
 def _per_pair_table(kind, param, q, roots):
     """The ExtTable fields of q built pair by pair: one Euler-form sum per pair."""
     dims = tuple(sorted(roots))
@@ -179,7 +193,7 @@ def test_packed_table_matches_per_pair_oracle():
 
 def test_euler_table_matches_rep_oracle():
     # The Euler-form table against the indecomposables built by reflection
-    # functors and the rank of their k^2 intertwiner systems.
+    # functors and the nullities of their k^2 intertwiner systems.
     for kind, rank in (("A", 6), ("D", 5)):
         for bits, q in all_orientations(kind, rank):
             table = ext_table(q)
