@@ -48,26 +48,35 @@ def rref_nullspace(rows, ncols):
     return basis
 
 
-def nullity_inputs():
-    """(rows, ncols) pairs: fixed small cases, dense random matrices, and
-    sparse rows like the intertwiner systems padded with integer combinations
-    of them, so that the rank is deficient."""
-    yield from (
-        ([[1, 2], [2, 4]], 2),
-        ([[1, 0], [0, 1]], 2),
-        ([[0, 0], [0, 0]], 2),
-        ([], 2),
-        ([[]], 0),
-        ([[1, 2, 3]], 3),
-        ([[1, 2, 0], [1, 2, 1]], 3),
-    )
+def rank(rows, ncols):
+    """Rank as ncols minus the nullity, the way rep.hom_dim reads it."""
+    return ncols - len(linalg.nullspace(rows, ncols))
+
+
+def test_rank_basic():
+    assert rank([[1, 2], [2, 4]], 2) == 1
+    assert rank([[1, 0], [0, 1]], 2) == 2
+    assert rank([[0, 0], [0, 0]], 2) == 0
+    assert rank([], 2) == 0
+    assert rank([[1, 2, 3]], 3) == 1
+    assert rank([[1, 2, 0], [1, 2, 1]], 3) == 2
+
+
+def test_rank_matches_rref_pivots_on_random_matrices():
     rng = random.Random(7)
     for _ in range(50):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        yield [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)], nc
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        _, pivots = rref(rows, nc)
+        assert rank(rows, nc) == len(pivots)
+
+
+def test_int_rank_matches_rank_on_random_int_matrices():
     rng = random.Random(13)
     for _ in range(600):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        # sparse rows like the intertwiner systems, padded with integer
+        # combinations of them so that the rank is deficient
         base = [
             [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(nc)]
             for _ in range(rng.randint(1, nr))
@@ -78,11 +87,10 @@ def nullity_inputs():
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             rows.append([x * u + y * v for u, v in zip(a, b)])
         rng.shuffle(rows)
-        yield rows, nc
-    rng = random.Random(11)
-    for _ in range(30):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        yield [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)], nc
+        want = len(rref(rows, nc)[1])
+        assert rank(rows, nc) == want
+    assert rank([], 0) == 0
+    assert rank([[]], 0) == 0
 
 
 def test_nullspace_matches_rref_oracle_on_random_int_matrices():
@@ -94,10 +102,13 @@ def test_nullspace_matches_rref_oracle_on_random_int_matrices():
 
 
 def test_nullspace_annihilates():
-    # the nullity is ncols minus the rank, the pivot count of the rref oracle
-    for rows, nc in nullity_inputs():
+    rng = random.Random(11)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
         basis = linalg.nullspace(rows, nc)
-        assert len(basis) == nc - len(rref(rows, nc)[1]), (rows, nc)
+        # the nullity is ncols minus the rank, the pivot count of the oracle
+        assert len(basis) == nc - len(rref(rows, nc)[1])
         for vec in basis:
             assert any(vec)
             for row in rows:
