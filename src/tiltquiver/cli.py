@@ -33,7 +33,8 @@ EXIT_CLOSED_STDOUT = 141
 
 def _parse_bits(text, needed, parser):
     if len(text) != needed or any(c not in "01" for c in text):
-        parser.error(f"orientation must be {needed} bits of 0/1, got {text!r}")
+        bits = "bit" if needed == 1 else "bits"
+        parser.error(f"orientation must be {needed} {bits} of 0/1, got {text!r}")
     return [c == "1" for c in text]
 
 

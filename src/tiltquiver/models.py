@@ -7,12 +7,16 @@ stretch.  Alongside the dimension vectors and explicit matrices this module
 carries the AR translate and the closed-interval criterion for two-sided
 Ext vanishing; both act as an independent oracle against the Ext table.
 FAMILIES holds these functions once per kind, with the rank rules and the
-closed-form counts, so no caller branches on A/D.
+closed-form counts, so no caller branches on A/D.  `reference_data` memoises,
+per FAMILIES entry and builder parameter, what depends on nothing else: the
+reference quiver, its model tags by dimension vector and its model
+representations.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -224,6 +228,60 @@ FAMILIES = {
     "D": Family(d_quiver, d_indecs, d_dim, d_matrices, d_tau, d_ext_vanish,
                 shift=1, min_rank=3, guard=9, counts=d_counts),
 }
+
+
+# Entries `reference_data` keeps, the least recently read dropped first: one
+# per (FAMILIES entry, builder parameter), and the rank guards allow 12 of
+# type A and 7 of type D.
+REFERENCE_MEMO = 32
+
+
+class Reference:
+    """What one Family entry gives at one builder parameter n, read through `reference_data`.
+
+    `quiver` is the reference orientation.  `tag_by_dim()` returns the dict
+    from each model's dimension vector, in the quiver's vertex order, to its
+    tag, with the number of tags (two tags on one dimension vector leave
+    fewer keys than tags).  `models()` returns one (tag, dims, matrices)
+    triple per model, in `indecs` order.  Each is built on its first call
+    and kept; callers only read them.
+    """
+
+    __slots__ = ("fam", "n", "quiver", "_tag_by_dim", "_models")
+
+    def __init__(self, fam, n):
+        self.fam = fam
+        self.n = n
+        self.quiver = fam.reference(n)
+        self._tag_by_dim = None
+        self._models = None
+
+    def tag_by_dim(self):
+        if self._tag_by_dim is None:
+            fam, n, verts = self.fam, self.n, self.quiver.vertices
+            tags = fam.indecs(n)
+            by_dim = {}
+            for x in tags:
+                d = fam.dim(x, n)
+                by_dim[tuple(d[v] for v in verts)] = x
+            self._tag_by_dim = by_dim, len(tags)
+        return self._tag_by_dim
+
+    def models(self):
+        if self._models is None:
+            fam, n = self.fam, self.n
+            self._models = tuple((x, fam.dim(x, n), fam.matrices(x, n)) for x in fam.indecs(n))
+        return self._models
+
+
+@lru_cache(maxsize=REFERENCE_MEMO)
+def reference_data(fam, n):
+    """The `Reference` of the Family entry `fam` at builder parameter n, built once.
+
+    The memo is keyed on the entry itself, not on its type letter, so an
+    entry put in FAMILIES in place of another never reads the other's data.
+    """
+    return Reference(fam, n)
 
 
 def family(kind):

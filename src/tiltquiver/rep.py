@@ -276,10 +276,6 @@ def build_model_rep(ref, kind, x, n):
     return Rep(ref, fam.dim(x, n), fam.matrices(x, n))
 
 
-def _reference_models(ref, kind, n):
-    return [(x, build_model_rep(ref, kind, x, n)) for x in models.family(kind).indecs(n)]
-
-
 def _transport(ref, goal, reps):
     """Push every representation along a sink-reflection walk from ref to goal."""
     seq = sink_reflection_sequence(ref, goal)
@@ -302,17 +298,19 @@ def _transport(ref, goal, reps):
 def indecomposables(q):
     """All indecomposables of an A- or D-type quiver, ids ordered by dim vector.
 
-    Over the reference orientation the explicit models are instantiated and kept
-    as tags; any other orientation is reached by reflection functors along a
-    shortest sink-reflection walk.
+    Over the reference orientation the explicit models, read from
+    `models.reference_data`, are instantiated and kept as tags (each
+    representation shares its dims and maps with that memo; no function
+    here changes a representation in place); any other orientation is
+    reached by reflection functors along a shortest sink-reflection walk.
     """
     canon, mapping = canonical_form(q)
     kind, param = classify_tree(q)
-    ref = models.family(kind).reference(param)
+    data = models.reference_data(models.family(kind), param)
+    ref = data.quiver
     at_reference = q == ref
-    tagged = _reference_models(ref, kind, param)
-    tags = [x for x, _ in tagged]
-    reps = [r for _, r in tagged]
+    tags = [x for x, _, _ in data.models()]
+    reps = [Rep(ref, dims, maps) for _, dims, maps in data.models()]
     if canon != ref:
         reps = _transport(ref, canon, reps)
         tags = [None] * len(reps)

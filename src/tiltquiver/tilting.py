@@ -147,15 +147,11 @@ def _euler_table(q, roots):
 def _model_tags(q, dims):
     """Model tag per root of q at the reference orientation, all None elsewhere."""
     kind, param = classify_tree(q)
-    fam = models.family(kind)
-    if q != fam.reference(param):
+    ref = models.reference_data(models.family(kind), param)
+    if q != ref.quiver:
         return (None,) * len(dims)
-    tags = fam.indecs(param)
-    by_dim = {}
-    for x in tags:
-        d = fam.dim(x, param)
-        by_dim[tuple(d[v] for v in q.vertices)] = x
-    if len(by_dim) != len(tags) or by_dim.keys() != set(dims):
+    by_dim, n_tags = ref.tag_by_dim()
+    if len(by_dim) != n_tags or by_dim.keys() != set(dims):
         raise RuntimeError(
             "model dimension vectors are not the positive roots: invariant violation"
         )
@@ -254,7 +250,11 @@ def order_bitsets(table, nodes):
     kept.
     """
     n = len(table)
-    cols = [sum(1 << i for i in range(n) if table.ext_zero[i] >> j & 1) for j in range(n)]
+    # bits 0..n-1 of each ext_zero row as "0"/"1" flags, bit j at column j,
+    # row after row; column j, read from its last row up, is the up-set
+    # column at j
+    zero = "".join([format(e, "0%db" % n)[: -n - 1 : -1] for e in table.ext_zero])
+    cols = [int(zero[j - n :: -n], 2) for j in range(n)]
     has = _has(nodes, n)
     return _order_rows(table.ext_zero, has, nodes), _order_rows(cols, has, nodes)
 
@@ -500,8 +500,12 @@ def transient_quiver(q):
     `enumerate` and `graph` build their quiver here.  Its roots and Ext
     table are built for this call alone and the table is kept as
     `tq.table`, so nothing of q outlives the quiver returned: a command
-    leaves every cache as it found it.  It never derives a quiver from
-    another orientation's, so each call walks once.
+    leaves every per-orientation cache (`ext_table`, `tilting_quiver`,
+    `enumerate_tilting`, `positive_roots`) as it found it.  The table's
+    model tags read `models.reference_data`, and its quiver
+    `quiver.vertex_key`; those bounded memos hold no orientation's data.
+    It never derives a quiver from another orientation's, so each call
+    walks once.
     """
     return _exchange_walk(_transient_table(q))
 
@@ -509,13 +513,13 @@ def transient_quiver(q):
 def transient_counts(q):
     """The numbers of vertices and arrows of `tilting_quiver(q)`, as a pair.
 
-    Like `transient_quiver`, it reads and fills no cache, but it neither
-    walks nor builds a quiver: both numbers are counted from the Ext table's
-    `compat` rows (`_count`).  `reflect-scan`, `counts` and verify's
-    closed-form checks count here, a scan holding one orientation's data at
-    a time; `reflect-scan` reads the same `quiver.twins` as a cache miss
-    does, and copies the counts of the first twin it has already counted
-    instead of calling here.
+    Like `transient_quiver`, it reads and fills no per-orientation cache,
+    but it neither walks nor builds a quiver: both numbers are counted from
+    the Ext table's `compat` rows (`_count`).  `reflect-scan`, `counts` and
+    verify's closed-form checks count here, a scan holding one orientation's
+    data at a time; `reflect-scan` reads the same `quiver.twins` as a cache
+    miss does, and copies the counts of the first twin it has already
+    counted instead of calling here.
     """
     return _count(_transient_table(q))
 
@@ -888,14 +892,14 @@ class DegreeReport:
 
 
 def degree_stats(tq):
-    table = tq.table
+    dims = tq.table.dims
     n_vert = len(tq.quiver.vertices)
     mismatches = []
     hist = {}
     for i, (t, delta) in enumerate(zip(tq.nodes, tq.delta)):
         hist[delta] = hist.get(delta, 0) + 1
-        dims = module_dim(table, t)
-        predicted = n_vert - sum(1 for v in dims.values() if v == 1)
+        # the vertices where the module, the sum of its summands, has dimension one
+        predicted = n_vert - [*map(sum, zip(*[dims[s] for s in t]))].count(1)
         if predicted != delta:
             mismatches.append((i, delta, predicted))
     return DegreeReport(dict(sorted(hist.items())), not mismatches, tuple(mismatches))

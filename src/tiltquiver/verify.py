@@ -99,9 +99,9 @@ def _instances(rows, max_rank):
                 for bits, q in all_orientations(kind, n):
                     yield name + "[" + "".join("01"[b] for b in bits) + "]", q
             elif form == "reference":
-                yield name, models.family(kind).reference(n)
+                yield name, models.reference_data(models.family(kind), n).quiver
             else:  # leaves
-                q = models.family(kind).reference(n)
+                q = models.reference_data(models.family(kind), n).quiver
                 yield from ((f"{name}:x={x}", (q, x)) for x in q.vertices if q.is_leaf(x))
 
 

@@ -200,7 +200,7 @@ def test_streamed_output_spans_several_chunks():
     ],
 )
 def test_commands_keep_no_quiver(capsys, argv):
-    """No command reads or fills a cache: each walks on a table of its own."""
+    """No command reads or fills a per-orientation cache: each walks on a table of its own."""
     from tiltquiver.rep import positive_roots
     from tiltquiver.tilting import enumerate_tilting, ext_table, tilting_quiver
 
@@ -567,6 +567,7 @@ def test_usage_errors_exit_2(capsys):
     for argv in (
         ["counts", "--type", "D", "--rank", "2"],
         ["enumerate", "--type", "A", "--rank", "3", "--orientation", "1"],
+        ["enumerate", "--type", "A", "--rank", "2", "--orientation", "10"],
         ["verify", "--suite", "bogus"],
         ["frobnicate"],
         # a selection that runs no check must not pass vacuously
@@ -580,6 +581,14 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_orientation_error_says_how_many_bits(capsys):
+    for rank, needed in ((2, "1 bit"), (3, "2 bits")):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--type", "A", "--rank", str(rank), "--orientation", "111"])
+        assert exc.value.code == 2
+        assert f"orientation must be {needed} of 0/1, got '111'" in capsys.readouterr().err
 
 
 def closed_stdout_run(entry):

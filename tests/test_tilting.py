@@ -224,6 +224,24 @@ def test_model_tags_must_be_the_roots(monkeypatch):
         ext_table.__wrapped__(path_quiver(3))
 
 
+def test_model_tags_memo_is_keyed_on_the_family_entry(monkeypatch):
+    """An entry put in FAMILIES in place of another never reads the other's memoised tags."""
+    from tiltquiver import models
+
+    q = path_quiver(3)
+    want = ext_table.__wrapped__(q).models  # the real entry's tags, memoised
+    assert None not in want
+    fam = models.FAMILIES["A"]
+    shifted = fam._replace(indecs=lambda n: fam.indecs(n)[1:] + [AInterval(0, n + 1)])
+    with monkeypatch.context() as m:
+        m.setitem(models.FAMILIES, "A", shifted)
+        with pytest.raises(RuntimeError, match="not the positive roots"):
+            ext_table.__wrapped__(q)
+    hits = models.reference_data.cache_info().hits
+    assert ext_table.__wrapped__(q).models == want
+    assert models.reference_data.cache_info().hits == hits + 1
+
+
 def test_ext_diagonal_zero():
     for q in (path_quiver(4), d_quiver(3)):
         table = ext_table(q)
@@ -1211,6 +1229,29 @@ def test_degree_stats():
     assert report.histogram == {2: 2, 3: 12, 4: 6}
     tq = tilting_quiver(path_quiver(1))
     assert degree_stats(tq).histogram == {0: 1}
+
+
+def test_degree_stats_reports_a_forged_delta_as_the_module_dim_formula():
+    """Each node whose degree is not #vertices minus the module's dimension-one
+    vertices (`module_dim`) is one (node, delta, predicted) mismatch, at every
+    orientation of A4 and D4, with every third degree forged one too high."""
+    for kind, param in (("A", 4), ("D", 3)):
+        for bits, q in all_orientations(kind, param):
+            tq = transient_quiver(q)
+            n_vert = len(q.vertices)
+            predicted = [
+                n_vert - sum(d == 1 for d in module_dim(tq.table, t).values()) for t in tq.nodes
+            ]
+            assert degree_stats(tq).mismatches == ()
+            assert list(tq.delta) == predicted, (kind, bits)
+            delta = bytes(d + (i % 3 == 0) for i, d in enumerate(tq.delta))
+            report = degree_stats(forged(tq, delta=delta))
+            want = tuple(
+                (i, d, p) for i, (d, p) in enumerate(zip(delta, predicted)) if d != p
+            )
+            assert want and report.mismatches == want, (kind, bits)
+            assert not report.formula_ok
+            assert sum(report.histogram.values()) == len(delta)
 
 
 def test_half_degree_sum():
