@@ -22,6 +22,7 @@ simple_reflection_dims.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from . import linalg, models
@@ -258,22 +259,10 @@ def extend(q, x, n_rep):
     return Rep(q, dims, maps)
 
 
-class Indec:
+class Indec(namedtuple("Indec", "id rep dim model", defaults=(None,))):
     """Indecomposable with its canonical id and optional combinatorial model."""
 
-    __slots__ = ("id", "rep", "dim", "model")
-
-    def __init__(self, id, rep, dim, model=None):
-        self.id = id
-        self.rep = rep
-        self.dim = dim
-        self.model = model
-
-
-def build_model_rep(ref, kind, x, n):
-    """Instantiate a model indecomposable over ref, the reference orientation."""
-    fam = models.family(kind)
-    return Rep(ref, fam.dim(x, n), fam.matrices(x, n))
+    __slots__ = ()
 
 
 def _transport(ref, goal, reps):
@@ -313,11 +302,9 @@ def indecomposables(q):
     reps = [Rep(ref, dims, maps) for _, dims, maps in data.models()]
     if canon != ref:
         reps = _transport(ref, canon, reps)
-        tags = [None] * len(reps)
     if canon != q:
         inverse = {new: old for old, new in mapping.items()}
         reps = [_relabel(r, q, inverse) for r in reps]
-        tags = [None] * len(reps)
     order = sorted(range(len(reps)), key=lambda i: reps[i].dim_tuple())
     out = []
     for new_id, i in enumerate(order):

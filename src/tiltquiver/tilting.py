@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, eq, getitem, mul, sub
@@ -546,11 +547,14 @@ def _count(table):
     number of pairwise compatible j-subsets of the id mask `cand`.  With v
     the lowest id of cand, F(cand) = F(cand - v) + (F((cand - v) & compat[v])
     << W), and F(0) = 1.  A count of j-subsets of W ids is below 2**W, so no
-    field carries into the next.  The memo is keyed on the candidate masks
-    and filled from an explicit stack, with no nested function, so nothing
-    it holds is a reference cycle and all of it is freed on return.  At the
-    reference orientation it holds 22,530 entries at A12 and 10,367 at D9
-    (the rank guards).  It raises when `compat` has a clique of more than n
+    field carries into the next.  `_cliques` computes F by that recursion,
+    memoised on the candidate masks.  It is a module-level function that
+    takes the memo as an argument, so no closure holds the memo, nothing it
+    holds is a reference cycle and all of it is freed on return.  Each call
+    drops the lowest id of its mask, so the recursion nests at most #ids
+    levels below the first call: 78 at A12 and 72 at D9 (the rank guards),
+    against Python's default limit of 1000.  At the reference orientation the memo holds 22,530 entries at
+    A12 and 10,367 at D9.  It raises when `compat` has a clique of more than n
     ids (a rigid set with more summands than vertices), and unless
     #((n - 1)-cliques) <= n * #(n-cliques) <= 2 * #((n - 1)-cliques).  That
     second check bounds only the average number of complements, not each
@@ -560,25 +564,7 @@ def _count(table):
     """
     n = len(table.quiver.vertices)
     k = len(table)
-    compat = table.compat
-    memo = {0: 1}
-    stack = [(1 << k) - 1]
-    while stack:
-        cand = stack[-1]
-        low = cand & -cand
-        rest = cand ^ low
-        inner = rest & compat[low.bit_length() - 1]
-        a = memo.get(rest)
-        b = memo.get(inner)
-        if a is None or b is None:
-            if a is None:
-                stack.append(rest)
-            if b is None and inner != rest:
-                stack.append(inner)
-            continue
-        memo[cand] = a + (b << k)
-        stack.pop()
-    total = memo[(1 << k) - 1]
+    total = _cliques((1 << k) - 1, table.compat, k, {0: 1})
     if total >> (n + 1) * k:
         raise RuntimeError(
             "rigid set with more summands than vertices: invariant violation"
@@ -591,6 +577,19 @@ def _count(table):
             "almost complete module without one or two complements: invariant violation"
         )
     return nodes, n * nodes - almost
+
+
+def _cliques(cand, compat, width, memo):
+    """F(cand) of `_count`, fields `width` bits wide, read from `memo` or added to it."""
+    f = memo.get(cand)
+    if f is None:
+        low = cand & -cand
+        rest = cand ^ low
+        inner = rest & compat[low.bit_length() - 1]
+        f = memo[cand] = _cliques(rest, compat, width, memo) + (
+            _cliques(inner, compat, width, memo) << width
+        )
+    return f
 
 
 def _exchange_walk(table):
@@ -715,23 +714,10 @@ def _finish(table, summands, arcs, out_deg, deg):
     )
 
 
-class HasseReport:
+class HasseReport(namedtuple("HasseReport", "ok missing extra", defaults=((), ()))):
     """Whether the arrows are the covers, with the (larger, smaller) pairs that are not."""
 
-    __slots__ = ("ok", "missing", "extra")
-
-    def __init__(self, ok, missing=(), extra=()):
-        self.ok = ok
-        self.missing = missing
-        self.extra = extra
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.missing, self.extra) == (other.ok, other.missing, other.extra)
-
-    def __repr__(self):
-        return f"HasseReport(ok={self.ok!r}, missing={self.missing!r}, extra={self.extra!r})"
+    __slots__ = ()
 
 
 def _covers_certified(table, tq):
@@ -880,15 +866,10 @@ def hasse_check(table, tq):
     return HasseReport(not missing and not extra, tuple(missing), tuple(extra))
 
 
-class DegreeReport:
+class DegreeReport(namedtuple("DegreeReport", "histogram formula_ok mismatches")):
     """Node-degree histogram plus the dim-vector cross-check."""
 
-    __slots__ = ("histogram", "formula_ok", "mismatches")
-
-    def __init__(self, histogram, formula_ok, mismatches):
-        self.histogram = histogram
-        self.formula_ok = formula_ok
-        self.mismatches = mismatches
+    __slots__ = ()
 
 
 def degree_stats(tq):

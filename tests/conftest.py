@@ -5,6 +5,26 @@ import tracemalloc
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts with the package's caches empty, whatever ran before it.
+
+    `tilting_quiver.cache_clear` also forgets every twin the cache held.
+    """
+    from tiltquiver import glue, rep, tilting, verify
+
+    for cached in (
+        tilting.ext_table,
+        tilting.tilting_quiver,
+        tilting.enumerate_tilting,
+        rep.indecomposables,
+        rep.positive_roots,
+        glue._leaf_maps,
+        verify._classes,
+    ):
+        cached.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def d9_walk_memory():
     """tracemalloc readings off one traced walk at reference D9, shared by the memory tests.

@@ -314,7 +314,6 @@ def test_taxonomy_classifies_each_module_once_and_no_tree_per_module(monkeypatch
 
     monkeypatch.setattr(quiver, "_canonical_positions", count_tree)
     monkeypatch.setattr(cl, "classify", count_module)
-    verify._classes.cache_clear()
     for check in verify.SUITES["taxonomy"]:
         for label, q in verify._instances(check.rows, 5):
             assert check.find(q) is None, (check.name, label)

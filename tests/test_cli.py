@@ -219,13 +219,11 @@ def test_graph_export_stays_near_the_walk_peak(d9_walk_memory):
 
 
 def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
-    from tiltquiver import linalg, rep, tilting
+    from tiltquiver import linalg, rep
 
     def forbidden(*args):
         raise AssertionError("representation or linear algebra on the hot path")
 
-    for cached in (tilting.ext_table, tilting.enumerate_tilting, tilting.tilting_quiver):
-        cached.cache_clear()
     monkeypatch.setattr(rep, "indecomposables", forbidden)
     monkeypatch.setattr(rep, "hom_table", forbidden)
     defined = [
@@ -437,10 +435,7 @@ def test_reflect_scan_keeps_no_table(capsys):
     from tiltquiver.rep import positive_roots
     from tiltquiver.tilting import ext_table
 
-    # The roots are cached per tree, so the scan's tree may be cached
-    # already; emptied first, a cache the scan read or filled would show.
-    for f in (ext_table, positive_roots):
-        f.cache_clear()
+    # Both caches start empty, so a cache the scan read or filled would show.
     before = [f.cache_info() for f in (ext_table, positive_roots)]
     code, out, _ = run_cli(capsys, "reflect-scan", "--type", "A", "--rank", "6")
     assert code == 0

@@ -116,7 +116,6 @@ def test_closure_report_projects_each_module_once(monkeypatch):
         return real(table, target)
 
     monkeypatch.setattr(glue, "rigid_summand_ids", counting)
-    glue._leaf_maps.cache_clear()
     assert {r.status for r in verify.run_suite("glue", 5)} == {"pass"}
     points = [point for _, point in verify._instances(verify._LEAVES, 5)]
     keys = set(points) | {(reflect(q, x), x) for q, x in points}

@@ -22,7 +22,6 @@ from tiltquiver.quiver import (
 from tiltquiver.rep import (
     Rep,
     _dual,
-    build_model_rep,
     euler_form,
     ext_dim,
     ext_from_hom,
@@ -302,11 +301,10 @@ def test_ar_duality_small():
     for q in (path_quiver(4), d_quiver(3)):
         kind, param = classify_tree(q)
         inds = indecomposables(q)
+        by_model = by_interval(q)
         for a in inds:
             shifted = family(kind).tau(a.model, param)
-            tau_rep = (
-                build_model_rep(q, kind, shifted, param) if shifted is not None else None
-            )
+            tau_rep = by_model[shifted].rep if shifted is not None else None
             for b in inds:
                 want = hom_dim(b.rep, tau_rep) if tau_rep is not None else 0
                 assert ext_dim(a.rep, b.rep) == want

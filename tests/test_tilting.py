@@ -362,8 +362,8 @@ def test_counts_are_read_off_the_table_without_a_walk(monkeypatch):
 
 
 def test_a_count_leaves_no_cyclic_garbage():
-    """The count's memo is a dict of ints filled from an explicit stack, not
-    a recursive closure, so nothing it builds waits for the cyclic
+    """The count's memo is a dict of ints passed to a module-level recursion,
+    which no closure holds, so nothing it builds waits for the cyclic
     collector: with the collector off, a collection right after a count
     finds nothing to free."""
     import gc
@@ -446,7 +446,6 @@ def test_quiver_derived_from_its_cached_orbit_is_the_walked_one(exchange_walks):
 
 
 def test_a_cached_sweep_walks_each_orbit_once(exchange_walks):
-    tilting_quiver.cache_clear()
     for _, q in all_orientations("D", 4):
         tilting_quiver(q)
     assert len(exchange_walks) == 6  # of 16 orientations
@@ -488,8 +487,6 @@ def test_a_miss_derives_from_the_first_held_quiver_of_its_orbit(exchange_walks, 
 def test_the_automorphic_opposite_derives_in_one_step(exchange_walks):
     """With only the quiver of aQ^op held, a miss of Q derives from it in
     one step: no walk, and no Ext table of aQ built on the way."""
-    for cached in (ext_table, tilting_quiver, rep.positive_roots):
-        cached.cache_clear()
     q = path_quiver(5, [True, True, False, True])
     aq = automorphism(q)[0]
     tilting_quiver(opposite(aq))
@@ -521,7 +518,6 @@ def test_a_quiver_the_automorphism_fixes_is_not_relabelled_from_itself(exchange_
 def test_relabel_rejects_a_table_that_is_not_the_image(monkeypatch):
     import tiltquiver.tilting as tilting
 
-    tilting_quiver.cache_clear()
     q = d_quiver(4, [True, False, True, False])
     image, perm = automorphism(q)
     twin = tilting_quiver(image)
@@ -548,7 +544,6 @@ def test_relabel_rejects_a_table_that_is_not_the_image(monkeypatch):
 def test_a_lone_call_walks_once_and_caches_one_quiver(exchange_walks):
     import tiltquiver.tilting as tilting
 
-    tilting_quiver.cache_clear()
     q = d_quiver(4, [True, False, True, False])
     # a quiver built without the caches is not a twin to derive from
     transient_quiver(opposite(q))
@@ -565,7 +560,6 @@ def test_a_dropped_rebuild_keeps_the_held_twin(exchange_walks):
     from it instead of walking."""
     import tiltquiver.tilting as tilting
 
-    tilting_quiver.cache_clear()
     q = path_quiver(5, [True, True, False, True])
     tq = tilting_quiver(q)
     tilting_quiver.__wrapped__(q)  # walks: no other quiver of its orbit is held
@@ -581,7 +575,6 @@ def test_a_rebuild_made_before_the_cached_call_is_no_twin(exchange_walks):
     of Q^op derives from it: three calls, two walks."""
     import tiltquiver.tilting as tilting
 
-    tilting_quiver.cache_clear()
     q = path_quiver(5, [True, True, False, True])
     rebuilt = tilting_quiver.__wrapped__(q)
     tq = tilting_quiver(q)
@@ -617,7 +610,6 @@ def test_finish_empties_the_callers_summands():
 def test_cache_clear_forgets_every_twin(exchange_walks):
     import tiltquiver.tilting as tilting
 
-    tilting_quiver.cache_clear()
     q = path_quiver(5, [True, False, False, True])
     tq = tilting_quiver(q)  # still held here after the clear
     tilting_quiver.cache_clear()
@@ -630,7 +622,6 @@ def test_cache_clear_forgets_every_twin(exchange_walks):
 def test_derive_rejects_a_table_that_is_not_the_transpose(monkeypatch):
     import tiltquiver.tilting as tilting
 
-    tilting_quiver.cache_clear()
     q = d_quiver(4, [True, False, True, False])
     twin = tilting_quiver(opposite(q))
     third = ext_table(d_quiver(4, [True, True, False, False]))
@@ -1252,6 +1243,23 @@ def test_degree_stats_reports_a_forged_delta_as_the_module_dim_formula():
             assert want and report.mismatches == want, (kind, bits)
             assert not report.formula_ok
             assert sum(report.histogram.values()) == len(delta)
+
+
+def test_report_and_indecomposable_records_refuse_assignment():
+    """`HasseReport`, `DegreeReport` and `rep.Indec` are read-only records:
+    assigning any field raises, and `HasseReport`'s repr names every field."""
+    q = path_quiver(3)
+    tq = tilting_quiver(q)
+    records = [
+        (hasse_check(ext_table(q), tq), ("ok", "missing", "extra")),
+        (degree_stats(tq), ("histogram", "formula_ok", "mismatches")),
+        (rep.indecomposables(q)[0], ("id", "rep", "dim", "model")),
+    ]
+    for record, fields in records:
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+    assert repr(HasseReport(True)) == "HasseReport(ok=True, missing=(), extra=())"
 
 
 def test_half_degree_sum():

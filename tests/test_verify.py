@@ -50,7 +50,6 @@ def test_unique_extremes_does_not_read_its_oracle_from_the_walk(monkeypatch):
     starts at the projective module, and unique-extremes names its source."""
     real = rep.projective_dim_vectors
     monkeypatch.setattr(rep, "projective_dim_vectors", lambda q: real(opposite(q)))
-    tilting_quiver.cache_clear()  # walk under the patch
     try:
         assert verify._unique_extremes(path_quiver(3)) == "sources [0], sinks [4]"
         assert verify._unique_extremes(d_quiver(3)) == "sources [0], sinks [17]"
@@ -71,7 +70,6 @@ def test_a_check_is_an_immutable_value():
 def test_closed_form_counts_cache_no_quiver():
     """The closed-form checks count each instance from its Ext table and keep
     nothing: A1-A9 and D3-D8 add no quiver and no Ext table to the caches."""
-    tilting_quiver.cache_clear()
     tables = ext_table.cache_info().currsize
     for name in ("closed-form-counts-A", "closed-form-counts-D"):
         results = verify.CHECKS[name](9)
