@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from .models import FAMILIES, all_orientations, builder_param
 from .quiver import twins
 from .tilting import (
+    _guard,
     closed_form_counts,
     tilting_modules_json_chunks,
     tilting_quiver_dot_chunks,
@@ -40,9 +41,12 @@ def _parse_bits(text, needed, parser):
 
 def _param(kind, rank, parser):
     try:
-        return builder_param(kind, rank)
+        param = builder_param(kind, rank)
     except ValueError as exc:
         parser.error(str(exc))
+    # before any quiver is built, so a rank far past the guard exits 2 at once
+    _guard(kind, rank)
+    return param
 
 
 def _build_quiver(kind, rank, orientation, parser):

@@ -57,30 +57,30 @@ def rigid_summand_ids(table, target):
     Searches for a multiset of indecomposables with pairwise two-sided Ext
     vanishing whose dimension vectors sum to the target.  Rigid modules are
     determined by their dimension vector, so the solution must be unique; a
-    second solution signals a broken invariant.
+    second solution signals a broken invariant.  The search is a module-level
+    recursion (`_decompose`) with its state passed in, so it leaves no cycle.
     """
-    k = len(table)
-    roots = table.dims
     solutions = []
-
-    def walk(start, remaining, chosen):
-        if not any(remaining):
-            solutions.append(tuple(chosen))
-            return
-        for i in range(start, k):
-            root = roots[i]
-            if any(r > t for r, t in zip(root, remaining)):
-                continue
-            if any(not ((table.compat[c] >> i) & 1) and c != i for c in chosen):
-                continue
-            walk(i, tuple(t - r for t, r in zip(remaining, root)), chosen + [i])
-
-    walk(0, tuple(target), [])
+    _decompose(table, 0, tuple(target), [], solutions)
     if len(solutions) != 1:
         raise RuntimeError(
             f"dimension vector {target} has {len(solutions)} rigid decompositions"
         )
     return solutions[0]
+
+
+def _decompose(table, start, remaining, chosen, solutions):
+    """Append each compatible extension of `chosen` by ids from `start` on that sums to `remaining`."""
+    if not any(remaining):
+        solutions.append(tuple(chosen))
+        return
+    for i in range(start, len(table)):
+        root = table.dims[i]
+        if any(r > t for r, t in zip(root, remaining)):
+            continue
+        if any(not ((table.compat[c] >> i) & 1) and c != i for c in chosen):
+            continue
+        _decompose(table, i, tuple(t - r for t, r in zip(remaining, root)), chosen + [i], solutions)
 
 
 @lru_cache(maxsize=None)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 from array import array
 from collections import namedtuple
-from functools import lru_cache, reduce
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, eq, getitem, mul, sub
+from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
+from operator import eq, getitem, mul, sub
 
 from . import models, rep
 from .quiver import classify_tree, quiver_to_json, twins
@@ -96,6 +96,18 @@ _EXT = bytes(max(_BIAS - b, 0) for b in range(256))
 _EXT_ZERO = bytes(b"01"[b >= _BIAS] for b in range(256))  # "1" where ext == 0
 
 
+def _columns(flat, k):
+    """The columns of the k-by-k matrix `flat`, stored by rows, as strided slices from the last row up."""
+    return [flat[i - k :: -k] for i in range(k)]
+
+
+def _zero_columns(table):
+    """Per id j, the ids i with Ext^1(i, j) = 0: column j of `ext_zero`, its rows as "0"/"1" flags."""
+    k = len(table)
+    flags = "".join([format(e, "0%db" % k)[: -k - 1 : -1] for e in table.ext_zero])
+    return [int(c, 2) for c in _columns(flags, k)]
+
+
 def _euler_table(q, roots):
     """The `ext_table` of q on its positive roots `roots`.
 
@@ -103,6 +115,7 @@ def _euler_table(q, roots):
     d_j[b].  Column v of the w_j is packed into one int, one byte per root j,
     so root i's whole row is the one product sum_v d_i[v] * w_packed[v], read
     back one byte per root with a bias of _BIAS; no Python loop runs per pair.
+    `ext_zero` and its transpose are the rows and `_columns` of the flags.
 
     Field bound: <d_i, d_j> = sum_v d_i[v] d_j[v] - sum over arrows a->b of
     d_i[a] d_j[b], a difference of two non-negative sums.  With m[v] the
@@ -135,12 +148,8 @@ def _euler_table(q, roots):
     ext = tuple(r.translate(_EXT) for r in rows)
     zero = b"".join(rows).translate(_EXT_ZERO)  # row after row
     ext_zero = tuple(int(zero[i : i + k][::-1], 2) for i in range(0, k * k, k))
-    # row i of the transpose, the ids j with ext[j][i] == 0, is column i of
-    # `zero`: a strided slice, read from its last row up
-    transpose = [int(zero[i - k :: -k], 2) for i in range(k)]
-    compat = tuple(
-        a & b & ~(1 << i) for i, (a, b) in enumerate(zip(ext_zero, transpose))
-    )
+    transpose = map(int, _columns(zero, k), repeat(2))
+    compat = tuple(a & b & ~(1 << i) for i, (a, b) in enumerate(zip(ext_zero, transpose)))
     id_by_dim = {d: i for i, d in enumerate(dims)}
     return ExtTable(q, dims, _model_tags(q, dims), hom, ext, compat, ext_zero, id_by_dim)
 
@@ -177,10 +186,9 @@ def is_tilting(table, ids):
     return all(mask & ~table.compat[s] == 1 << s for s in ids)
 
 
-def _guard(q):
-    kind, _ = classify_tree(q)
+def _guard(kind, rank):
     cap = models.family(kind).guard
-    if len(q.vertices) > cap:
+    if rank > cap:
         raise ValueError(f"rank guard exceeded: type {kind} is capped at {cap} vertices")
 
 
@@ -245,19 +253,13 @@ def order_bitsets(table, nodes):
     mask(t) inside ext_zero[i], so down[u] = {t : t <= u} is the AND, over
     the summands i of u, of below[i]: the nodes whose summands all lie in
     ext_zero[i].  up[u] = {w : u <= w} is the same AND over the ext_zero
-    columns at the summands of u.  The below bitsets are built once per id,
-    #ids bitsets of #nodes bits, from one shared set of per-id summand
-    bitsets, and each row, rank ANDs of them, only when asked for; no row is
-    kept.
+    columns at the summands of u (`_zero_columns`, as the walk reads them).
+    The below bitsets are built once per id, #ids bitsets of #nodes bits,
+    from one shared set of per-id summand bitsets, and each row, rank ANDs
+    of them, only when asked for; no row is kept.
     """
-    n = len(table)
-    # bits 0..n-1 of each ext_zero row as "0"/"1" flags, bit j at column j,
-    # row after row; column j, read from its last row up, is the up-set
-    # column at j
-    zero = "".join([format(e, "0%db" % n)[: -n - 1 : -1] for e in table.ext_zero])
-    cols = [int(zero[j - n :: -n], 2) for j in range(n)]
-    has = _has(nodes, n)
-    return _order_rows(table.ext_zero, has, nodes), _order_rows(cols, has, nodes)
+    has = _has(nodes, len(table))
+    return _order_rows(table.ext_zero, has, nodes), _order_rows(_zero_columns(table), has, nodes)
 
 
 class Arrows:
@@ -429,7 +431,7 @@ def tilting_quiver(q):
 
 def _build(q):
     """The quiver of q, derived from a held twin or else walked; nothing is cached."""
-    _guard(q)
+    _guard(classify_tree(q)[0], len(q.vertices))
     table = ext_table(q)
     for twin, reverse, perm in twins(q):
         held = _held.get(twin)
@@ -476,7 +478,8 @@ def _derived(table, twin, reverse, perm):
         s = [ids.get(tuple(map(e.__getitem__, perm))) for e in twin.table.dims]
         image = None if None in s else tuple(bytes(map(ext[i].__getitem__, s)) for i in s)
         which = "image of the automorphic"
-    want = tuple(map(bytes, zip(*twin.table.ext))) if reverse else twin.table.ext
+    theirs = twin.table.ext
+    want = tuple(c[::-1] for c in _columns(b"".join(theirs), len(theirs))) if reverse else theirs
     if len(s) != len(ext) or image != want:
         raise RuntimeError(f"Ext table is not the {which} quiver's: invariant violation")
     heads, out_deg = twin.heads, twin.out_deg
@@ -527,7 +530,7 @@ def transient_counts(q):
 
 def _transient_table(q):
     """The Ext table of q, with its roots, built for one call and cached nowhere."""
-    _guard(q)
+    _guard(classify_tree(q)[0], len(q.vertices))
     return _euler_table(q, rep.positive_roots.__wrapped__(q))
 
 
@@ -608,19 +611,18 @@ def _walk(table):
     `_finish` reads: `summands` holds each node's sorted summand ids as
     bytes, `arcs` the heads of node 0's arrows, then node 1's, and so on, by
     position in `summands`, `out_deg` each node's number of them, and `deg`
-    each node's degree.  So there are `len(summands)` nodes and `len(arcs)`
-    arrows.  The walk raises instead of returning part of a quiver.
+    each node's degree.  The walk raises instead of returning part of a
+    quiver.  It reads `compat` and `ext_zero`, and no row of `hom` or `ext`.
     """
     q = table.quiver
     k = len(table)
     full = (1 << k) - 1
     inc = [full ^ c for c in table.compat]  # compat is symmetric
     bit = [1 << i for i in range(k)]
-    # up[x]: the ids y with Ext^1(y, x) != 0; exchanging a summand x for y
-    # is an arrow out of the module exactly when y is in up[x]
-    up = [sum(compress(bit, col)) for col in zip(*table.ext)]
-    down = [sum(compress(bit, row)) for row in table.ext]
-    if any(map(and_, up, down)):
+    # up[x]: the ids y with Ext^1(y, x) != 0, outside column x of ext_zero; the exchange
+    # of x for y is an arrow out of the module iff y is in up[x], unoriented if also outside row x
+    up = [full ^ c for c in _zero_columns(table)]
+    if any(u & ~z for u, z in zip(up, table.ext_zero)):
         raise RuntimeError("exchange pair is not oriented by a unique Ext")
     # the projectives are the ids with no Ext^1 to any indecomposable
     start = bytes(i for i, row in enumerate(table.ext_zero) if row == full)
@@ -723,8 +725,8 @@ class HasseReport(namedtuple("HasseReport", "ok missing extra", defaults=((), ()
 def _covers_certified(table, tq):
     """True when <= is a partial order on the nodes and the arrows are its covers.
 
-    down[p] = {t : t <= p} is the AND of below[i] over the summands i of p,
-    as in `order_bitsets`.  Every node p must pass three local tests on
+    down[p] = {t : t <= p} is `_row` of the below bitsets at the summands of
+    p, as in `order_bitsets`.  Every node p must pass three local tests on
     down[p] and the down-sets of the heads c of its run of `tq.heads`:
 
     (R) p is in down[p];
@@ -744,33 +746,30 @@ def _covers_certified(table, tq):
     c' != c, so iff c lies in a second head's down-set, which (M) rules
     out.  So the arrows are exactly the covers, each listed once.
 
-    Each down-set is rank ANDs of #nodes-bit ints.  The DOWN_ROWS most
-    recently read are kept, so a head's row is mostly read back, not
-    rebuilt: in the lexicographic node order most arrows end a few hundred
-    nodes from their tail.  Nothing else is kept, and the rows are freed on
-    return.  A head outside the nodes fails the test.
+    The DOWN_ROWS down-sets most recently read are kept, so a head's is
+    mostly read back, not rebuilt: in the lexicographic node order most
+    arrows end a few hundred nodes from their tail.  Nothing else is kept,
+    and the rows are freed on return.  A head outside the nodes fails.
     """
     nodes = tq.nodes
     k = len(nodes)
     heads = tq.heads
     if heads and max(heads) >= k:
         return False
+    off = array("I", accumulate(tq.out_deg, initial=0))  # as hasse_check validates them
     w = nodes.width
     flat = tq.summands
     below = _below(table.ext_zero, _has(nodes, len(table)), k)
-    part = below.__getitem__
 
     @lru_cache(maxsize=DOWN_ROWS)
     def down(u):
-        return reduce(and_, map(part, flat[u * w : u * w + w]))
+        return _row(below, flat[u * w : u * w + w])
 
-    at = 0
-    for p, deg in enumerate(tq.out_deg):
+    for p in range(k):
         down_p = down(p)
         if not down_p >> p & 1:
             return False
-        row = heads[at : at + deg]
-        at += deg
+        row = heads[off[p] : off[p + 1]]
         ones = twos = 0
         for down_c in map(down, row):
             twos |= ones & down_c

@@ -644,6 +644,31 @@ def test_rank_guard_reported_as_usage_error(capsys):
     assert ext_table.cache_info().misses == misses
 
 
+def test_rank_guard_runs_before_any_quiver_is_built(capsys):
+    """A rank far past the guard is refused before its quiver, or the first
+    of its orientations, is built: every command that enumerates exits 2 at
+    rank 200,000 having traced less than 1 MB."""
+    import tracemalloc
+
+    for argv in (
+        ["enumerate", "--type", "A"],
+        ["graph", "--type", "D"],
+        ["counts", "--type", "A", "--source", "enumeration"],
+        ["reflect-scan", "--type", "A"],
+    ):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--rank", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error: rank guard exceeded: type"), argv
+        assert "usage:" not in captured.err, argv
+        assert peak < 1 << 20, (argv, peak)
+
+
 def test_graph_labels_fall_back_to_dim_vectors_off_reference(capsys):
     code, out, _ = (
         main(["graph", "--type", "A", "--rank", "3", "--orientation", "01", "--format", "dot"]),

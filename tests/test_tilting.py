@@ -731,17 +731,42 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     for bad in broken:
         with pytest.raises(RuntimeError, match="more than two completions"):
             tilting._exchange_walk(bad)
-    both_ways = tuple(
-        bytes(table.ext[i][j] + table.ext[j][i] for j in range(k)) for i in range(k)
-    )
+    # Ext both ways between the ids 1 and 3, of the exchange (1, 4, 5) -> (3, 4, 5)
+    both_ways = list(table.ext_zero)
+    both_ways[1] &= ~(1 << 3)
+    both_ways[3] &= ~(1 << 1)
     with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
-        tilting._exchange_walk(forged(table, ext=both_ways))
-    # With Ext transposed every arrow is reversed and the projective module
-    # becomes the minimum: a walk along arrows from it records no arrow and
-    # would return a 1-node quiver, where A3 has 5 nodes.
-    transposed = tuple(map(bytes, zip(*table.ext)))
+        tilting._exchange_walk(forged(table, ext_zero=tuple(both_ways)))
+    # At D4 the exchange of 11 for 7 is the one arrow (2, 8, 9, 11) -> (2, 7, 8, 9)
+    # into its head.  Reversed in ext_zero, with every row as full as before and
+    # so the same projectives, that head is a source the walk never reaches,
+    # and its exchange is met only from the other end.
+    q = d_quiver(3)
+    table = ext_table(q)
+    tq = tilting_quiver(q)
+    into = [tq.nodes[a] for a, b in tq.arrows if tq.nodes[b] == (2, 7, 8, 9)]
+    assert into == [(2, 8, 9, 11)]
+    reversed_pair = list(table.ext_zero)
+    assert reversed_pair[11] >> 7 & 1 and not reversed_pair[7] >> 11 & 1
+    reversed_pair[7] |= 1 << 11
+    reversed_pair[11] &= ~(1 << 7)
     with pytest.raises(RuntimeError, match="misses an exchange"):
-        tilting._exchange_walk(forged(table, ext=transposed))
+        tilting._exchange_walk(forged(table, ext_zero=tuple(reversed_pair)))
+
+
+def test_walk_reads_neither_hom_nor_ext_rows():
+    """The walk orients each exchange by one bit of a column of `ext_zero`,
+    so over a table whose `hom` and `ext` rows are all zero it returns the
+    stores it returns over the real table, at every orientation of A4 and
+    D4."""
+    import tiltquiver.tilting as tilting
+
+    for kind, param in (("A", 4), ("D", 3)):
+        for bits, q in all_orientations(kind, param):
+            table = ext_table(q)
+            zero = (bytes(len(table)),) * len(table)
+            blank = forged(table, hom=zero, ext=zero)
+            assert stored(tilting._exchange_walk(blank)) == stored(tilting._exchange_walk(table)), bits
 
 
 def test_walk_starts_at_the_ids_with_no_ext():
