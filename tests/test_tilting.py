@@ -737,10 +737,10 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     both_ways[3] &= ~(1 << 1)
     with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
         tilting._exchange_walk(forged(table, ext_zero=tuple(both_ways)))
-    # At D4 the exchange of 11 for 7 is the one arrow (2, 8, 9, 11) -> (2, 7, 8, 9)
-    # into its head.  Reversed in ext_zero, with every row as full as before and
-    # so the same projectives, that head is a source the walk never reaches,
-    # and its exchange is met only from the other end.
+    # At D4 the only arrow into (2, 7, 8, 9) is (2, 8, 9, 11) -> (2, 7, 8, 9),
+    # the exchange of 11 for 7.  Reversed in ext_zero, with every row as full
+    # as before and so the same projectives, it leaves (2, 7, 8, 9) a source
+    # the walk never reaches, and its exchange is met only from the other end.
     q = d_quiver(3)
     table = ext_table(q)
     tq = tilting_quiver(q)
