@@ -170,11 +170,6 @@ def hom_table(q, reps):
     return tuple(out)
 
 
-def ext_dim(m, n):
-    """dim Ext^1(m, n) = hom(m, n) - <dim m, dim n>, nonnegative by heredity."""
-    return ext_from_hom(hom_dim(m, n), euler_form(m.quiver, m.dims, n.dims))
-
-
 def reflection_plus(q, x, m):
     """Reflection functor at a sink: new space at x is ker(sum of incoming maps)."""
     if not q.is_sink(x):

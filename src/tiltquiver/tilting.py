@@ -94,6 +94,7 @@ _BIAS = 128
 _HOM = bytes(max(b - _BIAS, 0) for b in range(256))
 _EXT = bytes(max(_BIAS - b, 0) for b in range(256))
 _EXT_ZERO = bytes(b"01"[b >= _BIAS] for b in range(256))  # "1" where ext == 0
+_ZERO = b"1".ljust(256, b"0")  # "1" where a dimension is 0
 
 
 def _columns(flat, k):
@@ -538,57 +539,68 @@ def _count(table):
     """The numbers of tilting modules and of exchange arrows over `table`, as a pair.
 
     Over a hereditary algebra every rigid set of #vertices = n
-    indecomposables is a tilting module (Bongartz 1981), and every rigid set
-    of n - 1 has one or two complements (Happel-Unger 1989), two exactly
-    when it is an arrow (Happel-Unger, "On a partial order of tilting
-    modules", 2005).  So the tilting modules are the n-cliques of `compat`,
-    and counting each one's n almost complete summands counts every arrow
-    twice and every other (n - 1)-clique once:
-    arrows = n * #(n-cliques) - #((n - 1)-cliques).
+    indecomposables is a tilting module (Bongartz 1981): the V n-cliques of
+    `compat`.  Each of the C (n - 1)-cliques has two complements when it is
+    sincere and one when it is not (Happel-Unger 1989), and it is an arrow
+    exactly when it has two (Happel-Unger, "On a partial order of tilting
+    modules", 2005).  A rigid set among the ids i with dims[i][v] == 0 is
+    rigid over k(Q - v), so it has at most n - 1 summands and misses no
+    other vertex.  With N_v the (n - 1)-cliques among those ids, counting
+    each tilting module's n almost complete summands gives
+    n * V = 2C - sum N_v, and arrows = C - sum N_v.
 
     F(cand) is one packed int whose field j, W = #ids bits wide, holds the
     number of pairwise compatible j-subsets of the id mask `cand`.  With v
-    the lowest id of cand, F(cand) = F(cand - v) + (F((cand - v) & compat[v])
+    the highest id of cand, F(cand) = F(cand - v) + (F((cand - v) & compat[v])
     << W), and F(0) = 1.  A count of j-subsets of W ids is below 2**W, so no
     field carries into the next.  `_cliques` computes F by that recursion,
-    memoised on the candidate masks.  It is a module-level function that
-    takes the memo as an argument, so no closure holds the memo, nothing it
-    holds is a reference cycle and all of it is freed on return.  Each call
-    drops the lowest id of its mask, so the recursion nests at most #ids
-    levels below the first call: 78 at A12 and 72 at D9 (the rank guards),
-    against Python's default limit of 1000.  At the reference orientation the memo holds 22,530 entries at
-    A12 and 10,367 at D9.  It raises when `compat` has a clique of more than n
-    ids (a rigid set with more summands than vertices), and unless
-    #((n - 1)-cliques) <= n * #(n-cliques) <= 2 * #((n - 1)-cliques).  That
-    second check bounds only the average number of complements, not each
-    almost complete module's: at A3, a forged `compat` that gives the almost
-    complete module (2, 5) three complements still counts (5, 5).  `_walk`'s
-    checks and verify's comparisons with the closed forms catch such a table.
+    memoised on the candidate masks, one memo for the full mask and the n
+    masks of the N_v.  It is a module-level function that takes the memo as
+    an argument, so no closure holds the memo, nothing it holds is a
+    reference cycle and all of it is freed on return.  Each call drops the
+    highest id of its mask, so the recursion nests at most #ids levels below
+    the first call: 78 at A12 and 72 at D9 (the rank guards), against
+    Python's default limit of 1000.  At the reference orientation the memo
+    holds 6,143 entries at A12 and 4,877 at D9, of which the n masks add 11
+    and 8 (22,530 and 10,367 for the full mask alone, dropping the lowest
+    id).  It raises on a rigid set with more summands than its vertices, and
+    unless n * V = 2C - sum N_v.
     """
     n = len(table.quiver.vertices)
     k = len(table)
-    total = _cliques((1 << k) - 1, table.compat, k, {0: 1})
-    if total >> (n + 1) * k:
+    field = (1 << k) - 1
+    memo = {0: 1}
+    total = _cliques(field, table.compat, k, memo)
+    nodes = total >> n * k & field
+    almost = arrows = total >> (n - 1) * k & field
+    past = total >> (n + 1) * k  # cliques of more ids than vertices, of Q or of a Q - v
+    for col in zip(*table.dims):
+        # col is column v of dims; its flags, last id first, mask the ids i with dims[i][v] == 0
+        f = _cliques(int(bytes(col[::-1]).translate(_ZERO), 2), table.compat, k, memo)
+        past |= f >> n * k
+        arrows -= f >> (n - 1) * k
+    if past:
         raise RuntimeError(
             "rigid set with more summands than vertices: invariant violation"
         )
-    field = (1 << k) - 1
-    nodes = total >> n * k & field
-    almost = total >> (n - 1) * k & field
-    if not almost <= n * nodes <= 2 * almost:
+    if n * nodes != almost + arrows:
         raise RuntimeError(
             "almost complete module without one or two complements: invariant violation"
         )
-    return nodes, n * nodes - almost
+    return nodes, arrows
 
 
 def _cliques(cand, compat, width, memo):
-    """F(cand) of `_count`, fields `width` bits wide, read from `memo` or added to it."""
+    """F(cand) of `_count`, fields `width` bits wide, read from `memo` or added to it.
+
+    It drops the highest id of `cand` and recurses on the rest and on the
+    rest's ids compatible with it.
+    """
     f = memo.get(cand)
     if f is None:
-        low = cand & -cand
-        rest = cand ^ low
-        inner = rest & compat[low.bit_length() - 1]
+        top = cand.bit_length() - 1
+        rest = cand ^ (1 << top)
+        inner = rest & compat[top]
         f = memo[cand] = _cliques(rest, compat, width, memo) + (
             _cliques(inner, compat, width, memo) << width
         )
@@ -722,12 +734,13 @@ class HasseReport(namedtuple("HasseReport", "ok missing extra", defaults=((), ()
     __slots__ = ()
 
 
-def _covers_certified(table, tq):
+def _covers_certified(table, tq, off):
     """True when <= is a partial order on the nodes and the arrows are its covers.
 
     down[p] = {t : t <= p} is `_row` of the below bitsets at the summands of
     p, as in `order_bitsets`.  Every node p must pass three local tests on
-    down[p] and the down-sets of the heads c of its run of `tq.heads`:
+    down[p] and the down-sets of its heads c, `tq.heads[off[p] : off[p + 1]]`
+    with the run offsets `off` that `hasse_check` validated:
 
     (R) p is in down[p];
     (U) the union of the down[c] is down[p] minus p;
@@ -756,7 +769,6 @@ def _covers_certified(table, tq):
     heads = tq.heads
     if heads and max(heads) >= k:
         return False
-    off = array("I", accumulate(tq.out_deg, initial=0))  # as hasse_check validates them
     w = nodes.width
     flat = tq.summands
     below = _below(table.ext_zero, _has(nodes, len(table)), k)
@@ -809,7 +821,7 @@ def hasse_check(table, tq):
     off = array("I", accumulate(tq.out_deg, initial=0))  # u's heads: heads[off[u]:off[u + 1]]
     if len(off) != k + 1 or off[-1] != len(heads):
         raise ValueError("arrow rows do not match the nodes")
-    if _covers_certified(table, tq):
+    if _covers_certified(table, tq, off):
         return HasseReport(True)
     size = []  # only the down-set sizes outlive this loop
     for u, (down_u, up_u) in enumerate(zip(*order_bitsets(table, nodes))):

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from array import array
+from itertools import accumulate
 from operator import mul
 
 import pytest
@@ -408,6 +409,36 @@ def test_count_rejects_a_clique_past_the_vertex_count():
         tilting._count(forged(table, compat=(0,) * len(table)))
 
 
+def flipped(table, *pairs):
+    """`table` with the compatibility of each pair of ids in `pairs` flipped, both ways."""
+    compat = list(table.compat)
+    for i, j in pairs:
+        compat[i] ^= 1 << j
+        compat[j] ^= 1 << i
+    return forged(table, compat=tuple(compat))
+
+
+def test_count_rejects_a_table_off_the_sincere_complement_identity():
+    """At A3, forged tables whose clique counts still meet C <= n * V <= 2C
+    fail n * V = 2C - sum N_v: the almost complete module (2, 5) given
+    three complements (V = 5, C = 10, 15 against 16), and id 5 = (1, 1, 1)
+    made to clash with any one other id (V = 3, C = 9, 9 against 13).  A
+    tilting module forged among the ids that miss vertex 0 raises too."""
+    from tiltquiver import tilting
+
+    table = ext_table(path_quiver(3))
+    assert tilting._count(table) == (5, 5)
+    assert [i for i, d in enumerate(table.dims) if not d[0]] == [0, 1, 2]
+    bad = [flipped(table, (4, 2), (4, 1))]
+    bad += [flipped(table, (5, j)) for j in range(5)]
+    for forged_table in bad:
+        with pytest.raises(RuntimeError, match="one or two complements"):
+            tilting._count(forged_table)
+    # 0 and 1 made compatible, and 5 cut from 0 so that no 4-clique forms
+    with pytest.raises(RuntimeError, match="more summands than vertices"):
+        tilting._count(flipped(table, (0, 1), (5, 0)))
+
+
 def stored(tq):
     return tq.summands, bytes(tq.heads), tq.out_deg, tq.delta
 
@@ -699,14 +730,6 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     q = path_quiver(3)
     table = ext_table(q)
     k = len(table)
-
-    def flipped(*pairs):
-        compat = list(table.compat)
-        for i, j in pairs:
-            compat[i] ^= 1 << j
-            compat[j] ^= 1 << i
-        return forged(table, compat=tuple(compat))
-
     # ids sort by dimension vector: the projective module is (0, 2, 5), and
     # outside it id 4 = (1, 1, 0) clashes with the summands 0 and 2 and
     # id 1 with 0 alone
@@ -723,10 +746,10 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     broken = (
         everything,
         # 4 compatible with every summand of the projective module
-        flipped((4, 0), (4, 2)),
+        flipped(table, (4, 0), (4, 2)),
         # 4 and 1 both clash with the summand 0 alone, and with each other,
         # so (2, 5) has the three complements 0, 1 and 4
-        flipped((4, 2), (4, 1)),
+        flipped(table, (4, 2), (4, 1)),
     )
     for bad in broken:
         with pytest.raises(RuntimeError, match="more than two completions"):
@@ -1047,6 +1070,11 @@ def single_arrow_variants(tq):
     yield with_arrows(tq, arrows + arrows[:1])
 
 
+def offsets(tq):
+    """The run offsets of `tq.heads`, as `hasse_check` validates them."""
+    return array("I", accumulate(tq.out_deg, initial=0))
+
+
 def test_cover_certificate_agrees_with_the_peel(monkeypatch):
     """The local certificate accepts exactly what the peel of `hasse_check`
     accepts, on every single-arrow variant at two orientations each of A4
@@ -1055,7 +1083,7 @@ def test_cover_certificate_agrees_with_the_peel(monkeypatch):
 
     certified = tilting._covers_certified
     # with the certificate failing every quiver, the peel decides each one
-    monkeypatch.setattr(tilting, "_covers_certified", lambda table, tq: False)
+    monkeypatch.setattr(tilting, "_covers_certified", lambda table, tq, off: False)
     instances = [path_quiver(4), path_quiver(4, [False, True, False])]
     instances += [d_quiver(3), d_quiver(3, [False, True, False])]
     seen = passed = 0
@@ -1063,7 +1091,7 @@ def test_cover_certificate_agrees_with_the_peel(monkeypatch):
         table = ext_table(q)
         for variant in single_arrow_variants(tilting_quiver(q)):
             ok = hasse_check(table, variant).ok
-            assert certified(table, variant) == ok
+            assert certified(table, variant, offsets(variant)) == ok
             seen += 1
             passed += ok
     assert (seen, passed) == (1306, 4)
@@ -1131,12 +1159,12 @@ def test_verdicts_do_not_depend_on_the_row_cache_size(monkeypatch):
         for at, (tab, variant) in enumerate(cases):
             with monkeypatch.context() as mp:
                 # with the certificate failing every quiver, the peel decides
-                mp.setattr(tilting, "_covers_certified", lambda table, tq: False)
+                mp.setattr(tilting, "_covers_certified", lambda table, tq, off: False)
                 want = hasse_check(tab, variant)
             assert want.ok == (at == 0), (q, at)
             for rows in (1, len(tq.nodes)):
                 monkeypatch.setattr(tilting, "DOWN_ROWS", rows)
-                assert certified(tab, variant) == want.ok, (q, at, rows)
+                assert certified(tab, variant, offsets(variant)) == want.ok, (q, at, rows)
                 assert hasse_check(tab, variant) == want, (q, at, rows)
 
 
@@ -1160,7 +1188,7 @@ def test_certificate_needs_each_node_below_itself():
         out_deg=bytes((2, 2)),
         delta=bytes((4, 4)),
     )
-    assert not tilting._covers_certified(table, tq)
+    assert not tilting._covers_certified(table, tq, offsets(tq))
     with pytest.raises(RuntimeError, match="node 0 is not <= itself"):
         hasse_check(table, tq)
 
