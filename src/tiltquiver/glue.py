@@ -16,16 +16,16 @@ crossing bijection and the arrow-count decomposition) are checks in
 Everything here reads the ids and dimension vectors of ext_table.
 Restriction deletes the coordinate at x, extension copies the coordinate of
 x's neighbour, and the reflection functor at x sends every indecomposable
-other than the simple to the simple reflection of its dimension vector.  The
-functors of rep that build these modules are the tests' oracle.
+other than the simple to the simple reflection of its dimension vector
+(quiver.simple_reflection_dims).  The functors of rep that build these
+modules are the tests' oracle, and this module does not import rep.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .quiver import delete_vertex, reflect
-from .rep import simple_reflection_dims
+from .quiver import delete_vertex, reflect, simple_reflection_dims
 from .tilting import (
     enumerate_tilting,
     ext_table,

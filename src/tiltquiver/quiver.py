@@ -3,12 +3,15 @@
 Vertex labels are strings.  The canonical families use "1", "2", ... for path
 vertices and "n+"/"n-" for the two fork tips of the D-type quiver.  A quiver is
 always connected, loop-free and cycle-free, i.e. its underlying graph is a tree.
+The positive roots and their simple reflections depend on that tree alone,
+so they live here too, apart from the representations of `rep`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
+from functools import lru_cache
 
 _LABEL = re.compile(r"^(\d+)([+-]?)$")
 _SUFFIX_ORDER = {"": 0, "+": 1, "-": 2}
@@ -222,6 +225,57 @@ def delete_vertex(q, x):
 def tree_edges(q):
     """Underlying edges as frozensets, orientation forgotten."""
     return frozenset(frozenset(ar) for ar in q.arrows)
+
+
+def simple_reflection_dims(q, x, d):
+    """Simple reflection of a dimension vector at x on the underlying tree."""
+    out = dict(d)
+    out[x] = -d[x] + sum(d[w] for w in q.neighbor_map()[x])
+    return out
+
+
+def positive_roots(q):
+    """Positive roots of the underlying tree of q by reflection closure of the simples.
+
+    The roots depend on the tree alone, so they are cached per tree
+    (vertices and edges, orientation forgotten): a scan over the
+    orientations of one tree finds them once.  `cache_info`, `cache_clear`
+    and `__wrapped__` (the uncached call) are those of that cache.
+    """
+    return _tree_roots(q.vertices, tree_edges(q))
+
+
+@lru_cache(maxsize=None)
+def _tree_roots(vertices, edges):
+    """The positive roots of the tree, as coordinate tuples in the order of `vertices`.
+
+    Every positive root is reached from a simple root by simple reflections
+    that each raise one coordinate, so d is reflected at x only when that
+    raises d[x]; no negative root is visited.
+    """
+    idx = {v: i for i, v in enumerate(vertices)}
+    nbrs = [[] for _ in vertices]
+    for a, b in edges:
+        nbrs[idx[a]].append(idx[b])
+        nbrs[idx[b]].append(idx[a])
+    simples = [tuple(1 if i == j else 0 for j in range(len(vertices))) for i in range(len(vertices))]
+    seen = set(simples)
+    queue = list(simples)
+    while queue:
+        d = queue.pop()
+        for i, around in enumerate(nbrs):
+            c = sum(d[w] for w in around) - d[i]
+            if c > d[i]:
+                t = d[:i] + (c,) + d[i + 1 :]
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+    return frozenset(seen)
+
+
+positive_roots.cache_info = _tree_roots.cache_info
+positive_roots.cache_clear = _tree_roots.cache_clear
+positive_roots.__wrapped__ = lambda q: _tree_roots.__wrapped__(q.vertices, tree_edges(q))
 
 
 def sink_reflection_sequence(start, goal):

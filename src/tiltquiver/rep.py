@@ -13,11 +13,11 @@ matrices stay integer (nullspace bases are integer-primitive), so hom_dim
 and hom_table solve their systems in integers and reject any other matrix
 entry.
 
-tilting.ext_table reads the same Hom/Ext tables off the Euler form on the
-positive roots, and glue works on those roots alone, so this linear algebra
-and the reflection functors, restrict and extend are the oracle the tests
-compare them with.  glue reflects dimension vectors with
-simple_reflection_dims.
+tilting.ext_table reads the same Hom/Ext tables off the Euler form on
+quiver.positive_roots, and glue works on those roots alone, reflecting them
+with quiver.simple_reflection_dims.  No product module imports this one: its
+linear algebra and the reflection functors, restrict and extend are the
+oracle that verify and the tests compare them with.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .quiver import (
     opposite,
     reflect,
     sink_reflection_sequence,
-    tree_edges,
     vertex_key,
 )
+# re-exported only because trace mode in bench/child.py reads rep.positive_roots.cache_info()
+from .quiver import positive_roots  # noqa: F401
 
 
 class Rep:
@@ -314,57 +315,6 @@ def _relabel(r, q, inverse):
     for a, b in r.quiver.arrows:
         maps[(inverse[a], inverse[b])] = r.maps[(a, b)]
     return Rep(q, dims, maps)
-
-
-def simple_reflection_dims(q, x, d):
-    """Simple reflection of a dimension vector at x on the underlying tree."""
-    out = dict(d)
-    out[x] = -d[x] + sum(d[w] for w in q.neighbor_map()[x])
-    return out
-
-
-def positive_roots(q):
-    """Positive roots of the underlying tree of q by reflection closure of the simples.
-
-    The roots depend on the tree alone, so they are cached per tree
-    (vertices and edges, orientation forgotten): a scan over the
-    orientations of one tree finds them once.  `cache_info`, `cache_clear`
-    and `__wrapped__` (the uncached call) are those of that cache.
-    """
-    return _tree_roots(q.vertices, tree_edges(q))
-
-
-@lru_cache(maxsize=None)
-def _tree_roots(vertices, edges):
-    """The positive roots of the tree, as coordinate tuples in the order of `vertices`.
-
-    Every positive root is reached from a simple root by simple reflections
-    that each raise one coordinate, so d is reflected at x only when that
-    raises d[x]; no negative root is visited.
-    """
-    idx = {v: i for i, v in enumerate(vertices)}
-    nbrs = [[] for _ in vertices]
-    for a, b in edges:
-        nbrs[idx[a]].append(idx[b])
-        nbrs[idx[b]].append(idx[a])
-    simples = [tuple(1 if i == j else 0 for j in range(len(vertices))) for i in range(len(vertices))]
-    seen = set(simples)
-    queue = list(simples)
-    while queue:
-        d = queue.pop()
-        for i, around in enumerate(nbrs):
-            c = sum(d[w] for w in around) - d[i]
-            if c > d[i]:
-                t = d[:i] + (c,) + d[i + 1 :]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return frozenset(seen)
-
-
-positive_roots.cache_info = _tree_roots.cache_info
-positive_roots.cache_clear = _tree_roots.cache_clear
-positive_roots.__wrapped__ = lambda q: _tree_roots.__wrapped__(q.vertices, tree_edges(q))
 
 
 def projective_dim_vectors(q):

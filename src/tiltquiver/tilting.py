@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, getitem, mul, sub
 
-from . import models, rep
-from .quiver import classify_tree, quiver_to_json, twins
+from . import models
+from .quiver import classify_tree, positive_roots, quiver_to_json, twins
 
 # Items (nodes, arrows, modules or degrees) per slice of a streamed export.
 SLICE = 1024
@@ -82,11 +82,12 @@ def ext_table(q):
     is directed, so at most one of Hom(M, N) and Ext^1(M, N) is non-zero, and
     <d_i, d_j> = hom - ext gives hom = max(<d_i, d_j>, 0) and
     ext = max(-<d_i, d_j>, 0).  Each root's row of Euler values comes from one
-    packed big-int product (`_euler_table`).  No representation is built:
-    rep.hom_table on rep.indecomposables computes the same tables by linear
-    algebra, and the tests compare the two.
+    packed big-int product (`_euler_table`) on `quiver.positive_roots`.  No
+    representation is built: rep.hom_table on rep.indecomposables, which no
+    product module imports, computes the same tables by linear algebra, and
+    the tests compare the two.
     """
-    return _euler_table(q, rep.positive_roots(q))
+    return _euler_table(q, positive_roots(q))
 
 
 # An Euler value e is stored as the byte _BIAS + e, so every |e| < _BIAS fits.
@@ -506,7 +507,7 @@ def transient_quiver(q):
     table are built for this call alone and the table is kept as
     `tq.table`, so nothing of q outlives the quiver returned: a command
     leaves every per-orientation cache (`ext_table`, `tilting_quiver`,
-    `enumerate_tilting`, `positive_roots`) as it found it.  The table's
+    `enumerate_tilting`, `quiver.positive_roots`) as it found it.  The table's
     model tags read `models.reference_data`, and its quiver
     `quiver.vertex_key`; those bounded memos hold no orientation's data.
     It never derives a quiver from another orientation's, so each call
@@ -532,7 +533,7 @@ def transient_counts(q):
 def _transient_table(q):
     """The Ext table of q, with its roots, built for one call and cached nowhere."""
     _guard(classify_tree(q)[0], len(q.vertices))
-    return _euler_table(q, rep.positive_roots.__wrapped__(q))
+    return _euler_table(q, positive_roots.__wrapped__(q))
 
 
 def _count(table):

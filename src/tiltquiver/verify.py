@@ -23,7 +23,7 @@ from operator import or_
 from . import classify as cl
 from . import glue, models, rep
 from .models import all_orientations, builder_param
-from .quiver import classify_tree, d_quiver, delete_vertex, path_quiver, reflect
+from .quiver import classify_tree, d_quiver, delete_vertex, path_quiver, positive_roots, reflect
 from .tilting import (
     closed_form_counts,
     degree_stats,
@@ -284,7 +284,7 @@ def _hom_criterion_a(q):
 
 def _positive_roots(q):
     dims = sorted(ind.rep.dim_tuple() for ind in rep.indecomposables(q))
-    roots = sorted(rep.positive_roots(q))
+    roots = sorted(positive_roots(q))
     return None if dims == roots else f"{len(dims)} vs {len(roots)}"
 
 
@@ -311,7 +311,7 @@ def _euler_root_norm(q):
 
     branched = any(len(ws) > 2 for ws in q.neighbor_map().values())
     found = {d for d in product(range(3 if branched else 2), repeat=len(index)) if norm(d) == 1}
-    roots = rep.positive_roots(q)
+    roots = positive_roots(q)
     extra, missing = sorted(roots - found), sorted(found - roots)
     if extra:
         return f"root {extra[0]}: euler form {norm(extra[0])}"

@@ -11,14 +11,14 @@ def cold_caches():
 
     `tilting_quiver.cache_clear` also forgets every twin the cache held.
     """
-    from tiltquiver import glue, rep, tilting, verify
+    from tiltquiver import glue, quiver, rep, tilting, verify
 
     for cached in (
         tilting.ext_table,
         tilting.tilting_quiver,
         tilting.enumerate_tilting,
         rep.indecomposables,
-        rep.positive_roots,
+        quiver.positive_roots,
         glue._leaf_maps,
         verify._classes,
     ):
@@ -44,10 +44,10 @@ def d9_walk_memory():
       `graph` walks on an Ext table of its own, built for the command alone,
       so this peak includes that table's build as well as the export.
     """
-    from tiltquiver import models, rep, tilting
+    from tiltquiver import models, quiver, tilting
     from tiltquiver.cli import main
 
-    for cached in (tilting.ext_table, tilting.tilting_quiver, rep.positive_roots):
+    for cached in (tilting.ext_table, tilting.tilting_quiver, quiver.positive_roots):
         cached.cache_clear()
     q = models.FAMILIES["D"].reference(models.builder_param("D", 9))
     export_peak = {}

@@ -201,7 +201,7 @@ def test_streamed_output_spans_several_chunks():
 )
 def test_commands_keep_no_quiver(capsys, argv):
     """No command reads or fills a per-orientation cache: each walks on a table of its own."""
-    from tiltquiver.rep import positive_roots
+    from tiltquiver.quiver import positive_roots
     from tiltquiver.tilting import enumerate_tilting, ext_table, tilting_quiver
 
     caches = (tilting_quiver, enumerate_tilting, ext_table, positive_roots)
@@ -247,41 +247,31 @@ def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
-def test_product_reads_only_the_roots_from_rep():
-    """The product modules use no linear algebra, and of `rep` only the
-    positive roots and the simple reflection of a dimension vector; the rest
-    of `rep` is the oracle that verify and the tests check them against."""
+def test_product_imports_nothing_from_rep_or_linalg():
+    """The product modules import neither `rep` nor `linalg`, nor any name
+    from them: those are the oracle that verify and the tests check the
+    product against.  The positive roots and their simple reflections are
+    read from `quiver`."""
     import ast
     import importlib
 
-    allowed = {"positive_roots", "simple_reflection_dims"}
+    oracle = ("rep", "linalg")
     used = {}
     for name in ("quiver", "models", "tilting", "glue", "classify", "cli"):
         module = importlib.import_module(f"tiltquiver.{name}")
         tree = ast.parse(Path(module.__file__).read_text())
         names = set()
-        bound = set()  # local names of the rep module
-        attributes = set()  # the Name nodes read as rep.<attr>
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 source = (node.module or "").removeprefix("tiltquiver").lstrip(".")
                 for alias in node.names:
-                    if source in ("rep", "linalg"):
+                    if source in oracle:
                         names.add(f"{source}.{alias.name}")
-                    elif alias.name in ("rep", "linalg"):
+                    elif alias.name in oracle:
                         names.add(alias.name)
-                        bound.add(alias.asname or alias.name)
             elif isinstance(node, ast.Import):
                 names.update(a.name for a in node.names if a.name.endswith((".rep", ".linalg")))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in bound:
-                    names.add(f"rep.{node.attr}")
-                    attributes.add(node.value)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id in bound and node not in attributes:
-                names.add(f"{node.id} as a whole")
-        used[name] = names - {"rep"} - {f"rep.{a}" for a in allowed}
+        used[name] = names
     assert used == {name: set() for name in used}
 
 
@@ -313,6 +303,26 @@ def test_the_cli_loads_the_checks_only_for_verify():
     checks = ("tiltquiver.verify", "tiltquiver.glue", "tiltquiver.classify")
     assert modules_loaded_by("import tiltquiver.cli", checks) == []
     assert modules_loaded_by("import tiltquiver.verify", checks) == list(checks)
+
+
+def test_the_commands_load_neither_rep_nor_linalg():
+    """A lazy import escapes the AST test above, so run the product commands
+    in a fresh process and read its sys.modules afterwards."""
+    statement = """
+import contextlib, io
+from tiltquiver import cli
+commands = (
+    "graph --type A --rank 5",
+    "enumerate --type D --rank 5 --format csv",
+    "counts --type A --rank 5 --source both",
+    "reflect-scan --type D --rank 5",
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in commands]
+assert codes == [0] * len(commands), codes
+"""
+    names = ("tiltquiver.tilting", "tiltquiver.rep", "tiltquiver.linalg")
+    assert modules_loaded_by(statement, names) == ["tiltquiver.tilting"]
 
 
 def test_enumerate_matches_counts(capsys):
@@ -432,7 +442,7 @@ def test_reflect_scan_walks_each_orbit_once(capsys, monkeypatch, kind, rank, cou
 
 
 def test_reflect_scan_keeps_no_table(capsys):
-    from tiltquiver.rep import positive_roots
+    from tiltquiver.quiver import positive_roots
     from tiltquiver.tilting import ext_table
 
     # Both caches start empty, so a cache the scan read or filled would show.
@@ -531,7 +541,7 @@ def test_oracle_failures_name_the_counterexample(monkeypatch):
     def doubled_simple(q):
         return frozenset({(2,) + (0,) * (len(q.vertices) - 1)})
 
-    monkeypatch.setattr(rep, "positive_roots", doubled_simple)
+    monkeypatch.setattr(verify, "positive_roots", doubled_simple)
     results = verify.CHECKS["euler-root-norm"](2)
     assert [(r.status, r.detail) for r in results] == [
         ("fail", "root (2,): euler form 4"),

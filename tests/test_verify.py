@@ -40,8 +40,8 @@ def test_euler_root_norm_enumerates_the_norm_one_vectors(monkeypatch):
     and a root dropped from them is named."""
     for q in (path_quiver(6), d_quiver(5), d_quiver(5, [True, False, True, False, True])):
         assert verify._euler_root_norm(q) is None
-    real = rep.positive_roots
-    monkeypatch.setattr(rep, "positive_roots", lambda q: real(q) - {(1, 1, 1)})
+    real = verify.positive_roots
+    monkeypatch.setattr(verify, "positive_roots", lambda q: real(q) - {(1, 1, 1)})
     assert verify._euler_root_norm(path_quiver(3)) == "vector (1, 1, 1): euler form 1, not a root"
 
 
