@@ -18,6 +18,7 @@ bijection takes that classification, so a module is classified once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
 
 from .models import FAMILIES, AInterval, DIndec
@@ -47,19 +48,21 @@ def tilting_model_sets(q):
     ]
 
 
-class DClassification:
-    """The class of one tilting module over Q_n, with what the bijections read."""
+class DClassification(
+    namedtuple("DClassification", "n summands bucket tags problems dim_one_vertex m0", defaults=(None, None))
+):
+    """The class of one tilting module over Q_n, with what the bijections read.
 
-    __slots__ = ("n", "summands", "bucket", "tags", "problems", "dim_one_vertex", "m0")
+    n               the fork parameter: the quiver has n + 1 vertices
+    summands        the summands' model tags, in id order
+    bucket          "T0" | "T1" | "T2" (or "T?<delta>" if the bound ever failed)
+    tags            refined tags among "A+", "A-", "B+(j)", "B-(j)", "C(j)"
+    problems        what kept a refined tag from being assigned
+    dim_one_vertex  the unique dimension-one vertex in the middle class
+    m0              j of the only M(0,j) summand; None if there is none or several
+    """
 
-    def __init__(self, n, summands, bucket, tags, problems, dim_one_vertex=None, m0=None):
-        self.n = n  # the fork parameter: the quiver has n + 1 vertices
-        self.summands = summands  # the summands' model tags, in id order
-        self.bucket = bucket  # "T0" | "T1" | "T2" (or "T?<delta>" if the bound ever failed)
-        self.tags = tags  # refined tags among "A+", "A-", "B+(j)", "B-(j)", "C(j)"
-        self.problems = problems
-        self.dim_one_vertex = dim_one_vertex  # the unique dimension-one vertex in the middle class
-        self.m0 = m0  # j of the only M(0,j) summand; None if there is none or several
+    __slots__ = ()
 
     @property
     def models(self):

@@ -17,10 +17,9 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .models import FAMILIES, all_orientations, builder_param
+from .models import FAMILIES, all_orientations, builder_param, guard
 from .quiver import twins
 from .tilting import (
-    _guard,
     closed_form_counts,
     tilting_modules_json_chunks,
     tilting_quiver_dot_chunks,
@@ -45,7 +44,7 @@ def _param(kind, rank, parser):
     except ValueError as exc:
         parser.error(str(exc))
     # before any quiver is built, so a rank far past the guard exits 2 at once
-    _guard(kind, rank)
+    guard(kind, rank)
     return param
 
 

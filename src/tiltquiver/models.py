@@ -16,7 +16,7 @@ representations.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
 
@@ -239,39 +239,33 @@ REFERENCE_MEMO = 32
 class Reference:
     """What one Family entry gives at one builder parameter n, read through `reference_data`.
 
-    `quiver` is the reference orientation.  `tag_by_dim()` returns the dict
-    from each model's dimension vector, in the quiver's vertex order, to its
-    tag, with the number of tags (two tags on one dimension vector leave
-    fewer keys than tags).  `models()` returns one (tag, dims, matrices)
-    triple per model, in `indecs` order.  Each is built on its first call
-    and kept; callers only read them.
+    `quiver` is the reference orientation.  `tag_by_dim` is the dict from
+    each model's dimension vector, in the quiver's vertex order, to its tag,
+    with the number of tags (two tags on one dimension vector leave fewer
+    keys than tags).  `models` is one (tag, dims, matrices) triple per
+    model, in `indecs` order.  Each of the two is built on its first read
+    and kept (`functools.cached_property`); callers only read them.
     """
-
-    __slots__ = ("fam", "n", "quiver", "_tag_by_dim", "_models")
 
     def __init__(self, fam, n):
         self.fam = fam
         self.n = n
         self.quiver = fam.reference(n)
-        self._tag_by_dim = None
-        self._models = None
 
+    @cached_property
     def tag_by_dim(self):
-        if self._tag_by_dim is None:
-            fam, n, verts = self.fam, self.n, self.quiver.vertices
-            tags = fam.indecs(n)
-            by_dim = {}
-            for x in tags:
-                d = fam.dim(x, n)
-                by_dim[tuple(d[v] for v in verts)] = x
-            self._tag_by_dim = by_dim, len(tags)
-        return self._tag_by_dim
+        fam, n, verts = self.fam, self.n, self.quiver.vertices
+        tags = fam.indecs(n)
+        by_dim = {}
+        for x in tags:
+            d = fam.dim(x, n)
+            by_dim[tuple(d[v] for v in verts)] = x
+        return by_dim, len(tags)
 
+    @cached_property
     def models(self):
-        if self._models is None:
-            fam, n = self.fam, self.n
-            self._models = tuple((x, fam.dim(x, n), fam.matrices(x, n)) for x in fam.indecs(n))
-        return self._models
+        fam, n = self.fam, self.n
+        return tuple((x, fam.dim(x, n), fam.matrices(x, n)) for x in fam.indecs(n))
 
 
 @lru_cache(maxsize=REFERENCE_MEMO)
@@ -296,6 +290,13 @@ def builder_param(kind, rank):
     if rank < fam.min_rank:
         raise ValueError(f"type {kind} needs rank >= {fam.min_rank}")
     return rank - fam.shift
+
+
+def guard(kind, rank):
+    """Raise unless a type-`kind` tree with `rank` vertices is within the rank guard of `kind`."""
+    cap = family(kind).guard
+    if rank > cap:
+        raise ValueError(f"rank guard exceeded: type {kind} is capped at {cap} vertices")
 
 
 def all_orientations(kind, n):

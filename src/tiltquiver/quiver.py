@@ -16,26 +16,18 @@ from functools import lru_cache
 _LABEL = re.compile(r"^(\d+)([+-]?)$")
 _SUFFIX_ORDER = {"": 0, "+": 1, "-": 2}
 
-# `vertex_key` keeps the keys of the first VERTEX_KEYS labels it is asked
-# for; the canonical quivers up to the rank guards use 26 labels.
+# `vertex_key` keeps the keys of the VERTEX_KEYS labels it was most recently
+# asked for; the canonical quivers up to the rank guards use 26 labels.
 VERTEX_KEYS = 1024
-_KEYS = {}
 
 
+@lru_cache(maxsize=VERTEX_KEYS)
 def vertex_key(label):
     """Sort key: numeric labels in order, fork tips after their number, + before -.
 
-    Memoised per label (`_KEYS`), for at most VERTEX_KEYS labels.
+    Memoised per label, the least recently read of VERTEX_KEYS labels
+    dropped first; `__wrapped__` is the uncached key.
     """
-    key = _KEYS.get(label)
-    if key is None:
-        key = _label_key(label)
-        if len(_KEYS) < VERTEX_KEYS:
-            _KEYS[label] = key
-    return key
-
-
-def _label_key(label):
     m = _LABEL.match(label)
     if m:
         return (0, int(m.group(1)), _SUFFIX_ORDER[m.group(2)], "")

@@ -39,12 +39,12 @@ from .quiver import (
 from .quiver import positive_roots  # noqa: F401
 
 
-class Rep:
-    """Representation: dims per vertex, one matrix (rows of tuples) per arrow."""
+class Rep(namedtuple("Rep", "quiver dims maps")):
+    """Representation: dims per vertex, one matrix (rows of tuples) per arrow, checked when built."""
 
-    __slots__ = ("quiver", "dims", "maps")
+    __slots__ = ()
 
-    def __init__(self, quiver, dims, maps):
+    def __new__(cls, quiver, dims, maps):
         if set(dims) != set(quiver.vertices):
             raise ValueError("dimension vector must cover exactly the vertices")
         for a, b in quiver.arrows:
@@ -53,9 +53,7 @@ class Rep:
                 raise ValueError(f"missing matrix for arrow ({a},{b})")
             if len(mat) != dims[b] or any(len(r) != dims[a] for r in mat):
                 raise ValueError(f"matrix shape mismatch on arrow ({a},{b})")
-        self.quiver = quiver
-        self.dims = dims
-        self.maps = maps
+        return super().__new__(cls, quiver, dims, maps)
 
     def dim_tuple(self):
         return tuple(self.dims[v] for v in self.quiver.vertices)
@@ -294,8 +292,8 @@ def indecomposables(q):
     data = models.reference_data(models.family(kind), param)
     ref = data.quiver
     at_reference = q == ref
-    tags = [x for x, _, _ in data.models()]
-    reps = [Rep(ref, dims, maps) for _, dims, maps in data.models()]
+    tags = [x for x, _, _ in data.models]
+    reps = [Rep(ref, dims, maps) for _, dims, maps in data.models]
     if canon != ref:
         reps = _transport(ref, canon, reps)
     if canon != q:

@@ -162,7 +162,7 @@ def _model_tags(q, dims):
     ref = models.reference_data(models.family(kind), param)
     if q != ref.quiver:
         return (None,) * len(dims)
-    by_dim, n_tags = ref.tag_by_dim()
+    by_dim, n_tags = ref.tag_by_dim
     if len(by_dim) != n_tags or by_dim.keys() != set(dims):
         raise RuntimeError(
             "model dimension vectors are not the positive roots: invariant violation"
@@ -186,12 +186,6 @@ def is_tilting(table, ids):
     if len(ids) != len(table.quiver.vertices) or mask.bit_count() != len(ids):
         return False
     return all(mask & ~table.compat[s] == 1 << s for s in ids)
-
-
-def _guard(kind, rank):
-    cap = models.family(kind).guard
-    if rank > cap:
-        raise ValueError(f"rank guard exceeded: type {kind} is capped at {cap} vertices")
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +316,7 @@ class Nodes:
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-class TiltingQuiver:
+class TiltingQuiver(namedtuple("TiltingQuiver", "table summands heads out_deg delta")):
     """Tilting modules as nodes, exchange arrows pointing larger -> smaller.
 
     `table` is the Ext table the quiver was walked from, and `quiver` is its
@@ -332,31 +326,19 @@ class TiltingQuiver:
     then node 1's, and so on, #vertices ids per node (an id is below 256 up
     to the rank guards).  `nodes` views them as the sorted tuple of the
     modules' summand tuples.  The arrows are stored once, in compressed
-    sparse row form: `heads` holds the heads of node 0's arrows in increasing
-    order, then node 1's, and so on, with `out_deg[u]` the length of node u's
-    run.  `arrows` views them as sorted (tail, head) pairs.  `delta[u]` is
-    node u's degree, its arrows in and out, as the walk counted it; node u
-    is a source exactly when `delta[u] == out_deg[u]`.  `out_deg` and
-    `delta` are byte strings, one byte per node, since a degree is at most
-    the vertex count.  Two quivers are equal when they share one table
-    object and store the same nodes, arrows and degrees.
+    sparse row form: `heads`, an array('I'), holds the heads of node 0's
+    arrows in increasing order, then node 1's, and so on, with `out_deg[u]`
+    the length of node u's run.  `arrows` views them as sorted (tail, head)
+    pairs.  `delta[u]` is node u's degree, its arrows in and out, as the
+    walk counted it; node u is a source exactly when
+    `delta[u] == out_deg[u]`.  `out_deg` and `delta` are byte strings, one
+    byte per node, since a degree is at most the vertex count.  It is a
+    read-only record: `ExtTable` defines no `==`, so two quivers are equal
+    when they share one table object and store the same nodes, arrows and
+    degrees.
     """
 
-    __slots__ = ("table", "summands", "heads", "out_deg", "delta")
-
-    def __init__(self, table, summands, heads, out_deg, delta):
-        self.table = table
-        self.summands = summands
-        self.heads = heads  # array('I')
-        self.out_deg = out_deg
-        self.delta = delta
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.table, self.summands, self.heads, self.out_deg, self.delta) == (
-            other.table, other.summands, other.heads, other.out_deg, other.delta
-        )
+    __slots__ = ()
 
     @property
     def quiver(self):
@@ -433,7 +415,7 @@ def tilting_quiver(q):
 
 def _build(q):
     """The quiver of q, derived from a held twin or else walked; nothing is cached."""
-    _guard(classify_tree(q)[0], len(q.vertices))
+    models.guard(classify_tree(q)[0], len(q.vertices))
     table = ext_table(q)
     for twin, reverse, perm in twins(q):
         held = _held.get(twin)
@@ -532,7 +514,7 @@ def transient_counts(q):
 
 def _transient_table(q):
     """The Ext table of q, with its roots, built for one call and cached nowhere."""
-    _guard(classify_tree(q)[0], len(q.vertices))
+    models.guard(classify_tree(q)[0], len(q.vertices))
     return _euler_table(q, positive_roots.__wrapped__(q))
 
 

@@ -8,8 +8,9 @@ through the class's own constructor.
 def forged(obj, **changes):
     """A copy of `obj` with `changes` in place of those fields, built through its constructor.
 
-    The fields are the class's `__slots__`, which its constructor takes by
-    the same names; an unknown name raises TypeError.
+    The fields are the class's namedtuple `_fields` where it has them and
+    its `__slots__` otherwise, which its constructor takes by the same
+    names; an unknown name raises TypeError.
     """
-    fields = type(obj).__slots__
+    fields = getattr(type(obj), "_fields", type(obj).__slots__)
     return type(obj)(**({name: getattr(obj, name) for name in fields} | changes))

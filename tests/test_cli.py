@@ -292,7 +292,7 @@ def modules_loaded_by(statement, names):
 def test_the_package_imports_neither_dataclasses_nor_typing():
     """Every command starts by importing the package, so it imports none of
     `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize` behind it) or
-    `typing`; the records are plain classes with `__slots__`."""
+    `typing`; the records are namedtuples or plain classes with `__slots__`."""
     statement = "import tiltquiver, tiltquiver.cli, tiltquiver.rep, tiltquiver.tilting, tiltquiver.verify"
     heavy = ("dataclasses", "inspect", "typing")
     assert modules_loaded_by(statement, heavy) == []

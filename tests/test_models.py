@@ -147,12 +147,12 @@ def test_reference_data_is_built_once_per_entry_and_parameter():
     data = reference_data(fam, 4)
     assert reference_data(fam, 4) is data
     assert data.quiver == fam.reference(4)
-    assert data.models() is data.models()
-    assert [x for x, _, _ in data.models()] == fam.indecs(4)
-    by_dim, n_tags = data.tag_by_dim()
+    assert data.models is data.models
+    assert [x for x, _, _ in data.models] == fam.indecs(4)
+    by_dim, n_tags = data.tag_by_dim
     assert n_tags == len(by_dim) == len(fam.indecs(4))
     # the indecomposables at the reference orientation are the memoised models
     indecs = rep.indecomposables.__wrapped__(data.quiver)
-    assert {i.model: i.dim for i in indecs} == {x: dims for x, dims, _ in data.models()}
+    assert {i.model: i.dim for i in indecs} == {x: dims for x, dims, _ in data.models}
     # an entry with any other field is another key
     assert reference_data(fam._replace(guard=fam.guard + 1), 4) is not data

@@ -293,14 +293,17 @@ def test_three_vertex_path_is_d_only_with_tip_labels_on_both_ends():
         assert classify_tree(Quiver(verts, arrows)) == ("A", 3), verts
 
 
-def test_vertex_key_memo_matches_the_uncached_key_under_its_bound(monkeypatch):
+def test_vertex_key_memo_matches_the_uncached_key_under_its_bound():
     from tiltquiver import quiver
 
+    _label_key = vertex_key.__wrapped__
     labels = ["1", "12", "8+", "8-", "x", "10a", "+", ""]
     for label in labels:
-        assert vertex_key(label) == quiver._label_key(label)
+        assert vertex_key(label) == _label_key(label)
     assert sorted(["8-", "x", "8+", "10", "2"], key=vertex_key) == ["2", "8+", "8-", "10", "x"]
-    monkeypatch.setattr(quiver, "_KEYS", {})
+    vertex_key.cache_clear()
     many = [f"v{i}" for i in range(quiver.VERTEX_KEYS + 10)]
-    assert [vertex_key(label) for label in many] == [(1, 0, 0, label) for label in many]
-    assert list(quiver._KEYS) == many[: quiver.VERTEX_KEYS]
+    keys = [vertex_key(label) for label in many]
+    assert keys == [(1, 0, 0, label) for label in many] == [_label_key(label) for label in many]
+    info = vertex_key.cache_info()
+    assert info.maxsize == info.currsize == quiver.VERTEX_KEYS

@@ -11,7 +11,7 @@ from forge import forged
 
 from tiltquiver.models import FAMILIES, AInterval, all_orientations, builder_param
 from tiltquiver.quiver import automorphism, d_quiver, opposite, path_quiver, positive_roots
-from tiltquiver import rep, tilting
+from tiltquiver import classify, rep, tilting
 from tiltquiver.rep import projective_dim_vectors
 from tiltquiver.cli import main
 from tiltquiver.tilting import (
@@ -1297,20 +1297,36 @@ def test_degree_stats_reports_a_forged_delta_as_the_module_dim_formula():
 
 
 def test_report_and_indecomposable_records_refuse_assignment():
-    """`HasseReport`, `DegreeReport` and `rep.Indec` are read-only records:
-    assigning any field raises, and `HasseReport`'s repr names every field."""
+    """`HasseReport`, `DegreeReport`, `rep.Indec`, `TiltingQuiver`,
+    `classify.DClassification` and `rep.Rep` are read-only records: assigning
+    any field raises, and `HasseReport`'s repr names every field.  A quiver
+    walked over another table object is another quiver, though it stores
+    the same nodes, arrows and degrees."""
     q = path_quiver(3)
     tq = tilting_quiver(q)
+    d = d_quiver(3)
     records = [
         (hasse_check(ext_table(q), tq), ("ok", "missing", "extra")),
         (degree_stats(tq), ("histogram", "formula_ok", "mismatches")),
         (rep.indecomposables(q)[0], ("id", "rep", "dim", "model")),
+        (tq, ("table", "summands", "heads", "out_deg", "delta")),
+        (
+            classify.classify(ext_table(d), enumerate_tilting(d)[0]),
+            ("n", "summands", "bucket", "tags", "problems", "dim_one_vertex", "m0"),
+        ),
+        (rep.indecomposables(q)[0].rep, ("quiver", "dims", "maps")),
     ]
     for record, fields in records:
         for field in fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
     assert repr(HasseReport(True)) == "HasseReport(ok=True, missing=(), extra=())"
+    own = transient_quiver(q)
+    assert own.table is not tq.table
+    assert (own.summands, own.heads, own.out_deg, own.delta) == (
+        tq.summands, tq.heads, tq.out_deg, tq.delta
+    )
+    assert own != tq
 
 
 def test_half_degree_sum():
