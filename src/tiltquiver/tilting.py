@@ -355,44 +355,13 @@ class TiltingQuiver(namedtuple("TiltingQuiver", "table summands heads out_deg de
 
 @lru_cache(maxsize=None)
 def tilting_quiver(q):
-    """Build the exchange quiver on all tilting modules of q in one walk.
+    """The exchange quiver on all tilting modules of q, cached per orientation.
 
-    The projective module is the maximum of the order, and the arrows are
-    its covers (Happel-Unger, "On a partial order of tilting modules", 2005;
-    Riedtmann-Schofield, 1991), so every tilting module lies below it along
-    arrows, and a walk from the projective module that follows arrows only
-    reaches every tilting module and records each arrow once, at its tail.
-    The walk starts at the ids whose `ext_zero` row is full: an
-    indecomposable P has Ext^1(P, -) = 0 exactly when it is projective, and
-    the walk raises unless it finds #vertices of them.  Nodes are keyed by
-    their summand masks.  An almost complete tilting
-    module has one or two complements, so the neighbours of a node t are the
-    ids outside t that are Ext-incompatible with exactly one summand x of t,
-    each exchanged against that x.  One bit-sliced counter over the summands
-    finds them: with inc[j] the ids incompatible with j (j included), `ones`
-    collects the ids hit at least once and `twos` those hit at least twice.
-    `ones` must be every id, since an id compatible with all of t would make
-    a rigid module with more summands than vertices, and no summand x may
-    clash with two candidates, since t minus x would have three complements;
-    each candidate clashes with one summand, so that holds exactly when as
-    many summands clash with a candidate as there are candidates.
-    Every node runs both checks on all its candidates.  The exchange of x
-    for y is an arrow out of t when Ext^1(y, x) != 0, so with
-    up[x] = {y : Ext^1(y, x) != 0} one AND per summand tells an out-arrow
-    from an in-arrow.  A pair with Ext both ways is rejected before the
-    walk.  Only out-arrows are followed and recorded, and a node's
-    candidate count is its degree, so the degrees sum to twice the arrows
-    exactly when no exchange of a reached node leads outside the walk or
-    goes unoriented; otherwise the walk raises, instead of returning part of
-    the quiver.  Each node's summand ids are kept sorted, as bytes; the
-    nodes are then sorted by them and joined into one byte string
-    (`TiltingQuiver.summands`), and each node's run of heads is renumbered,
-    sorted and appended to one flat array (`TiltingQuiver.heads`).
-
-    The orientations in one orbit {Q, Q^op, aQ, aQ^op} share one walk, with
-    a the diagram automorphism (`quiver.twins` lists them).  The duality
-    D = Hom_k(-, k) takes mod kQ to mod kQ^op, keeps dimension vectors and
-    gives Ext^1_Q(U, T) = Ext^1_{Q^op}(DT, DU).  Both quivers have the same
+    The orientations in one orbit {Q, Q^op, aQ, aQ^op} share one walk
+    (`_exchange_walk` over `ext_table`), with a the diagram automorphism
+    (`quiver.twins` lists them).  The duality D = Hom_k(-, k) takes mod kQ
+    to mod kQ^op, keeps dimension vectors and gives
+    Ext^1_Q(U, T) = Ext^1_{Q^op}(DT, DU).  Both quivers have the same
     underlying tree, so the same positive roots, and ids are the sorted
     roots: D maps each indecomposable to the one with its id, and each
     tilting module to the one with the same summand ids.  So Tilt(Q^op) has
@@ -591,23 +560,40 @@ def _cliques(cand, compat, width, memo):
 
 
 def _exchange_walk(table):
-    """The walk of `tilting_quiver` over `table`, the Ext table of its quiver, finished.
+    """Walk the exchange quiver over `table`, the Ext table of its quiver.
 
-    The walk's index of nodes dies when `_walk` returns, so the flat stores
-    `_finish` builds reuse its memory instead of raising the peak.
-    """
-    return _finish(table, *_walk(table))
-
-
-def _walk(table):
-    """Walk the exchange quiver over `table` and return its raw stores.
-
-    They are `(summands, arcs, out_deg, deg)`, all in walk order, the order
-    `_finish` reads: `summands` holds each node's sorted summand ids as
-    bytes, `arcs` the heads of node 0's arrows, then node 1's, and so on, by
-    position in `summands`, `out_deg` each node's number of them, and `deg`
-    each node's degree.  The walk raises instead of returning part of a
-    quiver.  It reads `compat` and `ext_zero`, and no row of `hom` or `ext`.
+    The projective module is the maximum of the order, and the arrows are
+    its covers (Happel-Unger, "On a partial order of tilting modules", 2005;
+    Riedtmann-Schofield, 1991), so every tilting module lies below it along
+    arrows, and a walk from the projective module that follows arrows only
+    reaches every tilting module and records each arrow once, at its tail.
+    The walk starts at the ids whose `ext_zero` row is full: an
+    indecomposable P has Ext^1(P, -) = 0 exactly when it is projective, and
+    the walk raises unless it finds #vertices of them.  Nodes are keyed by
+    their summand masks.  An almost complete tilting
+    module has one or two complements, so the neighbours of a node t are the
+    ids outside t that are Ext-incompatible with exactly one summand x of t,
+    each exchanged against that x.  One bit-sliced counter over the summands
+    finds them: with inc[j] the ids incompatible with j (j included), `ones`
+    collects the ids hit at least once and `twos` those hit at least twice.
+    `ones` must be every id, since an id compatible with all of t would make
+    a rigid module with more summands than vertices, and no summand x may
+    clash with two candidates, since t minus x would have three complements;
+    each candidate clashes with one summand, so that holds exactly when as
+    many summands clash with a candidate as there are candidates.
+    Every node runs both checks on all its candidates, and a failed one
+    raises `_count`'s message with the node's summand ids.  The exchange of x
+    for y is an arrow out of t when Ext^1(y, x) != 0, so with
+    up[x] = {y : Ext^1(y, x) != 0} one AND per summand tells an out-arrow
+    from an in-arrow.  A pair with Ext both ways is rejected, and named,
+    before the walk.  Only out-arrows are followed and recorded, and a node's
+    candidate count is its degree, so the degrees sum to twice the arrows
+    exactly when no exchange of a reached node leads outside the walk or
+    goes unoriented; otherwise the walk raises, instead of returning part of
+    the quiver.  It reads `compat` and `ext_zero`, and no row of `hom` or
+    `ext`.  The node index and the per-id lists are deleted before `_finish`
+    sorts and joins the nodes, so the flat stores reuse their memory instead
+    of raising the peak.
     """
     q = table.quiver
     k = len(table)
@@ -617,13 +603,18 @@ def _walk(table):
     # up[x]: the ids y with Ext^1(y, x) != 0, outside column x of ext_zero; the exchange
     # of x for y is an arrow out of the module iff y is in up[x], unoriented if also outside row x
     up = [full ^ c for c in _zero_columns(table)]
-    if any(u & ~z for u, z in zip(up, table.ext_zero)):
-        raise RuntimeError("exchange pair is not oriented by a unique Ext")
+    for x, (u, z) in enumerate(zip(up, table.ext_zero)):
+        if u & ~z:
+            raise RuntimeError(
+                f"exchange pair ({x}, {(u & ~z).bit_length() - 1}) is not oriented "
+                "by a unique Ext: invariant violation"
+            )
     # the projectives are the ids with no Ext^1 to any indecomposable
     start = bytes(i for i, row in enumerate(table.ext_zero) if row == full)
     if len(start) != len(q.vertices):
         raise RuntimeError(
-            f"Ext table has {len(start)} projectives for {len(q.vertices)} vertices"
+            f"Ext table has {len(start)} projectives for {len(q.vertices)} vertices: "
+            "invariant violation"
         )
     # per node in walk order, its sorted summand ids as bytes
     summands = [start]
@@ -642,7 +633,8 @@ def _walk(table):
             ones |= c
         if ones != full:
             raise RuntimeError(
-                "more than two completions of an almost complete module"
+                "rigid set with more summands than vertices: invariant violation "
+                f"at {tuple(ids)}"
             )
         cand = ones & ~(twos | m)
         d = cand.bit_count()
@@ -669,7 +661,8 @@ def _walk(table):
         # added a node above, but the walk raises before reaching it
         if shares != d:
             raise RuntimeError(
-                "more than two completions of an almost complete module"
+                "almost complete module without one or two complements: "
+                f"invariant violation at {tuple(ids)}"
             )
         out_deg.append(len(arcs) - before)
     # Every pair is recorded at its tail alone, so the degree sum counts each
@@ -677,18 +670,23 @@ def _walk(table):
     # not orient or an in-arrow from a module it never reached.
     if sum(deg) != 2 * len(arcs):
         raise RuntimeError(
-            "walk along arrows from the projective module misses an exchange"
+            "walk along arrows from the projective module misses an exchange: "
+            "invariant violation"
         )
-    return summands, arcs, out_deg, deg
+    del index, masks, inc, up, bit, byte
+    return _finish(table, summands, arcs, out_deg, deg)
 
 
 def _finish(table, summands, arcs, out_deg, deg):
     """The quiver of `table` on the nodes `summands`, with their arrows in `arcs`.
 
-    The four stores are laid out as `_walk` returns them.  The
-    nodes are sorted by their summands and joined into one byte string, each
-    run of heads is renumbered and sorted, and the degrees follow the nodes,
-    one byte each.
+    The four stores are in walk order, as `_exchange_walk` builds them:
+    `summands` holds each node's sorted summand ids as bytes, `arcs` the
+    heads of node 0's arrows, then node 1's, and so on, by position in
+    `summands`, `out_deg` each node's number of them, and `deg` each node's
+    degree.  The nodes are sorted by their summands and joined into one
+    byte string, each run of heads is renumbered and sorted, and the
+    degrees follow the nodes, one byte each.
     `summands` is emptied once joined, so that the flat stores reuse the
     memory of its bytes, also when the caller still holds the list.
     """

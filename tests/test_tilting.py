@@ -354,7 +354,7 @@ def test_counts_are_read_off_the_table_without_a_walk(monkeypatch):
             want = (len(tq.nodes), len(tq.arrows))
             before = [f.cache_info() for f in caches]
             with monkeypatch.context() as m:
-                m.setattr(tilting, "_walk", refuse)
+                m.setattr(tilting, "_exchange_walk", refuse)
                 m.setattr(tilting, "_finish", refuse)
                 assert transient_counts(q) == want, (kind, bits)
             assert [f.cache_info() for f in caches] == before, (kind, bits)
@@ -722,12 +722,27 @@ def test_exchange_quiver_matches_pairwise_oracle():
             assert tuple(tilting_quiver(q).arrows) == tuple(sorted(want)), (kind, bits)
 
 
+def _broken_completions(table):
+    """Three forged copies of the A3 Ext table `table` on which the projective
+    module (0, 2, 5) fails a completion check, each with the message's gist:
+    two make a rigid set of 4 modules, one gives an almost complete module
+    three complements."""
+    k = len(table)
+    return (
+        (forged(table, compat=((1 << k) - 1,) * k), "more summands than vertices"),
+        # 4 compatible with every summand of the projective module
+        (flipped(table, (4, 0), (4, 2)), "more summands than vertices"),
+        # 4 and 1 both clash with the summand 0 alone, and with each other,
+        # so (2, 5) has the three complements 0, 1 and 4
+        (flipped(table, (4, 2), (4, 1)), "one or two complements"),
+    )
+
+
 def test_tilting_quiver_rejects_a_corrupted_ext_table():
     import tiltquiver.tilting as tilting
 
     q = path_quiver(3)
     table = ext_table(q)
-    k = len(table)
     # ids sort by dimension vector: the projective module is (0, 2, 5), and
     # outside it id 4 = (1, 1, 0) clashes with the summands 0 and 2 and
     # id 1 with 0 alone
@@ -740,23 +755,14 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     )
     clashes = {j: [x for x in proj if not table.compat[x] >> j & 1] for j in (1, 4)}
     assert clashes == {1: [0], 4: [0, 2]}
-    everything = forged(table, compat=((1 << k) - 1,) * k)
-    broken = (
-        everything,
-        # 4 compatible with every summand of the projective module
-        flipped(table, (4, 0), (4, 2)),
-        # 4 and 1 both clash with the summand 0 alone, and with each other,
-        # so (2, 5) has the three complements 0, 1 and 4
-        flipped(table, (4, 2), (4, 1)),
-    )
-    for bad in broken:
-        with pytest.raises(RuntimeError, match="more than two completions"):
+    for bad, message in _broken_completions(table):
+        with pytest.raises(RuntimeError, match=message):
             tilting._exchange_walk(bad)
     # Ext both ways between the ids 1 and 3, of the exchange (1, 4, 5) -> (3, 4, 5)
     both_ways = list(table.ext_zero)
     both_ways[1] &= ~(1 << 3)
     both_ways[3] &= ~(1 << 1)
-    with pytest.raises(RuntimeError, match="not oriented by a unique Ext"):
+    with pytest.raises(RuntimeError, match=r"pair \(1, 3\) is not oriented by a unique Ext"):
         tilting._exchange_walk(forged(table, ext_zero=tuple(both_ways)))
     # At D4 the only arrow into (2, 7, 8, 9) is (2, 8, 9, 11) -> (2, 7, 8, 9),
     # the exchange of 11 for 7.  Reversed in ext_zero, with every row as full
@@ -773,6 +779,20 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     reversed_pair[11] &= ~(1 << 7)
     with pytest.raises(RuntimeError, match="misses an exchange"):
         tilting._exchange_walk(forged(table, ext_zero=tuple(reversed_pair)))
+
+
+def test_walk_and_count_name_a_broken_completion_alike():
+    """Where a forged A3 table breaks a completion check at the projective
+    module, the walk raises the message the count raises for that table,
+    followed by the module's summand ids."""
+    import tiltquiver.tilting as tilting
+
+    for bad, gist in _broken_completions(ext_table(path_quiver(3))):
+        with pytest.raises(RuntimeError, match=gist) as counted:
+            tilting._count(bad)
+        with pytest.raises(RuntimeError) as walked:
+            tilting._exchange_walk(bad)
+        assert str(walked.value) == f"{counted.value} at (0, 2, 5)"
 
 
 def test_walk_reads_neither_hom_nor_ext_rows():
