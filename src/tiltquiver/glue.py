@@ -36,7 +36,7 @@ from .tilting import (
 
 def simple_summand_id(table, x):
     unit = tuple(1 if v == x else 0 for v in table.quiver.vertices)
-    return table.id_by_dim[unit]
+    return table.dims.index(unit)
 
 
 def split_by_simple(q, x):
@@ -104,7 +104,7 @@ def _leaf_maps(q, x):
             for j in rigid_summand_ids(small_table, rest):
                 mask |= 1 << j
         down.append(mask)
-    up = tuple(table.id_by_dim[d[:p] + (d[y],) + d[p:]] for d in small_table.dims)
+    up = tuple(table.dims.index(d[:p] + (d[y],) + d[p:]) for d in small_table.dims)
     return small, tuple(down), up
 
 
@@ -148,7 +148,7 @@ def transport_map(q, x):
     for i, d in enumerate(table.dims):
         if i != s:
             d2 = simple_reflection_dims(q, x, dict(zip(q.vertices, d)))
-            moved[i] = table2.id_by_dim[tuple(d2[v] for v in q2.vertices)]
+            moved[i] = table2.dims.index(tuple(d2[v] for v in q2.vertices))
     return {t: tuple(sorted(moved[i] for i in t)) for t in outside}
 
 

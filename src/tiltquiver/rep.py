@@ -2,21 +2,26 @@
 
 A representation assigns a dimension to every vertex and an exact integer
 matrix to every arrow (shape target-dim x source-dim).  Hom dimensions are
-the nullities of the assembled intertwiner systems (linalg.nullspace, the
-package's one elimination); Ext dimensions follow from hom - euler, valid
-because path algebras of trees are hereditary.  Indecomposables over a
-reference orientation are instantiated from the combinatorial models and
-pushed to any other orientation with reflection functors at sinks.  The
-reflection at a source is the dual of the one at a sink: D = Hom_k(-, k)
-transposes every matrix and turns Q into Q^op, and R-_x = D R+_x D.  The
-matrices stay integer (nullspace bases are integer-primitive), so hom_dim
-and hom_table solve their systems in integers and reject any other matrix
-entry.
+the nullities of the assembled intertwiner systems; Ext dimensions follow
+from hom - euler, valid because path algebras of trees are hereditary.
+Indecomposables over a reference orientation are instantiated from the
+combinatorial models and pushed to any other orientation with reflection
+functors at sinks.  The reflection at a source is the dual of the one at a
+sink: D = Hom_k(-, k) transposes every matrix and turns Q into Q^op, and
+R-_x = D R+_x D.
+
+Every intertwiner system and every reflection kernel goes through one
+elimination, `nullspace`: a fraction-free Gauss-Jordan elimination over the
+integers that divides each combined row by its content, so its basis
+vectors come back integer-primitive.  The systems stay tiny (below ~40
+unknowns), so dense cubic elimination is the right tool, and the package
+has no other.  Since the bases are integer, every matrix stays integer, so
+hom_dim and hom_table reject any other matrix entry.
 
 tilting.ext_table reads the same Hom/Ext tables off the Euler form on
 quiver.positive_roots, and glue works on those roots alone, reflecting them
 with quiver.simple_reflection_dims.  No product module imports this one: its
-linear algebra and the reflection functors, restrict and extend are the
+elimination and the reflection functors, restrict and extend are the
 oracle that verify and the tests compare them with.
 """
 
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import gcd, lcm
 
-from . import linalg, models
+from . import models
 from .quiver import (
     canonical_form,
     classify_tree,
@@ -82,6 +88,55 @@ def ext_from_hom(hom, euler):
     if value < 0:
         raise RuntimeError("negative Ext dimension: invariant violation")
     return value
+
+
+def primitive(vec):
+    """Divide an int vector by its content."""
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : A x = 0}, one integer-primitive vector per free column.
+
+    Gauss-Jordan over the integers: every row combination is divided by its
+    content, so entries stay small.  Row r ends with its pivot p_r at column
+    pivots[r] and zeros in every other pivot column, so for a free column f
+    the vector with L at f and -L * row_r[f] / p_r at pivots[r] (L the lcm of
+    the |p_r|) is a positive multiple of the reduced-echelon basis vector,
+    and primitive() maps both to the same integers.
+    """
+    m = list(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        p = row_r[c]
+        for i in range(len(m)):
+            head = m[i][c]
+            if i != r and head:
+                m[i] = primitive([p * a - head * b for a, b in zip(m[i], row_r)])
+        pivots.append(c)
+        r += 1
+    reduced = m[:r]
+    scale = 1
+    for row, p in zip(reduced, pivots):
+        scale = lcm(scale, row[p])
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(primitive(v))
+    return basis
 
 
 def _arrow_layout(q):
@@ -148,8 +203,9 @@ def _hom_rows(arrows, m, n):
 def hom_dim(m, n):
     """dim Hom(m, n): nullity of the intertwiner system f_b M_ab = N_ab f_a."""
     q = m.quiver
-    total, rows = _hom_rows(_arrow_layout(q), _hom_data(q, m), _hom_data(q, n))
-    return len(linalg.nullspace(rows, total))
+    data = _hom_data(q, m)
+    total, rows = _hom_rows(_arrow_layout(q), data, data if n is m else _hom_data(q, n))
+    return len(nullspace(rows, total))
 
 
 def hom_table(q, reps):
@@ -164,7 +220,7 @@ def hom_table(q, reps):
         row = []
         for n in data:
             total, rows = _hom_rows(arrows, m, n)
-            row.append(len(linalg.nullspace(rows, total)))
+            row.append(len(nullspace(rows, total)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -187,7 +243,7 @@ def _reflection_plus(q, q2, x, m):
         for y in ins:
             row.extend(m.maps[(y, x)][r])
         rows.append(row)
-    kernel = linalg.nullspace(rows, total)
+    kernel = nullspace(rows, total)
     k = len(kernel)
     dims2 = dict(m.dims)
     dims2[x] = k

@@ -50,9 +50,9 @@ class ExtTable:
     one is below _BIAS); `[i][j]` and iteration read ints, as from a tuple.
     """
 
-    __slots__ = ("quiver", "dims", "models", "hom", "ext", "compat", "ext_zero", "id_by_dim")
+    __slots__ = ("quiver", "dims", "models", "hom", "ext", "compat", "ext_zero")
 
-    def __init__(self, quiver, dims, models, hom, ext, compat, ext_zero, id_by_dim):
+    def __init__(self, quiver, dims, models, hom, ext, compat, ext_zero):
         self.quiver = quiver
         self.dims = dims  # dimension vector per id: the positive roots, sorted
         self.models = models  # model tag per id at the reference orientation, None elsewhere
@@ -60,7 +60,6 @@ class ExtTable:
         self.ext = ext  # row per id, as bytes: ext[i][j] = dim Ext^1(i, j)
         self.compat = compat  # bitmask per id: two-sided ext vanishing
         self.ext_zero = ext_zero  # bitmask per id i: {j : ext[i][j] == 0}
-        self.id_by_dim = id_by_dim
 
     def __len__(self):
         return len(self.dims)
@@ -113,6 +112,9 @@ def _zero_columns(table):
 def _euler_table(q, roots):
     """The `ext_table` of q on its positive roots `roots`.
 
+    The ids are the positions of the sorted roots, so `dims.index(d)` is the
+    id of root d.
+
     <d_i, d_j> = d_i . w_j with w_j[v] = d_j[v] - sum over arrows v->b of
     d_j[b].  Column v of the w_j is packed into one int, one byte per root j,
     so root i's whole row is the one product sum_v d_i[v] * w_packed[v], read
@@ -152,8 +154,7 @@ def _euler_table(q, roots):
     ext_zero = tuple(int(zero[i : i + k][::-1], 2) for i in range(0, k * k, k))
     transpose = map(int, _columns(zero, k), repeat(2))
     compat = tuple(a & b & ~(1 << i) for i, (a, b) in enumerate(zip(ext_zero, transpose)))
-    id_by_dim = {d: i for i, d in enumerate(dims)}
-    return ExtTable(q, dims, _model_tags(q, dims), hom, ext, compat, ext_zero, id_by_dim)
+    return ExtTable(q, dims, _model_tags(q, dims), hom, ext, compat, ext_zero)
 
 
 def _model_tags(q, dims):
@@ -427,9 +428,11 @@ def _derived(table, twin, reverse, perm):
     if perm is None:
         s, image, which = range(len(ext)), ext, "transpose of the opposite"
     else:
-        ids = table.id_by_dim
-        s = [ids.get(tuple(map(e.__getitem__, perm))) for e in twin.table.dims]
-        image = None if None in s else tuple(bytes(map(ext[i].__getitem__, s)) for i in s)
+        try:
+            s = [table.dims.index(tuple(map(e.__getitem__, perm))) for e in twin.table.dims]
+        except ValueError:  # a permuted root is not a root of table: s is too short
+            s = ()
+        image = tuple(bytes(map(ext[i].__getitem__, s)) for i in s)
         which = "image of the automorphic"
     theirs = twin.table.ext
     want = tuple(c[::-1] for c in _columns(b"".join(theirs), len(theirs))) if reverse else theirs

@@ -186,7 +186,7 @@ def _unique_extremes(q):
     sinks = [i for i in range(len(tq.nodes)) if tq.out_deg[i] == 0]
     proj_dims = rep.projective_dim_vectors(q)
     proj_ids = tuple(
-        sorted(table.id_by_dim[tuple(d[v] for v in q.vertices)] for d in proj_dims.values())
+        sorted(table.dims.index(tuple(d[v] for v in q.vertices)) for d in proj_dims.values())
     )
     if len(sources) == 1 and len(sinks) == 1 and tq.nodes[sources[0]] == proj_ids:
         return None
@@ -263,7 +263,7 @@ def _ar_duality(q):
             tau_col = None
         else:
             tau_dim = fam.dim(translate, param)
-            tau_col = table.id_by_dim[tuple(tau_dim[v] for v in q.vertices)]
+            tau_col = table.dims.index(tuple(tau_dim[v] for v in q.vertices))
         for j in range(k):
             want = table.hom[j][tau_col] if tau_col is not None else 0
             if table.ext[i][j] != want:

@@ -123,7 +123,7 @@ def test_criterion_6_oracle_equivalence_and_ar_duality():
                     tau_col = None
                 else:
                     dims = fam.dim(shifted, param)
-                    tau_col = table.id_by_dim[tuple(dims[v] for v in q.vertices)]
+                    tau_col = table.dims.index(tuple(dims[v] for v in q.vertices))
                 for j in range(k):
                     mj = table.models[j]
                     pred = fam.ext_vanish(mi, mj, param)

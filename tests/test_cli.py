@@ -6,7 +6,6 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
-from types import FunctionType
 
 import pytest
 
@@ -219,21 +218,19 @@ def test_graph_export_stays_near_the_walk_peak(d9_walk_memory):
 
 
 def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
-    from tiltquiver import linalg, rep
+    from tiltquiver import rep
 
     def forbidden(*args):
         raise AssertionError("representation or linear algebra on the hot path")
 
-    monkeypatch.setattr(rep, "indecomposables", forbidden)
-    monkeypatch.setattr(rep, "hom_table", forbidden)
     defined = [
         name
-        for name, value in vars(linalg).items()
-        if isinstance(value, FunctionType) and value.__module__ == linalg.__name__
+        for name, value in vars(rep).items()
+        if callable(value) and getattr(value, "__module__", None) == rep.__name__
     ]
-    assert defined
+    assert {"Rep", "indecomposables", "hom_table", "nullspace", "primitive"} <= set(defined)
     for name in defined:
-        monkeypatch.setattr(linalg, name, forbidden)
+        monkeypatch.setattr(rep, name, forbidden)
     vertices, arrows = closed_form_counts("D", 5)
     digests = {
         **EULER_PATH_SHA256,
@@ -248,14 +245,12 @@ def test_graph_and_enumerate_build_no_representation(capsys, monkeypatch):
 
 
 def test_product_imports_nothing_from_rep_or_linalg():
-    """The product modules import neither `rep` nor `linalg`, nor any name
-    from them: those are the oracle that verify and the tests check the
-    product against.  The positive roots and their simple reflections are
-    read from `quiver`."""
+    """The product modules import neither `rep` nor any name from it: it is
+    the oracle that verify and the tests check the product against.  The
+    positive roots and their simple reflections are read from `quiver`."""
     import ast
     import importlib
 
-    oracle = ("rep", "linalg")
     used = {}
     for name in ("quiver", "models", "tilting", "glue", "classify", "cli"):
         module = importlib.import_module(f"tiltquiver.{name}")
@@ -265,12 +260,12 @@ def test_product_imports_nothing_from_rep_or_linalg():
             if isinstance(node, ast.ImportFrom):
                 source = (node.module or "").removeprefix("tiltquiver").lstrip(".")
                 for alias in node.names:
-                    if source in oracle:
+                    if source == "rep":
                         names.add(f"{source}.{alias.name}")
-                    elif alias.name in oracle:
+                    elif alias.name == "rep":
                         names.add(alias.name)
             elif isinstance(node, ast.Import):
-                names.update(a.name for a in node.names if a.name.endswith((".rep", ".linalg")))
+                names.update(a.name for a in node.names if a.name.endswith(".rep"))
         used[name] = names
     assert used == {name: set() for name in used}
 
@@ -321,7 +316,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv.split()) for argv in commands]
 assert codes == [0] * len(commands), codes
 """
-    names = ("tiltquiver.tilting", "tiltquiver.rep", "tiltquiver.linalg")
+    names = ("tiltquiver.tilting", "tiltquiver.rep")
     assert modules_loaded_by(statement, names) == ["tiltquiver.tilting"]
 
 

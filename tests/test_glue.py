@@ -169,13 +169,13 @@ def test_leaf_maps_match_the_functors():
                 small_reps = [ind.rep for ind in rep.indecomposables(small)]
                 assert [r.dim_tuple() for r in small_reps] == list(small_table.dims)
                 assert up == tuple(
-                    table.id_by_dim[rep.extend(q, x, r).dim_tuple()] for r in small_reps
+                    table.dims.index(rep.extend(q, x, r).dim_tuple()) for r in small_reps
                 ), (bits, x)
                 src = q.is_source(x)
                 functor = rep.reflection_minus if src else rep.reflection_plus
                 table2 = ext_table(reflect(q, x))
                 moved = {
-                    i: table2.id_by_dim[functor(q, x, r).dim_tuple()]
+                    i: table2.dims.index(functor(q, x, r).dim_tuple())
                     for i, r in enumerate(reps)
                     if i != glue.simple_summand_id(table, x)
                 }

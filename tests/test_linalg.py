@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from tiltquiver import linalg
+from tiltquiver import rep
 
 
 def rref(rows, ncols):
@@ -50,7 +50,7 @@ def rref_nullspace(rows, ncols):
 
 def rank(rows, ncols):
     """Rank as ncols minus the nullity, the way rep.hom_dim reads it."""
-    return ncols - len(linalg.nullspace(rows, ncols))
+    return ncols - len(rep.nullspace(rows, ncols))
 
 
 def test_rank_basic():
@@ -98,7 +98,7 @@ def test_nullspace_matches_rref_oracle_on_random_int_matrices():
     for _ in range(150):
         nr, nc = rng.randint(0, 6), rng.randint(1, 7)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        assert linalg.nullspace(rows, nc) == rref_nullspace(rows, nc)
+        assert rep.nullspace(rows, nc) == rref_nullspace(rows, nc)
 
 
 def test_nullspace_annihilates():
@@ -106,7 +106,7 @@ def test_nullspace_annihilates():
     for _ in range(30):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
-        basis = linalg.nullspace(rows, nc)
+        basis = rep.nullspace(rows, nc)
         # the nullity is ncols minus the rank, the pivot count of the oracle
         assert len(basis) == nc - len(rref(rows, nc)[1])
         for vec in basis:
@@ -116,7 +116,7 @@ def test_nullspace_annihilates():
 
 
 def test_primitive_scaling():
-    assert linalg.primitive([6, 4]) == [3, 2]
-    assert linalg.primitive([2, 4]) == [1, 2]
-    assert linalg.primitive([-3, 6, 9]) == [-1, 2, 3]
-    assert linalg.primitive([0, 0]) == [0, 0]
+    assert rep.primitive([6, 4]) == [3, 2]
+    assert rep.primitive([2, 4]) == [1, 2]
+    assert rep.primitive([-3, 6, 9]) == [-1, 2, 3]
+    assert rep.primitive([0, 0]) == [0, 0]

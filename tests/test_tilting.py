@@ -150,7 +150,6 @@ def _per_pair_table(kind, param, q, roots):
         "ext": ext,
         "compat": compat,
         "ext_zero": ext_zero,
-        "id_by_dim": {d: i for i, d in enumerate(dims)},
     }
 
 
@@ -679,7 +678,7 @@ def test_projectives_are_the_maximum():
     table = ext_table(q)
     proj = tuple(
         sorted(
-            table.id_by_dim[tuple(d[v] for v in q.vertices)]
+            table.dims.index(tuple(d[v] for v in q.vertices))
             for d in projective_dim_vectors(q).values()
         )
     )
@@ -749,7 +748,7 @@ def test_tilting_quiver_rejects_a_corrupted_ext_table():
     proj = (0, 2, 5)
     assert proj == tuple(
         sorted(
-            table.id_by_dim[tuple(d[v] for v in q.vertices)]
+            table.dims.index(tuple(d[v] for v in q.vertices))
             for d in projective_dim_vectors(q).values()
         )
     )
@@ -820,7 +819,7 @@ def test_walk_starts_at_the_ids_with_no_ext():
             table = ext_table(q)
             full = (1 << len(table)) - 1
             proj = sorted(
-                table.id_by_dim[tuple(d[v] for v in q.vertices)]
+                table.dims.index(tuple(d[v] for v in q.vertices))
                 for d in projective_dim_vectors(q).values()
             )
             assert [i for i, row in enumerate(table.ext_zero) if row == full] == proj, bits
